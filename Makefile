@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short test-race test-race-parallel bench bench-json bench-compare bench-dispatch stream-smoke fleet-smoke serve-smoke fuzz-smoke ci experiments examples clean
+.PHONY: all build vet test test-short test-race test-race-parallel test-benchmark bench bench-json bench-compare bench-dispatch stream-smoke fleet-smoke serve-smoke fuzz-smoke ci experiments examples clean
 
 all: build vet test test-race
 
@@ -28,6 +28,14 @@ test-race:
 test-race-parallel:
 	GOMAXPROCS=4 $(GO) test -race -count=1 \
 		-run 'Shard|Split|Stream|Parallel|FStat' ./internal/sim ./internal/scenario
+
+# The repository benchmark (benchmark/) is a module of its own, so the
+# root's ./... skips it: vet and test it from its directory. Its tests
+# include the correctness checks an engine change can break — the
+# daemon's completion stream byte-identical to an offline run, and
+# exit 1 on a corrupted stream.
+test-benchmark:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -78,11 +86,11 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzJobEncode -fuzztime=10s ./internal/workload
 	$(GO) test -run=^$$ -fuzz=FuzzMetricsEncode -fuzztime=10s ./internal/sim
 
-# Everything CI needs: build, vet, race-clean short tests, a smoke
-# run of the benchmark harness (fast benchtime, throwaway output), and
-# the constant-memory streaming, fleet determinism and serving-layer
-# overload checks.
-ci: build vet test-race test-race-parallel stream-smoke fleet-smoke serve-smoke
+# Everything CI needs: build, vet, race-clean short tests, the
+# repository benchmark's own tests, a smoke run of the benchmark
+# harness (fast benchtime, throwaway output), and the constant-memory
+# streaming, fleet determinism and serving-layer overload checks.
+ci: build vet test-race test-race-parallel test-benchmark stream-smoke fleet-smoke serve-smoke
 	$(GO) run ./cmd/bench -quick -out /tmp/BENCH_ci.json
 
 # Regenerate EXPERIMENTS.md (sequential so B4 throughput is clean).

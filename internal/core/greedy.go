@@ -9,19 +9,10 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"treesched/internal/sim"
 	"treesched/internal/tree"
 )
-
-// DisableBoundPruning, when set, makes the greedy assigners score
-// every eligible leaf in leaf order instead of descending candidates
-// by the admissible distance bound. The selected leaf is identical
-// either way (the pruning argument is exact, see Assign); the knob
-// exists for the differential tests and for benchmarking the pruning's
-// effect. Not safe to toggle while an engine is running.
-var DisableBoundPruning bool
 
 // GreedyConfig tunes the paper's assignment rule.
 type GreedyConfig struct {
@@ -56,6 +47,16 @@ func (c GreedyConfig) distanceWeight() float64 {
 	return 6 / (c.Eps * c.Eps)
 }
 
+// scanWeight is the distance coefficient the assignment scans use:
+// distanceWeight, or 0 when the term is dropped (adding the resulting
+// +0 leaves every cost's bits unchanged).
+func (c GreedyConfig) scanWeight() float64 {
+	if c.DropDistanceTerm {
+		return 0
+	}
+	return c.distanceWeight()
+}
+
 // F computes the paper's F(j,v) for a candidate leaf v at time t=r_j:
 //
 //	F(j,v) = Σ_{J_i ∈ S_{R(v),j}(t)} p^A_{i,R(v)}(t)
@@ -68,7 +69,11 @@ func (c GreedyConfig) distanceWeight() float64 {
 // (see sim.Query), so evaluating F for every leaf of a branch costs
 // one snapshot search total, not one per leaf.
 func F(q *sim.Query, a *sim.Arrival, v tree.NodeID) float64 {
-	r := q.Tree().Branch(v)
+	return fAt(q, a, q.Tree().Branch(v))
+}
+
+// fAt is F(j,v) for the leaves v below root-adjacent node r.
+func fAt(q *sim.Query, a *sim.Arrival, r tree.NodeID) float64 {
 	volHigher, countLarger := q.AvailStats(r, a.Size, a.Release, a.ID)
 	return volHigher + a.Size + a.Size*float64(countLarger)
 }
@@ -86,76 +91,50 @@ func FPrime(q *sim.Query, a *sim.Arrival, v tree.NodeID) float64 {
 		pjv*q.LeafFracLarger(v, pjv)
 }
 
-// dispatchOrder caches the depth-ascending visit order of one
-// candidate leaf set. Keyed by the tree and the leaf contents (an
-// owned copy — eligibleLeaves may return freshly allocated slices, so
-// slice identity would be unsound under address reuse); in steady
-// state every arrival sees the same root-origin leaf list and the
-// order is computed once. Assigners holding one are not goroutine-safe
-// (like the other stateful assigners, e.g. sched.RoundRobin).
-type dispatchOrder struct {
-	tree   *tree.Tree
+// dispatchPlans holds one dispatchPlan per origin node of one tree,
+// each built on the first arrival from that origin: the per-arrival
+// lookup is an index, and warm dispatch allocates nothing. The cache
+// is keyed by the tree pointer, which it keeps alive, so the address
+// cannot be reused by another tree. Assigners holding one are not
+// goroutine-safe (like the other stateful assigners, e.g.
+// sched.RoundRobin).
+type dispatchPlans struct {
+	tree  *tree.Tree
+	plans []dispatchPlan
+}
+
+// dispatchPlan is the candidate set of one origin: the leaves below it
+// in leaf order, and the heads of the maximal runs of consecutive
+// candidates sharing (root-adjacent branch, depth). The identical rule
+// costs every leaf of a run alike, and the first minimum wins, so only
+// a run's head can be chosen.
+type dispatchPlan struct {
 	leaves []tree.NodeID
-	order  []int32
-	groups []branchGroup
+	runs   []runHead
 }
 
-// branchGroup is a maximal run of depth-ordered candidates sharing
-// (root-adjacent branch, depth) — one identical-rule cost evaluation
-// covers the whole run, and its lowest-index leaf is the only member
-// that can ever win the first-minimum tie-break.
-type branchGroup struct {
-	leaf  tree.NodeID // lowest-index leaf of the run (the representative)
-	pos   int32       // its index in the candidate slice (tie-break rank)
-	depth int32
+type runHead struct {
+	leaf, branch tree.NodeID
+	depth        int
 }
 
-// rebuild recomputes the cached order and groups for a new candidate
-// set.
-func (d *dispatchOrder) rebuild(t *tree.Tree, leaves []tree.NodeID) {
-	d.tree = t
-	d.leaves = append(d.leaves[:0], leaves...)
-	d.order = d.order[:0]
-	for i := range leaves {
-		d.order = append(d.order, int32(i))
+// of returns the plan for arrivals released at origin on t.
+func (d *dispatchPlans) of(t *tree.Tree, origin tree.NodeID) *dispatchPlan {
+	if d.tree != t {
+		d.tree = t
+		d.plans = make([]dispatchPlan, t.NumNodes())
 	}
-	slices.SortFunc(d.order, func(x, y int32) int {
-		dx, dy := t.Depth(leaves[x]), t.Depth(leaves[y])
-		if dx != dy {
-			return dx - dy
-		}
-		return int(x - y)
-	})
-	d.groups = d.groups[:0]
-	lastB, lastD := tree.None, int32(-1)
-	for _, i := range d.order {
-		v := leaves[i]
-		b, dep := t.Branch(v), int32(t.Depth(v))
-		if b != lastB || dep != lastD {
-			d.groups = append(d.groups, branchGroup{leaf: v, pos: i, depth: dep})
-			lastB, lastD = b, dep
+	p := &d.plans[origin]
+	if p.leaves == nil {
+		p.leaves = eligibleLeaves(t, origin)
+		for _, v := range p.leaves {
+			b, dep := t.Branch(v), t.Depth(v)
+			if n := len(p.runs); n == 0 || p.runs[n-1].branch != b || p.runs[n-1].depth != dep {
+				p.runs = append(p.runs, runHead{leaf: v, branch: b, depth: dep})
+			}
 		}
 	}
-}
-
-// of returns indices into leaves sorted by (depth, index) ascending —
-// the admissible-bound order of the pruned descent.
-func (d *dispatchOrder) of(t *tree.Tree, leaves []tree.NodeID) []int32 {
-	if d.tree != t || !slices.Equal(d.leaves, leaves) {
-		d.rebuild(t, leaves)
-	}
-	return d.order
-}
-
-// groupsOf returns the (branch, depth) run groups of the candidates in
-// the same depth-ascending order. Two non-adjacent runs of one key
-// yield two groups; that only costs a duplicate (memoized) evaluation
-// and never changes the winner.
-func (d *dispatchOrder) groupsOf(t *tree.Tree, leaves []tree.NodeID) []branchGroup {
-	if d.tree != t || !slices.Equal(d.leaves, leaves) {
-		d.rebuild(t, leaves)
-	}
-	return d.groups
+	return p
 }
 
 // GreedyIdentical is the paper's assignment rule for the identical
@@ -163,8 +142,8 @@ func (d *dispatchOrder) groupsOf(t *tree.Tree, leaves []tree.NodeID) []branchGro
 //
 //	argmin_{v ∈ L} { F(j,v) + (6/ε²)·d_v·p_j }.
 type GreedyIdentical struct {
-	Cfg GreedyConfig
-	ord dispatchOrder
+	Cfg   GreedyConfig
+	plans dispatchPlans
 }
 
 // NewGreedyIdentical constructs the identical-endpoint greedy rule.
@@ -177,87 +156,28 @@ func NewGreedyIdentical(eps float64) *GreedyIdentical {
 // Name implements sim.Assigner.
 func (g *GreedyIdentical) Name() string { return "GreedyIdentical" }
 
-// Assign implements sim.Assigner. F(j,v) depends only on the
-// root-adjacent ancestor R(v), so the engine's per-node query memo
-// shares it across all leaves below one branch.
-//
-// Candidates are visited in depth-ascending order and the descent
-// stops at the first leaf whose admissible lower bound
-//
-//	lb(v) = dw·d_v·p_j + p_j      (p_j ≤ F(j,v): volHigher ≥ 0 and
-//	                               the count term is nonnegative)
-//
-// strictly exceeds the best cost so far: the bound is monotone in
-// depth (float multiplication and addition are monotone on
-// nonnegative operands), so every remaining candidate is strictly
-// worse than the incumbent and cannot even tie. Ties among scored
-// candidates resolve to the lowest leaf index, which is exactly the
-// first-minimum-wins rule of the plain left-to-right scan — the
-// selected leaf is bit-for-bit the unpruned argmin.
+// Assign implements sim.Assigner. The cost depends on v only through
+// (R(v), d_v), so the scan scores one head per run of the origin's
+// plan, in leaf order, and keeps the first strict minimum. Scoring
+// every candidate leaf in turn picks the same leaf and makes the same
+// branch-root queries in the same order; it only adds repeats, which
+// the engine's query memo answers without touching engine state.
 func (g *GreedyIdentical) Assign(q *sim.Query, a *sim.Arrival) tree.NodeID {
 	g.Cfg.validate()
-	t := q.Tree()
-	leaves := eligibleLeaves(q, a)
-	if len(leaves) == 1 {
-		return leaves[0]
+	p := g.plans.of(q.Tree(), a.Origin)
+	if len(p.leaves) == 1 {
+		return p.leaves[0]
 	}
-	var dw float64
-	if !g.Cfg.DropDistanceTerm {
-		dw = g.Cfg.distanceWeight()
-	}
-	if DisableBoundPruning || dw == 0 {
-		// The cost depends on v only through (R(v), d_v): consecutive
-		// candidates sharing both reuse the identical cost bits, and an
-		// equal cost never displaces the incumbent, so skipping the
-		// recomputation is exact.
-		lastBranch := tree.None
-		lastDepth := -1
-		var lastCost float64
-		best := tree.None
-		bestCost := math.Inf(1)
-		for _, v := range leaves {
-			r, d := t.Branch(v), t.Depth(v)
-			var cost float64
-			if r == lastBranch && d == lastDepth {
-				cost = lastCost
-			} else {
-				if !g.Cfg.DropVolumeTerm {
-					cost += F(q, a, v)
-				}
-				if !g.Cfg.DropDistanceTerm {
-					cost += dw * float64(d) * a.Size
-				}
-				lastBranch, lastDepth, lastCost = r, d, cost
-			}
-			if cost < bestCost {
-				best, bestCost = v, cost
-			}
-		}
-		return best
-	}
-	minF := a.Size
-	if g.Cfg.DropVolumeTerm {
-		minF = 0 // cost degenerates to the distance term alone
-	}
-	// Every leaf of a (branch, depth) group shares the cost, so only
-	// each group's lowest-index member can win first-minimum-wins;
-	// scoring one representative per group is exact and calls F once
-	// per group instead of once per leaf.
+	dw := g.Cfg.scanWeight()
 	best := tree.None
 	bestCost := math.Inf(1)
-	bestPos := int32(math.MaxInt32)
-	for _, gr := range g.ord.groupsOf(t, leaves) {
-		distTerm := dw * float64(gr.depth) * a.Size
-		if distTerm+minF > bestCost {
-			break
-		}
-		var cost float64
+	for _, h := range p.runs {
+		cost := dw * float64(h.depth) * a.Size
 		if !g.Cfg.DropVolumeTerm {
-			cost += F(q, a, gr.leaf)
+			cost = fAt(q, a, h.branch) + cost
 		}
-		cost += distTerm
-		if cost < bestCost || (cost == bestCost && gr.pos < bestPos) {
-			best, bestCost, bestPos = gr.leaf, cost, gr.pos
+		if cost < bestCost {
+			best, bestCost = h.leaf, cost
 		}
 	}
 	return best
@@ -274,8 +194,8 @@ func (g *GreedyIdentical) Cost(q *sim.Query, a *sim.Arrival, v tree.NodeID) floa
 //
 //	argmin_{v ∈ L} { F(j,v) + F'(j,v) + (6/ε²)·d_v·p_j }.
 type GreedyUnrelated struct {
-	Cfg GreedyConfig
-	ord dispatchOrder
+	Cfg   GreedyConfig
+	plans dispatchPlans
 }
 
 // NewGreedyUnrelated constructs the unrelated-endpoint greedy rule.
@@ -288,60 +208,27 @@ func NewGreedyUnrelated(eps float64) *GreedyUnrelated {
 // Name implements sim.Assigner.
 func (g *GreedyUnrelated) Name() string { return "GreedyUnrelated" }
 
-// Assign implements sim.Assigner. The F term is shared per branch via
-// the engine's query memo; F' must be evaluated per leaf. The pruned
-// descent mirrors GreedyIdentical's: p_j bounds F(j,v) from below and
-// F'(j,v) ≥ p_{j,v} ≥ 0 adds only nonnegative terms, so
-// dw·d_v·p_j + p_j is an exact admissible bound for the full cost and
-// strictly-greater pruning preserves the argmin and its tie-break.
+// Assign implements sim.Assigner: every candidate leaf of the origin's
+// plan is scored in leaf order and the first strict minimum wins. The
+// F term is shared per branch via the engine's query memo; F' must be
+// evaluated per leaf.
 func (g *GreedyUnrelated) Assign(q *sim.Query, a *sim.Arrival) tree.NodeID {
 	g.Cfg.validate()
 	t := q.Tree()
-	leaves := eligibleLeaves(q, a)
-	if len(leaves) == 1 {
-		return leaves[0]
+	p := g.plans.of(t, a.Origin)
+	if len(p.leaves) == 1 {
+		return p.leaves[0]
 	}
-	var dw float64
-	if !g.Cfg.DropDistanceTerm {
-		dw = g.Cfg.distanceWeight()
-	}
-	if DisableBoundPruning || dw == 0 {
-		best := tree.None
-		bestCost := math.Inf(1)
-		for _, v := range leaves {
-			var cost float64
-			if !g.Cfg.DropVolumeTerm {
-				cost += F(q, a, v) + FPrime(q, a, v)
-			}
-			if !g.Cfg.DropDistanceTerm {
-				cost += dw * float64(t.Depth(v)) * a.Size
-			}
-			if cost < bestCost {
-				best, bestCost = v, cost
-			}
-		}
-		return best
-	}
-	minF := a.Size
-	if g.Cfg.DropVolumeTerm {
-		minF = 0
-	}
+	dw := g.Cfg.scanWeight()
 	best := tree.None
 	bestCost := math.Inf(1)
-	bestPos := len(leaves)
-	for _, oi := range g.ord.of(t, leaves) {
-		v := leaves[oi]
-		distTerm := dw * float64(t.Depth(v)) * a.Size
-		if distTerm+minF > bestCost {
-			break
-		}
-		var cost float64
+	for _, v := range p.leaves {
+		cost := dw * float64(t.Depth(v)) * a.Size
 		if !g.Cfg.DropVolumeTerm {
-			cost += F(q, a, v) + FPrime(q, a, v)
+			cost = F(q, a, v) + FPrime(q, a, v) + cost
 		}
-		cost += distTerm
-		if cost < bestCost || (cost == bestCost && int(oi) < bestPos) {
-			best, bestCost, bestPos = v, cost, int(oi)
+		if cost < bestCost {
+			best, bestCost = v, cost
 		}
 	}
 	return best
@@ -355,13 +242,12 @@ func (g *GreedyUnrelated) Cost(q *sim.Query, a *sim.Arrival, v tree.NodeID) floa
 
 // eligibleLeaves honors the arbitrary-origin extension: jobs released
 // at an interior node may only be assigned below it.
-func eligibleLeaves(q *sim.Query, a *sim.Arrival) []tree.NodeID {
-	if a.Origin == 0 {
-		return q.Tree().Leaves()
+func eligibleLeaves(t *tree.Tree, origin tree.NodeID) []tree.NodeID {
+	switch {
+	case origin == t.Root():
+		return t.Leaves()
+	case t.IsLeaf(origin):
+		return []tree.NodeID{origin}
 	}
-	t := q.Tree()
-	if t.IsLeaf(a.Origin) {
-		return []tree.NodeID{a.Origin}
-	}
-	return t.SubtreeLeaves(a.Origin)
+	return t.SubtreeLeaves(origin)
 }

@@ -5,24 +5,18 @@ import (
 	"fmt"
 	"testing"
 
-	"treesched/internal/core"
 	"treesched/internal/rng"
 	"treesched/internal/sim"
 )
 
-// runKnobsOff runs sc with the dispatch fast paths force-disabled:
-// epoch memoization in the Query accessors and bound pruning in the
-// greedy assigners both fall back to their straight-line reference
-// code. The knobs are package globals, so they are flipped only for
-// the duration of this (sequentially executed) run.
+// runKnobsOff runs sc with the epoch memoization of the Query
+// accessors force-disabled, so every query recomputes its answer. The
+// knob is a package global, so it is flipped only for the duration of
+// this (sequentially executed) run.
 func runKnobsOff(t *testing.T, sc *Scenario, shards int) (*sim.Result, error, []sim.Slice) {
 	t.Helper()
 	sim.DisableDispatchMemo = true
-	core.DisableBoundPruning = true
-	defer func() {
-		sim.DisableDispatchMemo = false
-		core.DisableBoundPruning = false
-	}()
+	defer func() { sim.DisableDispatchMemo = false }()
 	return runWithShards(t, sc, shards)
 }
 
@@ -40,14 +34,13 @@ func ndjsonBytes(t *testing.T, res *sim.Result) []byte {
 }
 
 // TestDispatchKnobsDifferential is the determinism contract for the
-// memoized/pruned dispatch path: across 60 randomized scenarios
-// covering every state-querying assigner (greedy, shadow, jsq,
-// leastvolume) under every policy, running with the fast paths
-// enabled and force-disabled must produce byte-identical NDJSON
-// output — the memo may only ever return the same bits a fresh
-// recomputation would, and pruning may only skip candidates that
-// cannot win. Both the sequential and the sharded engine are held to
-// the contract, including scenarios that legitimately fail.
+// memoized dispatch path: across 60 randomized scenarios covering
+// every state-querying assigner (greedy, shadow, jsq, leastvolume)
+// under every policy, running with the query memo enabled and
+// force-disabled must produce byte-identical NDJSON output — the memo
+// may only ever return the same bits a fresh recomputation would. Both
+// the sequential and the sharded engine are held to the contract,
+// including scenarios that legitimately fail.
 func TestDispatchKnobsDifferential(t *testing.T) {
 	topos := []string{"fattree:4,1,2", "fattree:8,1,2", "fattree:2,2,2", "star:8", "caterpillar:4,2", "broomstick:6,2,2", "random:4,3,3"}
 	policies := []string{"sjf", "fifo", "srpt", "ps", "lcfs", "wsjf"}
@@ -86,7 +79,7 @@ func TestDispatchKnobsDifferential(t *testing.T) {
 					continue
 				}
 				if on, off := ndjsonBytes(t, onRes), ndjsonBytes(t, offRes); !bytes.Equal(on, off) {
-					t.Fatalf("%s (shards=%d): NDJSON output diverges between memoized+pruned and reference dispatch", line, shards)
+					t.Fatalf("%s (shards=%d): NDJSON output diverges between memoized and reference dispatch", line, shards)
 				}
 			}
 		})

@@ -19,8 +19,8 @@ import (
 // leastvolume), so parallel querying dispatch is covered alongside
 // oblivious replay; the engine variants mix in the streaming pipeline
 // and sub-shard splitting. Each case also runs a sequential reference
-// with the dispatch memo and bound pruning force-disabled, pinning
-// the fast paths to the straight-line code bit for bit. Under
+// with the dispatch memo force-disabled, pinning the memoized queries
+// to the straight-line code bit for bit. Under
 // `go test -race` this doubles as the data-race stress for the
 // worker pool.
 func TestShardedScenarioEquivalence(t *testing.T) {

@@ -445,9 +445,8 @@ func (f *fstat) runCorrection(n *nodeState, rank int) float64 {
 
 // volumeHigher answers AvailVolumeHigher from the snapshot. The
 // result is clamped at 0: the base subtraction and running correction
-// can round a mathematically zero sum to a tiny negative, and the
-// greedy pruning bound (core.GreedyIdentical) relies on the volume
-// term being nonnegative.
+// can round a mathematically zero sum to a tiny negative, and a volume
+// of remaining work is never negative.
 func (f *fstat) volumeHigher(n *nodeState, size, release float64, id int) float64 {
 	rank := f.hypoRank(size, release, id)
 	f.ensure(f.off + rank)
