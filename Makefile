@@ -85,6 +85,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzJobDecode -fuzztime=10s ./internal/workload
 	$(GO) test -run=^$$ -fuzz=FuzzJobEncode -fuzztime=10s ./internal/workload
 	$(GO) test -run=^$$ -fuzz=FuzzMetricsEncode -fuzztime=10s ./internal/sim
+	$(GO) test -run=^$$ -fuzz=FuzzAppend -fuzztime=10s ./internal/jsonfloat
 
 # Everything CI needs: build, vet, race-clean short tests, the
 # repository benchmark's own tests, a smoke run of the benchmark

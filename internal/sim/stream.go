@@ -237,21 +237,21 @@ func (s *Sim) streamResult(n int) (*Result, error) {
 
 // WriteNDJSON writes the result as newline-delimited JSON: one
 // {"stats":...} header line (with the streaming accumulator when
-// present) followed by one compact object per retained job. Unlike
-// WriteJSON it never builds one giant document, so large results
-// stream to disk in constant memory.
+// present) followed by one compact object per retained job, written
+// by an NDJSONSink. Unlike WriteJSON it never builds one giant
+// document, so large results stream to disk in constant memory.
 func (r *Result) WriteNDJSON(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
 	hdr := struct {
 		Stats  Stats        `json:"stats"`
 		Stream *StreamStats `json:"stream,omitempty"`
 	}{r.Stats, r.Stream}
-	if err := enc.Encode(hdr); err != nil {
+	if err := json.NewEncoder(bw).Encode(hdr); err != nil {
 		return err
 	}
+	sink := NewNDJSONSink(bw)
 	for i := range r.Jobs {
-		if err := enc.Encode(&r.Jobs[i]); err != nil {
+		if err := sink.Emit(&r.Jobs[i]); err != nil {
 			return err
 		}
 	}

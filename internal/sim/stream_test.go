@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"math"
 	"strings"
@@ -256,6 +257,23 @@ func TestStreamWriteNDJSON(t *testing.T) {
 	}
 	if !strings.HasPrefix(buf.String(), "{\"stats\":") {
 		t.Fatal("NDJSON header line missing stats")
+	}
+	var want bytes.Buffer
+	enc := json.NewEncoder(&want)
+	hdr := struct {
+		Stats  Stats        `json:"stats"`
+		Stream *StreamStats `json:"stream,omitempty"`
+	}{res.Stats, res.Stream}
+	if err := enc.Encode(hdr); err != nil {
+		t.Fatal(err)
+	}
+	for i := range res.Jobs {
+		if err := enc.Encode(&res.Jobs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(buf.Bytes(), want.Bytes()) {
+		t.Fatal("WriteNDJSON output differs from json.Encoder's")
 	}
 }
 

@@ -253,18 +253,25 @@ func Collect(src ArrivalSource) (*Trace, error) {
 }
 
 // StreamNDJSON drains a source to w as newline-delimited JSON — one
-// compact Job object per line — accumulating TraceStats online so a
-// million-job trace is written without ever holding a []Job.
+// compact Job object per line, the bytes json.Encoder would write,
+// produced by AppendJob into one reused buffer — accumulating
+// TraceStats online so a million-job trace is written without ever
+// holding a []Job.
 func StreamNDJSON(src ArrivalSource, w io.Writer) (TraceStats, error) {
 	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
+	var line []byte
 	var st TraceStats
 	for {
 		j, ok := src.Next()
 		if !ok {
 			break
 		}
-		if err := enc.Encode(&j); err != nil {
+		var err error
+		if line, err = AppendJob(line[:0], &j); err == nil {
+			line = append(line, '\n')
+			_, err = bw.Write(line)
+		}
+		if err != nil {
 			return st, fmt.Errorf("workload: encoding job %d: %w", j.ID, err)
 		}
 		st.Jobs++

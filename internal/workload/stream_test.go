@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"io"
 	"reflect"
@@ -145,6 +146,16 @@ func TestStreamNDJSONRoundTrip(t *testing.T) {
 	}
 	if lines := strings.Count(buf.String(), "\n"); lines != cfg.N {
 		t.Fatalf("NDJSON has %d lines, want %d", lines, cfg.N)
+	}
+	var encoded bytes.Buffer
+	enc := json.NewEncoder(&encoded)
+	for i := range want.Jobs {
+		if err := enc.Encode(&want.Jobs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(buf.Bytes(), encoded.Bytes()) {
+		t.Fatal("StreamNDJSON output differs from json.Encoder's")
 	}
 
 	back, err := Collect(NewNDJSONSource(&buf))
