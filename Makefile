@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short test-race test-race-parallel test-benchmark bench bench-json bench-compare bench-dispatch stream-smoke fleet-smoke serve-smoke fuzz-smoke ci experiments examples clean
+.PHONY: all build vet fmt-check test test-short test-race test-race-parallel test-benchmark bench bench-json bench-compare bench-dispatch stream-smoke fleet-smoke serve-smoke fuzz-smoke ci experiments examples clean
 
 all: build vet test test-race
 
@@ -11,6 +11,11 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Fail when any Go file in the tree (benchmark/ included) is not
+# gofmt-clean, listing the offenders.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -87,11 +92,12 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzMetricsEncode -fuzztime=10s ./internal/sim
 	$(GO) test -run=^$$ -fuzz=FuzzAppend -fuzztime=10s ./internal/jsonfloat
 
-# Everything CI needs: build, vet, race-clean short tests, the
-# repository benchmark's own tests, a smoke run of the benchmark
-# harness (fast benchtime, throwaway output), and the constant-memory
-# streaming, fleet determinism and serving-layer overload checks.
-ci: build vet test-race test-race-parallel test-benchmark stream-smoke fleet-smoke serve-smoke
+# Everything CI needs: build, vet, a gofmt check, race-clean short
+# tests, the repository benchmark's own tests, a smoke run of the
+# benchmark harness (fast benchtime, throwaway output), and the
+# constant-memory streaming, fleet determinism and serving-layer
+# overload checks.
+ci: build vet fmt-check test-race test-race-parallel test-benchmark stream-smoke fleet-smoke serve-smoke
 	$(GO) run ./cmd/bench -quick -out /tmp/BENCH_ci.json
 
 # Regenerate EXPERIMENTS.md (sequential so B4 throughput is clean).

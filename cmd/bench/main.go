@@ -102,6 +102,7 @@
 // Server kernels also report allocs_per_job (allocs/op divided by the
 // trace length), the per-job serving-path allocation cost the
 // -serve-smoke probe bounds.
+//
 //	rng_partition/legacy  generate a 2,000-job workload (sizes and
 //	                      weights) from a legacy partition, where every
 //	                      stream name aliases one shared state

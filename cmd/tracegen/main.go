@@ -29,8 +29,9 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
+	"strings"
 
-	"treesched/internal/cli"
 	"treesched/internal/rng"
 	"treesched/internal/scenario"
 	"treesched/internal/workload"
@@ -105,12 +106,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Seed: *seed,
 		}
 		if *unrelated != "" {
-			ucfg, err := cli.ParseUnrelated(*unrelated)
-			if err != nil {
+			if sc.Workload.Unrelated, err = parseUnrelated(*unrelated); err != nil {
 				return fail(err)
-			}
-			sc.Workload.Unrelated = &scenario.Unrelated{
-				Lo: ucfg.Lo, Hi: ucfg.Hi, Leaves: ucfg.Leaves,
 			}
 		}
 	}
@@ -157,4 +154,30 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stderr, "tracegen: %d jobs, total work %.4g, span %.4g, mean size %.4g, max size %.4g, offered %.4g/s\n",
 		st.Jobs, st.TotalWork, st.Span, st.MeanSize, st.MaxSize, st.OfferedPerSec)
 	return 0
+}
+
+// parseUnrelated parses the -unrelated flag, "LEAVES:lo,hi". Its error
+// texts are the ones tracegen has always printed, byte for byte.
+func parseUnrelated(spec string) (*scenario.Unrelated, error) {
+	leavesStr, rangeStr, ok := strings.Cut(spec, ":")
+	if !ok {
+		return nil, fmt.Errorf("cli: unrelated spec %q wants LEAVES:lo,hi", spec)
+	}
+	leaves, err := strconv.Atoi(leavesStr)
+	if err != nil {
+		return nil, fmt.Errorf("cli: unrelated leaves %q: %w", leavesStr, err)
+	}
+	parts := strings.Split(rangeStr, ",")
+	if len(parts) != 2 {
+		return nil, fmt.Errorf("cli: unrelated range %q wants lo,hi", rangeStr)
+	}
+	lo, err := strconv.ParseFloat(strings.TrimSpace(parts[0]), 64)
+	if err != nil {
+		return nil, err
+	}
+	hi, err := strconv.ParseFloat(strings.TrimSpace(parts[1]), 64)
+	if err != nil {
+		return nil, err
+	}
+	return &scenario.Unrelated{Lo: lo, Hi: hi, Leaves: leaves}, nil
 }

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"treesched/internal/scenario"
 	"treesched/internal/workload"
 )
 
@@ -128,5 +129,35 @@ func TestRunStreamBursty(t *testing.T) {
 	}
 	if got := strings.Count(strings.TrimRight(out, "\n"), "\n") + 1; got != 30 {
 		t.Fatalf("NDJSON has %d lines, want 30", got)
+	}
+}
+
+func TestParseUnrelated(t *testing.T) {
+	u, err := parseUnrelated("8:0.5,2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (scenario.Unrelated{Lo: 0.5, Hi: 2, Leaves: 8}); *u != want {
+		t.Fatalf("unrelated = %+v, want %+v", *u, want)
+	}
+	for _, spec := range []string{"8", "x:1,2", "8:1", "8:a,b"} {
+		if _, err := parseUnrelated(spec); err == nil {
+			t.Fatalf("unrelated spec %q accepted", spec)
+		}
+	}
+}
+
+// The -unrelated error texts are pinned byte for byte: they are what
+// tracegen prints.
+func TestParseUnrelatedErrorMessages(t *testing.T) {
+	for spec, want := range map[string]string{
+		"8":     `cli: unrelated spec "8" wants LEAVES:lo,hi`,
+		"x:1,2": `cli: unrelated leaves "x": strconv.Atoi: parsing "x": invalid syntax`,
+		"8:1":   `cli: unrelated range "1" wants lo,hi`,
+	} {
+		_, err := parseUnrelated(spec)
+		if err == nil || err.Error() != want {
+			t.Fatalf("%q:\n got  %v\n want %q", spec, err, want)
+		}
 	}
 }

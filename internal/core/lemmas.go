@@ -28,7 +28,12 @@ func CheckLemma1(res *sim.Result, eps float64, unrelated bool) Lemma1Report {
 	rep := Lemma1Report{}
 	var sum float64
 	t := res.Sim.Tree()
-	for _, js := range res.Sim.Tasks() {
+	tasks := res.Sim.Tasks()
+	if len(tasks) < len(res.Jobs) {
+		// The engine recycled its task state at completion.
+		panic("core: CheckLemma1 requires an instrumented run")
+	}
+	for _, js := range tasks {
 		if js.HopComplete == nil {
 			panic("core: CheckLemma1 requires an instrumented run")
 		}
@@ -144,9 +149,9 @@ type Lemma8Report struct {
 func CheckLemma8(res *sim.Result, sh *Shadow) Lemma8Report {
 	rep := Lemma8Report{}
 	inner := make(map[int]float64, len(res.Jobs))
-	for _, js := range sh.InnerTasks() {
-		if js.Completed {
-			inner[js.ID] = js.Completion
+	for _, m := range sh.InnerRecords() {
+		if m.Weight != 0 { // completed
+			inner[m.ID] = m.Completion
 		}
 	}
 	var sum float64

@@ -112,6 +112,7 @@ func (sh *Shadow) Broomstick() *tree.Broomstick { return sh.bs }
 // Finish first for end-of-run numbers.
 func (sh *Shadow) InnerStats() sim.Stats { return sh.inner.Stats() }
 
-// InnerTasks exposes the broomstick-side task states for the Lemma 8
-// domination check (per-job completion comparison).
-func (sh *Shadow) InnerTasks() []*sim.JobState { return sh.inner.Tasks() }
+// InnerRecords exposes the broomstick run's per-job completion
+// records (sim.Sim.Records) for the Lemma 8 domination check. Call
+// Finish first.
+func (sh *Shadow) InnerRecords() []sim.JobMetrics { return sh.inner.Records() }

@@ -136,8 +136,8 @@ func runL8(cfg Config) (*Output, error) {
 			}
 			if unrel && len(witness.Rows) < 8 {
 				inner := make(map[int]float64)
-				for _, js := range sh.InnerTasks() {
-					inner[js.ID] = js.Completion
+				for _, m := range sh.InnerRecords() {
+					inner[m.ID] = m.Completion
 				}
 				for i := range res.Jobs {
 					m := &res.Jobs[i]

@@ -6,9 +6,7 @@
 // experiment cell (topology + workload + scheduler + speeds + seed)
 // that round-trips through JSON and a compact one-line string.
 //
-// The registries are the single source of truth for the spec grammar;
-// internal/cli is a deprecated shim over them (it only adds its
-// historical "cli: " error prefix).
+// The registries are the single source of truth for the spec grammar.
 package scenario
 
 import (

@@ -91,6 +91,52 @@ func TestBuildTopoMatchesGenerators(t *testing.T) {
 	}
 }
 
+// TestParserErrorMessages pins the registries' spec-parsing errors
+// byte for byte: they are what the command-line tools print.
+func TestParserErrorMessages(t *testing.T) {
+	cases := []struct {
+		name string
+		got  func() error
+		want string
+	}{
+		{"topo empty", func() error { _, err := ParseTopo(""); return err },
+			`empty spec`},
+		{"topo bad int", func() error { _, err := ParseTopo("fattree:a,b,c"); return err },
+			`topology "fattree:a,b,c": arg "a" is not an integer`},
+		{"topo float arg", func() error { _, err := ParseTopo("fattree:2.5,2,2"); return err },
+			`topology "fattree:2.5,2,2": arg "2.5" is not an integer`},
+		{"topo arg count", func() error { _, err := ParseTopo("fattree:2,2"); return err },
+			`topology fattree needs 3 args, got 2`},
+		{"topo extra args", func() error { _, err := ParseTopo("star:1,2"); return err },
+			`topology star needs 1 args, got 2`},
+		{"topo unknown", func() error { _, err := ParseTopo("mesh:2"); return err },
+			`unknown topology "mesh" (want fattree|star|line|caterpillar|broomstick|random)`},
+		{"size arg count", func() error { _, err := ParseSize("uniform:1"); return err },
+			`uniform needs lo,hi`},
+		{"size bimodal count", func() error { _, err := ParseSize("bimodal:1,100"); return err },
+			`bimodal needs small,big,pbig`},
+		{"size pareto count", func() error { _, err := ParseSize("pareto:1,1.5"); return err },
+			`pareto needs min,alpha,cap`},
+		{"size bad number", func() error { _, err := ParseSize("uniform:x,16"); return err },
+			`size "uniform:x,16": arg "x" is not a number`},
+		{"size unknown", func() error { _, err := ParseSize("normal:0,1"); return err },
+			`unknown size distribution "normal" (want uniform|bimodal|pareto)`},
+		{"policy unknown", func() error { _, err := ParsePolicy("edf"); return err },
+			`unknown policy "edf" (want sjf|fifo|srpt|lcfs|ps|wsjf)`},
+		{"assigner unknown", func() error { _, err := ParseAssigner("oracle", AssignerContext{Eps: 0.5}); return err },
+			`unknown assigner "oracle" (want greedy|greedy-identical|greedy-unrelated|shadow|closest|random|roundrobin|leastvolume|minpath|jsq)`},
+	}
+	for _, c := range cases {
+		err := c.got()
+		if err == nil {
+			t.Fatalf("%s: no error", c.name)
+		}
+		if err.Error() != c.want {
+			t.Fatalf("%s:\n got  %q\n want %q", c.name, err.Error(), c.want)
+		}
+	}
+}
+
 // sampleScenarios covers every compact-expressible field combination.
 func sampleScenarios() []*Scenario {
 	return []*Scenario{

@@ -276,11 +276,11 @@ func New(cfg Config) (*Server, error) {
 		// queued job and the capacity gate keeps queued <= queueDepth,
 		// so at most queueDepth batches are ever in flight and the
 		// admission-side send can never block.
-		in:          make(chan []workload.Job, cfg.queueDepth()),
-		est:         sim.NewBacklogEstimator(sim.RootCapacity(in.Tree)),
-		subs:        make(map[int]*subscriber),
-		start:       time.Now(),
-		done:        make(chan struct{}),
+		in:    make(chan []workload.Job, cfg.queueDepth()),
+		est:   sim.NewBacklogEstimator(sim.RootCapacity(in.Tree)),
+		subs:  make(map[int]*subscriber),
+		start: time.Now(),
+		done:  make(chan struct{}),
 	}
 	// The chunk buffer is sized for full-precision metric lines up
 	// front; flush hands it off only when a subscriber received it.

@@ -116,7 +116,7 @@ func FuzzMetricsEncode(f *testing.F) {
 	f.Add(0, 0.0, 0.0, 0.0, int32(0), 0.0, 0.0)
 	f.Add(3, 1.5, 2.75, 1.25, int32(4), 3.5, 1.0)
 	f.Add(-1, math.Copysign(0, -1), 1e-6, 9.999999999999999e-7, int32(-2), 1e21, 9.999999999999999e20)
-	f.Add(1 << 30, 5e-324, -5e-324, math.MaxFloat64, int32(1<<30), -math.MaxFloat64, 1e-300)
+	f.Add(1<<30, 5e-324, -5e-324, math.MaxFloat64, int32(1<<30), -math.MaxFloat64, 1e-300)
 	f.Add(7, 123456789.123456789, 2.0/3.0, 1e20, int32(12), 1e-7, 0.1)
 	f.Fuzz(func(t *testing.T, id int, release, completion, flow float64, leaf int32, pathWork, weight float64) {
 		m := &JobMetrics{

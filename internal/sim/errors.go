@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 
 	"treesched/internal/tree"
@@ -38,17 +40,20 @@ func dumpTask(js *JobState) TaskDump {
 	}
 }
 
+// dumpActive snapshots the first maxErrDump live tasks in injection
+// order and counts them all. Every live task sits in exactly one
+// leaf's assigned list, which reaches it whether or not the engine
+// keeps completed tasks.
 func dumpActive(s *Sim) (dumps []TaskDump, total int) {
-	for _, js := range s.tasks {
-		if js == nil || js.Completed {
-			continue
-		}
-		total++
-		if len(dumps) < maxErrDump {
-			dumps = append(dumps, dumpTask(js))
-		}
+	var live []*JobState
+	for _, lst := range s.assigned {
+		live = append(live, lst...)
 	}
-	return dumps, total
+	slices.SortFunc(live, func(a, b *JobState) int { return cmp.Compare(a.seq, b.seq) })
+	for _, js := range live[:min(len(live), maxErrDump)] {
+		dumps = append(dumps, dumpTask(js))
+	}
+	return dumps, len(live)
 }
 
 func formatDumps(b *strings.Builder, dumps []TaskDump, total int) {

@@ -88,24 +88,33 @@ func TestHoldReportsStuckTasks(t *testing.T) {
 	leaf := tr.Leaves()[0]
 	trace := &workload.Trace{Jobs: []workload.Job{{ID: 0, Release: 0, Size: 4}}}
 	// The leaf dies at t=2 while the task is still on the relay; under
-	// RecoverHold it arrives at a dead leaf and stalls forever.
-	_, err := Run(tr, trace, fixedAssigner{leaf}, Options{
-		SelfCheck: true,
-		Faults:    compile(t, tr, faults.Event{Kind: faults.LeafLoss, Node: leaf, Start: 2}),
-	})
-	var stuck *StuckError
-	if !errors.As(err, &stuck) {
-		t.Fatalf("Run error = %v, want *StuckError", err)
+	// RecoverHold it arrives at a dead leaf and stalls forever. Bounded
+	// retention must report it exactly as full retention does.
+	var msgs []string
+	for _, retain := range []int{0, 1} {
+		_, err := Run(tr, trace, fixedAssigner{leaf}, Options{
+			SelfCheck:  true,
+			RetainJobs: retain,
+			Faults:     compile(t, tr, faults.Event{Kind: faults.LeafLoss, Node: leaf, Start: 2}),
+		})
+		var stuck *StuckError
+		if !errors.As(err, &stuck) {
+			t.Fatalf("retain=%d: Run error = %v, want *StuckError", retain, err)
+		}
+		if stuck.Active != 1 || len(stuck.Tasks) != 1 {
+			t.Fatalf("retain=%d: StuckError = %+v, want exactly one stuck task", retain, stuck)
+		}
+		d := stuck.Tasks[0]
+		if d.Job != 0 || d.Leaf != leaf {
+			t.Fatalf("retain=%d: stuck dump = %+v, want job 0 on leaf %d", retain, d, leaf)
+		}
+		if !strings.Contains(stuck.Error(), "task 0") {
+			t.Fatalf("retain=%d: StuckError message %q does not name the task", retain, stuck.Error())
+		}
+		msgs = append(msgs, stuck.Error())
 	}
-	if stuck.Active != 1 || len(stuck.Tasks) != 1 {
-		t.Fatalf("StuckError = %+v, want exactly one stuck task", stuck)
-	}
-	d := stuck.Tasks[0]
-	if d.Job != 0 || d.Leaf != leaf {
-		t.Fatalf("stuck dump = %+v, want job 0 on leaf %d", d, leaf)
-	}
-	if !strings.Contains(stuck.Error(), "task 0") {
-		t.Fatalf("StuckError message %q does not name the task", stuck.Error())
+	if msgs[0] != msgs[1] {
+		t.Fatalf("bounded retention reports %q, full retention %q", msgs[1], msgs[0])
 	}
 }
 
@@ -304,7 +313,7 @@ func TestInjectAppliesDueBoundaries(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Relay [0,1]; leaf blocked until 2, then one unit: completion 3.
-	approx(t, s.Tasks()[0].Completion, 3, 1e-9, "completion with t=0 outage")
+	approx(t, s.Records()[0].Completion, 3, 1e-9, "completion with t=0 outage")
 }
 
 // Regression (satellite 1): CheckInvariants must return an error for a

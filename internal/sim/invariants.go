@@ -10,8 +10,9 @@ import (
 // CheckInvariants cross-validates the engine's internal bookkeeping:
 // queue membership and back-indices, leaf assignment sets, pending
 // sets (when instrumented), the active-task counter and the running
-// fractional-flow sum. It is O(tasks · depth) and intended for tests;
-// it returns the first inconsistency found.
+// fractional-flow sum. It reaches the live tasks through the leaf
+// assigned lists, is O(live tasks · depth) and intended for tests; it
+// returns the first inconsistency found.
 func (s *Sim) CheckInvariants() error {
 	// Sync every node so Remaining values are current.
 	for v := tree.NodeID(1); int(v) < s.tree.NumNodes(); v++ {
@@ -20,46 +21,38 @@ func (s *Sim) CheckInvariants() error {
 	active := 0
 	var fracSum float64
 	onNode := make(map[*JobState]tree.NodeID)
-	for _, js := range s.tasks {
-		if js == nil {
-			continue // slot of a run aborted mid-parallel-injection
-		}
-		if js.Completed {
-			if js.Remaining > 1e-6 {
-				return fmt.Errorf("sim: completed task %d has remaining %v", js.ID, js.Remaining)
+	// Every live task sits in exactly one leaf's assigned list.
+	for li, lst := range s.assigned {
+		for i, js := range lst {
+			active++
+			cur := js.CurrentNode()
+			if cur == tree.None {
+				return fmt.Errorf("sim: incomplete task %d has no current node", js.ID)
 			}
-			continue
-		}
-		active++
-		cur := js.CurrentNode()
-		if cur == tree.None {
-			return fmt.Errorf("sim: incomplete task %d has no current node", js.ID)
-		}
-		onNode[js] = cur
-		if js.Remaining < -1e-9 || js.Remaining > js.OrigOnCur+1e-9 {
-			return fmt.Errorf("sim: task %d remaining %v outside [0,%v]", js.ID, js.Remaining, js.OrigOnCur)
-		}
-		// Fractional contribution.
-		rem := js.LeafWork
-		if js.Hop == len(js.Path)-1 {
-			rem = js.Remaining
-		}
-		fracSum += js.FracWeight * rem / js.LeafWork
-		// Leaf assignment membership.
-		li := s.tree.LeafIndex(js.Leaf)
-		lst := s.assigned[li]
-		if js.leafIdx < 0 || js.leafIdx >= len(lst) || lst[js.leafIdx] != js {
-			return fmt.Errorf("sim: task %d missing from its leaf's assigned set", js.ID)
-		}
-		// Pending sets mirror the remaining path. (Keyed on the option,
-		// not pendingOn's nil-ness: Reset keeps the buffers allocated
-		// after instrumentation is switched off.)
-		if s.opts.Instrument {
-			for h := js.Hop; h < len(js.Path); h++ {
-				v := js.Path[h]
-				idx := js.pendIdx[h]
-				if idx < 0 || idx >= len(s.pendingOn[v]) || s.pendingOn[v][idx] != js {
-					return fmt.Errorf("sim: task %d missing from pendingOn[%d]", js.ID, v)
+			onNode[js] = cur
+			if js.Remaining < -1e-9 || js.Remaining > js.OrigOnCur+1e-9 {
+				return fmt.Errorf("sim: task %d remaining %v outside [0,%v]", js.ID, js.Remaining, js.OrigOnCur)
+			}
+			// Fractional contribution.
+			rem := js.LeafWork
+			if js.Hop == len(js.Path)-1 {
+				rem = js.Remaining
+			}
+			fracSum += js.FracWeight * rem / js.LeafWork
+			// Leaf assignment membership.
+			if js.leafIdx != i || s.tree.LeafIndex(js.Leaf) != li {
+				return fmt.Errorf("sim: task %d missing from its leaf's assigned set", js.ID)
+			}
+			// Pending sets mirror the remaining path. (Keyed on the
+			// option, not pendingOn's nil-ness: Reset keeps the buffers
+			// allocated after instrumentation is switched off.)
+			if s.opts.Instrument {
+				for h := js.Hop; h < len(js.Path); h++ {
+					v := js.Path[h]
+					idx := js.pendIdx[h]
+					if idx < 0 || idx >= len(s.pendingOn[v]) || s.pendingOn[v][idx] != js {
+						return fmt.Errorf("sim: task %d missing from pendingOn[%d]", js.ID, v)
+					}
 				}
 			}
 		}

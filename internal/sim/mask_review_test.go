@@ -16,7 +16,7 @@ func TestReviewLeafLossMaskedByOutage(t *testing.T) {
 	trace := &workload.Trace{Jobs: []workload.Job{{ID: 0, Release: 0, Size: 4}}}
 	res, err := Run(tr, trace, fixedAssigner{leaf}, Options{
 		SelfCheck: true, Instrument: true, RecordSlices: true,
-		Recovery:  RecoverRedispatch,
+		Recovery: RecoverRedispatch,
 		Faults: compile(t, tr,
 			faults.Event{Kind: faults.Outage, Node: leaf, Start: 2, End: 10},
 			faults.Event{Kind: faults.LeafLoss, Node: leaf, Start: 5},

@@ -88,7 +88,8 @@ func TestResetChangesOptions(t *testing.T) {
 // TestResetInstrumentationBuffers checks the nil-vs-empty contract the
 // trace renderer relies on: after an instrumented leg, a plain Reset
 // must hand out tasks with nil hop records again, and an instrumented
-// Reset must keep recording.
+// Reset must keep recording. The plain leg recycles each task at
+// completion, so it checks the live tasks Inject returns.
 func TestResetInstrumentationBuffers(t *testing.T) {
 	tr := tree.FatTree(2, 2, 2)
 	trace := resetTestTrace(t, 50)
@@ -104,13 +105,21 @@ func TestResetInstrumentationBuffers(t *testing.T) {
 	}
 
 	s.Reset(Options{})
-	if _, err := RunOn(s, trace, &rrAssigner{}); err != nil {
-		t.Fatal(err)
-	}
-	for _, js := range s.Tasks() {
+	asg := &rrAssigner{}
+	for i := range trace.Jobs {
+		j := &trace.Jobs[i]
+		s.AdvanceTo(j.Release)
+		a := Arrival{ID: j.ID, Release: j.Release, Size: j.Size, Weight: j.Weight}
+		js, err := s.Inject(&a, asg.Assign(s.Query(), &a))
+		if err != nil {
+			t.Fatal(err)
+		}
 		if js.HopArrive != nil {
 			t.Fatal("uninstrumented run after Reset produced a task with non-nil HopArrive")
 		}
+	}
+	if err := s.Drain(); err != nil {
+		t.Fatal(err)
 	}
 
 	s.Reset(Options{Instrument: true})

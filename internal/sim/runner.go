@@ -29,7 +29,8 @@ type Result struct {
 	Jobs  []JobMetrics
 	Stats Stats
 	// Sim is the drained engine, retained so callers can read
-	// instrumentation (per-hop timings, utilization).
+	// utilization, Records() and — when the run was instrumented —
+	// every task's state with its per-hop timings (Tasks()).
 	Sim *Sim
 	// Stream holds the online accumulator of a streaming run (nil
 	// otherwise). Under bounded retention (Options.RetainJobs > 0) it
@@ -107,7 +108,7 @@ func RunOn(s *Sim, trace *workload.Trace, asg Assigner) (*Result, error) {
 // ReplayOn drives the inject→drain cycle of RunOn without collecting
 // per-job metrics (which necessarily allocate a Result). On a warmed
 // engine this is the zero-allocation path measurement loops use; the
-// engine is left drained, so Stats()/Tasks() remain readable.
+// engine is left drained, so Stats()/Records() remain readable.
 //
 // With Options.Workers > 1 (and more than one shard) the shard event
 // loops run on a worker pool: an ObliviousAssigner lets injection
@@ -158,35 +159,38 @@ func (s *Sim) injectTrace(trace *workload.Trace, asg Assigner) error {
 	return nil
 }
 
+// collect assembles the Result from the engine's records, walking
+// them in injection order; packets of one job fold into one entry.
 func collect(t *tree.Tree, s *Sim, n int) (*Result, error) {
 	if s.stream != nil {
 		if s.stream.sinkErr != nil {
 			return nil, fmt.Errorf("sim: job sink: %w", s.stream.sinkErr)
 		}
-		if s.stream.recycle {
+		if s.stream.retain > 0 {
 			return s.streamResult(n)
 		}
 	}
 	res := &Result{Sim: s, Jobs: make([]JobMetrics, n)}
 	found := make([]bool, n)
-	for _, js := range s.Tasks() {
-		if !js.Completed {
-			return nil, fmt.Errorf("sim: task of job %d did not complete", js.ID)
+	for i := range s.records {
+		r := &s.records[i]
+		if r.Weight == 0 {
+			return nil, fmt.Errorf("sim: task of job %d did not complete", r.ID)
 		}
-		m := &res.Jobs[js.ID]
-		if !found[js.ID] {
-			found[js.ID] = true
-			m.ID = js.ID
-			m.Release = js.Release
-			m.Leaf = js.Leaf
-			m.Weight = js.Weight
+		m := &res.Jobs[r.ID]
+		if !found[r.ID] {
+			found[r.ID] = true
+			m.ID = r.ID
+			m.Release = r.Release
+			m.Leaf = r.Leaf
+			m.Weight = r.Weight
 		}
 		// Packets of one job: completion is the last packet's, path
 		// work accumulates across packets.
-		if js.Completion > m.Completion {
-			m.Completion = js.Completion
+		if r.Completion > m.Completion {
+			m.Completion = r.Completion
 		}
-		m.PathWork += js.RouterSize*float64(len(js.Path)-1) + js.LeafWork
+		m.PathWork += r.PathWork
 	}
 	var st Stats
 	st.FracFlow, st.ActiveIntegral, st.Events = s.totals()
@@ -344,7 +348,6 @@ func RunPacketized(t *tree.Tree, trace *workload.Trace, asg Assigner, opts Optio
 		for p := 0; p < k; p++ {
 			js := s.newTask(&s.shards[s.shardOf[leaf]])
 			js.ID = j.ID
-			js.seq = s.nextSeq
 			js.Release = j.Release
 			js.RouterSize = routerPiece
 			js.LeafWork = leafPiece
@@ -353,7 +356,7 @@ func RunPacketized(t *tree.Tree, trace *workload.Trace, asg Assigner, opts Optio
 			js.FracWeight = 1 / float64(k)
 			js.Leaf = leaf
 			js.leafSizes = j.LeafSizes
-			s.nextSeq++
+			s.claimSeq(js)
 			if err := s.inject(js, tree.NodeID(j.Origin)); err != nil {
 				return nil, err
 			}

@@ -52,9 +52,9 @@ type shardState struct {
 	slices     []Slice
 	mergeFloor int
 
-	// free holds JobStates recycled by Reset; block is the tail of the
-	// current arena chunk fresh tasks are carved from. Per shard so
-	// parallel injection never contends.
+	// free holds recycled JobStates (returned at completion, or by
+	// Reset); block is the tail of the current arena chunk fresh tasks
+	// are carved from. Per shard so parallel workers never contend.
 	free  []*JobState
 	block []JobState
 
@@ -284,26 +284,6 @@ func (s *Sim) drainParallel(workers int) (err error) {
 	return s.finishDrain()
 }
 
-// growTasks resizes sl to n nil entries, reusing its capacity.
-func growTasks(sl []*JobState, n int) []*JobState {
-	if cap(sl) < n {
-		return make([]*JobState, n)
-	}
-	sl = sl[:n]
-	for i := range sl {
-		sl[i] = nil
-	}
-	return sl
-}
-
-// growLeaves resizes sl to n entries, reusing its capacity.
-func growLeaves(sl []tree.NodeID, n int) []tree.NodeID {
-	if cap(sl) < n {
-		return make([]tree.NodeID, n)
-	}
-	return sl[:n]
-}
-
 // shardPending reports whether shard k has work due at or before
 // target: a live finish event, an unapplied fault boundary, or an
 // unconsumed parent handoff. Stale events encountered while peeking
@@ -397,7 +377,7 @@ func (s *Sim) replayParallel(trace *workload.Trace, asg Assigner, workers int) (
 	defer recoverInternal(&err)
 	t := s.tree
 	n := len(trace.Jobs)
-	s.assignBuf = growLeaves(s.assignBuf, n)
+	s.assignBuf = grow(s.assignBuf, n)
 	q := s.Query()
 	a := &s.scratchArrival
 	for i := range trace.Jobs {
@@ -411,8 +391,11 @@ func (s *Sim) replayParallel(trace *workload.Trace, asg Assigner, workers int) (
 			return fmt.Errorf("sim: assigner %q: sim: assignment to non-leaf node %d", asg.Name(), leaf)
 		}
 		s.assignBuf[i] = leaf
+		s.records = append(s.records, JobMetrics{ID: j.ID})
 	}
-	s.tasks = growTasks(s.tasks, n)
+	if s.keepsTasks() {
+		s.tasks = grow(s.tasks, n)
+	}
 	s.nextSeq = int64(n)
 	s.runShardsParallel(workers, func(k int) { s.replayShard(k, trace, asg) })
 	for k := range s.shards {

@@ -130,10 +130,10 @@ type nodeState struct {
 // tests pin that equivalence.
 type dispatchScratch struct {
 	// epoch/size/release/id stamp the AvailStats record below.
-	epoch   uint64
-	size    float64
-	release float64
-	id      int
+	epoch     uint64
+	size      float64
+	release   float64
+	id        int
 	volHigher float64
 	count     int
 	// volEpoch stamps the argument-free AvailVolume record.
@@ -161,7 +161,11 @@ type Options struct {
 	Policy Policy
 	// Instrument enables per-hop timing records and per-router
 	// pending sets (needed by the Lemma validators and the potential
-	// function; costs memory and a little time).
+	// function; costs memory and a little time). An instrumented
+	// engine, like one recording slices, keeps every task's JobState
+	// until Reset so Tasks() can list them; any other engine recycles
+	// a task's state the moment it completes and keeps only its
+	// JobMetrics record.
 	Instrument bool
 	// UseScanQueue selects the O(n) reference queue (experiment B8).
 	UseScanQueue bool
@@ -223,18 +227,15 @@ type Options struct {
 	// nested cell-level and shard-level parallelism together never
 	// oversubscribe the -parallel budget.
 	WorkerTokens chan struct{}
-	// RetainJobs bounds how many per-job JobMetrics a run keeps in
-	// memory: 0 retains everything (backwards compatible), N > 0
-	// keeps only the last N completions in a ring and recycles each
-	// task's engine state the moment it completes, so memory is
-	// bounded by the peak number of concurrently active tasks instead
-	// of the trace length. Bounded retention trades introspection for
-	// memory: Tasks() stays empty, Stats sums accumulate in
-	// completion order (last-ulp float differences vs a
-	// full-retention run), the end-of-run schedule audit is skipped
-	// (it needs full task state), and execution is forced sequential
-	// (completions must be observed in one global order). Not
-	// supported by RunPacketized.
+	// RetainJobs bounds how many per-job JobMetrics records a run
+	// keeps in memory: 0 keeps one per injected task, N > 0 keeps
+	// only the last N completions in a ring, so with task state
+	// recycled at completion (see Instrument) memory is bounded by the
+	// peak number of concurrently active tasks instead of the trace
+	// length. Under bounded retention Stats sums accumulate in
+	// completion order (last-ulp float differences vs a full-retention
+	// run) and execution is forced sequential (completions must be
+	// observed in one global order). Not supported by RunPacketized.
 	RetainJobs int
 	// Sink, when non-nil, receives every completed job's metrics in
 	// completion order (e.g. an NDJSONSink writing per-job records to
@@ -321,7 +322,14 @@ type Sim struct {
 	// head shard when the subtree is split).
 	startShard []int32
 
+	// tasks lists every injected task in injection order, on engines
+	// that keep task state for introspection (keepsTasks); elsewhere
+	// completed tasks are recycled and live ones are reached through
+	// assigned. records[seq] is the completion record of the task
+	// injected seq-th (a slot holds only its job ID until the task
+	// completes); it stays empty under bounded retention.
 	tasks   []*JobState
+	records []JobMetrics
 	nextSeq int64
 
 	// par marks an in-flight parallel section: task-slot writes go to
@@ -586,7 +594,7 @@ func (s *Sim) applyOptions(opts Options) {
 	}
 	s.stream = nil
 	if opts.RetainJobs > 0 || opts.Sink != nil {
-		st := &streamState{retain: opts.RetainJobs, sink: opts.Sink, recycle: opts.RetainJobs > 0}
+		st := &streamState{retain: opts.RetainJobs, sink: opts.Sink}
 		st.acc.PerLeaf = make([]LeafTally, len(s.tree.Leaves()))
 		for li, v := range s.tree.Leaves() {
 			st.acc.PerLeaf[li].Leaf = v
@@ -606,19 +614,28 @@ func (s *Sim) applyOptions(opts Options) {
 // UseScanQueue, Workers, etc. is supported and the engine reconfigures
 // itself.
 //
-// Reset recycles every JobState from the previous run: pointers
-// previously obtained from Tasks(), Inject or a Result that references
-// this engine become invalid. Extract any metrics you need before
-// resetting.
+// Reset recycles every JobState the previous run still held — the
+// live tasks, and on an instrumented engine the completed ones too —
+// and empties Records(): pointers previously obtained from Tasks(),
+// Inject or a Result that references this engine become invalid.
+// Extract any metrics you need before resetting.
 func (s *Sim) Reset(opts Options) {
+	// Completed tasks are already on the freelists unless the engine
+	// kept them for introspection; live ones sit in the assigned lists
+	// (nil slots belong to a run aborted mid-parallel-injection).
 	for _, js := range s.tasks {
-		if js == nil {
-			continue // slot of a run aborted mid-parallel-injection
+		if js != nil && js.Completed {
+			s.recycle(js)
 		}
-		sh := &s.shards[s.shardOf[js.Leaf]]
-		sh.free = append(sh.free, js)
+	}
+	for i := range s.assigned {
+		for _, js := range s.assigned[i] {
+			s.recycle(js)
+		}
+		s.assigned[i] = s.assigned[i][:0]
 	}
 	s.tasks = s.tasks[:0]
+	s.records = s.records[:0]
 	s.nextSeq = 0
 	s.now = 0
 	for i := range s.nodes {
@@ -645,9 +662,6 @@ func (s *Sim) Reset(opts Options) {
 		sh.inboxIdx = 0
 		sh.err = nil
 		sh.panicVal = nil
-	}
-	for i := range s.assigned {
-		s.assigned[i] = s.assigned[i][:0]
 	}
 	for i := range s.upstreamWork {
 		s.upstreamWork[i] = 0
@@ -691,27 +705,35 @@ func (s *Sim) newTask(sh *shardState) *JobState {
 	return js
 }
 
-// growFloats resizes sl to n zeroed entries, reusing its capacity.
-func growFloats(sl []float64, n int) []float64 {
-	if cap(sl) < n {
-		return make([]float64, n)
-	}
-	sl = sl[:n]
-	for i := range sl {
-		sl[i] = 0
-	}
-	return sl
+// recycle returns js to the freelist of its leaf's shard, the shard
+// that completes it.
+func (s *Sim) recycle(js *JobState) {
+	sh := &s.shards[s.shardOf[js.Leaf]]
+	sh.free = append(sh.free, js)
 }
 
-// growInts resizes sl to n zeroed entries, reusing its capacity.
-func growInts(sl []int, n int) []int {
+// keepsTasks reports whether task state outlives completion: only the
+// readers of Instrument's hop records and of the slice log (the Lemma
+// validators, the auditor, the Gantt renderer) need it.
+func (s *Sim) keepsTasks() bool { return s.opts.Instrument || s.opts.RecordSlices }
+
+// claimSeq numbers js as the next injected task and, unless retention
+// is bounded, opens its record slot.
+func (s *Sim) claimSeq(js *JobState) {
+	js.seq = s.nextSeq
+	s.nextSeq++
+	if s.opts.RetainJobs == 0 {
+		s.records = append(s.records, JobMetrics{ID: js.ID})
+	}
+}
+
+// grow resizes sl to n zeroed entries, reusing its capacity.
+func grow[T any](sl []T, n int) []T {
 	if cap(sl) < n {
-		return make([]int, n)
+		return make([]T, n)
 	}
 	sl = sl[:n]
-	for i := range sl {
-		sl[i] = 0
-	}
+	clear(sl)
 	return sl
 }
 
@@ -724,7 +746,10 @@ func (s *Sim) Tree() *tree.Tree { return s.tree }
 // Inject dispatches a job (or packet task) to the given leaf at the
 // current simulation time. The caller must have advanced the engine to
 // the task's release time first. The returned JobState is live engine
-// state; callers may read it but must not mutate it.
+// state; callers may read it but must not mutate it. Unless the engine
+// is instrumented or records slices, it is recycled the moment the
+// task completes and may then describe a later task: read the
+// completion from Records() instead.
 func (s *Sim) Inject(a *Arrival, leaf tree.NodeID) (*JobState, error) {
 	if s.tree.LeafIndex(leaf) < 0 {
 		return nil, fmt.Errorf("sim: assignment to non-leaf node %d", leaf)
@@ -744,7 +769,6 @@ func (s *Sim) Inject(a *Arrival, leaf tree.NodeID) (*JobState, error) {
 	}
 	js := s.newTask(&s.shards[s.shardOf[leaf]])
 	js.ID = a.ID
-	js.seq = s.nextSeq
 	js.Release = a.Release
 	js.RouterSize = a.Size
 	js.LeafWork = a.LeafSize(s.tree.LeafIndex(leaf))
@@ -752,7 +776,7 @@ func (s *Sim) Inject(a *Arrival, leaf tree.NodeID) (*JobState, error) {
 	js.Weight = w
 	js.Leaf = leaf
 	js.leafSizes = a.LeafSizes
-	s.nextSeq++
+	s.claimSeq(js)
 	return js, s.inject(js, a.Origin)
 }
 
@@ -804,26 +828,47 @@ func (s *Sim) inject(js *JobState, origin tree.NodeID) error {
 	// The task arena stays keyed by the leaf's shard (see newTask and
 	// Reset's recycle loop).
 	sh := &s.shards[s.nodes[full[0]].shard]
-	now := sh.now
-	js.Path = full
-	js.Hop = 0
 	if js.PrioRouter == 0 {
 		js.PrioRouter = js.RouterSize
 	}
 	if js.PrioLeaf == 0 {
 		js.PrioLeaf = js.LeafWork
 	}
-	first := js.Path[0]
+	if s.keepsTasks() {
+		if s.par {
+			// Parallel injection: slots were pre-sized by seq so workers
+			// write disjoint positions and injection order stays global.
+			s.tasks[js.seq] = js
+		} else {
+			s.tasks = append(s.tasks, js)
+		}
+	}
+	sh.activeTasks++
+	sh.fracSum += js.FracWeight
+	s.startJourney(js, full, sh.now)
+	if s.opts.Observer != nil {
+		s.opts.Observer(s)
+	}
+	return nil
+}
+
+// startJourney sends js down path from its first node at time now
+// (injection, or a recovery re-dispatch): it resets the per-hop state,
+// opens the hop records and pending sets when instrumented, enters
+// the leaf's assigned list and upstream backlog, and queues the task.
+func (s *Sim) startJourney(js *JobState, path []tree.NodeID, now float64) {
+	js.Path = path
+	js.Hop = 0
 	js.OrigOnCur = s.sizeOn(js, 0)
 	js.PrioOnCur = s.prioOn(js, 0)
 	js.Remaining = js.OrigOnCur
 	js.NodeArrive = now
 	if s.opts.Instrument {
-		js.HopArrive = growFloats(js.HopArrive, len(js.Path))
-		js.HopComplete = growFloats(js.HopComplete, len(js.Path))
+		js.HopArrive = grow(js.HopArrive, len(path))
+		js.HopComplete = grow(js.HopComplete, len(path))
 		js.HopArrive[0] = now
-		js.pendIdx = growInts(js.pendIdx, len(js.Path))
-		for i, v := range js.Path {
+		js.pendIdx = grow(js.pendIdx, len(path))
+		for i, v := range path {
 			js.pendIdx[i] = len(s.pendingOn[v])
 			s.pendingOn[v] = append(s.pendingOn[v], js)
 		}
@@ -831,35 +876,19 @@ func (s *Sim) inject(js *JobState, origin tree.NodeID) error {
 	li := s.tree.LeafIndex(js.Leaf)
 	js.leafIdx = len(s.assigned[li])
 	s.assigned[li] = append(s.assigned[li], js)
-	if len(js.Path) > 1 {
+	if len(path) > 1 {
 		// The journey starts upstream of the leaf; availPush takes the
 		// task back out of the backlog when it arrives there.
 		s.upstreamWork[li] += js.LeafWork
 	}
-
-	if s.par {
-		// Parallel injection: slots were pre-sized by seq so workers
-		// write disjoint positions and injection order stays global.
-		s.tasks[js.seq] = js
-	} else if !s.recycling() {
-		// Bounded-retention streaming never populates the global task
-		// list: the task is recycled at completion instead.
-		s.tasks = append(s.tasks, js)
-	}
-	sh.activeTasks++
-	sh.fracSum += js.FracWeight
-
 	s.setKey(js)
 	// Sync before pushing: nodes sync lazily, and under processor
 	// sharing the elapsed work must be distributed among the tasks
 	// that were present, not the newcomer.
+	first := path[0]
 	s.sync(first)
 	s.availPush(first, js)
 	s.reschedule(first)
-	if s.opts.Observer != nil {
-		s.opts.Observer(s)
-	}
-	return nil
 }
 
 // availPush and availRemove are the queue-membership mutators: every
@@ -1345,13 +1374,8 @@ func (s *Sim) finishDrain() error {
 	}
 	s.now = end
 	if act := s.Active(); act != 0 {
-		dumps, total := dumpActive(s)
-		if total < act {
-			// Bounded-retention streaming keeps no global task list to
-			// dump; the shard accumulators' count is authoritative.
-			total = act
-		}
-		return &StuckError{Now: s.now, Active: total, Tasks: dumps}
+		dumps, _ := dumpActive(s)
+		return &StuckError{Now: s.now, Active: act, Tasks: dumps}
 	}
 	if s.opts.SelfCheck {
 		if err := s.CheckInvariants(); err != nil {
@@ -1360,9 +1384,7 @@ func (s *Sim) finishDrain() error {
 	}
 	// With full instrumentation on, every drained run audits its own
 	// recorded schedule, so test suites double as conformance tests.
-	// Bounded-retention streaming recycles task state at completion,
-	// which the auditor needs, so it is exempt.
-	if s.opts.Instrument && s.opts.RecordSlices && !s.ps && !s.recycling() {
+	if s.opts.Instrument && s.opts.RecordSlices && !s.ps {
 		if rep := s.Audit(); !rep.OK() {
 			return &AuditError{Report: rep}
 		}
@@ -1537,34 +1559,9 @@ func (s *Sim) migrate(js *JobState, to tree.NodeID) {
 		js.LeafWork = js.leafSizes[li] * js.FracWeight
 		js.PrioLeaf = js.leafSizes[li]
 	}
-	js.Path = s.tree.Path(to)
-	js.Hop = 0
-	js.OrigOnCur = s.sizeOn(js, 0)
-	js.PrioOnCur = s.prioOn(js, 0)
-	js.Remaining = js.OrigOnCur
-	js.NodeArrive = now
-	if s.opts.Instrument {
-		// Hop records restart for the new journey; the abandoned
-		// journey survives in the slice log and the Migration record.
-		js.HopArrive = growFloats(js.HopArrive, len(js.Path))
-		js.HopComplete = growFloats(js.HopComplete, len(js.Path))
-		js.HopArrive[0] = now
-		js.pendIdx = growInts(js.pendIdx, len(js.Path))
-		for i, v := range js.Path {
-			js.pendIdx[i] = len(s.pendingOn[v])
-			s.pendingOn[v] = append(s.pendingOn[v], js)
-		}
-	}
-	js.leafIdx = len(s.assigned[li])
-	s.assigned[li] = append(s.assigned[li], js)
-	if len(js.Path) > 1 {
-		s.upstreamWork[li] += js.LeafWork
-	}
-	s.setKey(js)
-	first := js.Path[0]
-	s.sync(first)
-	s.availPush(first, js)
-	s.reschedule(first)
+	// Hop records restart for the new journey; the abandoned journey
+	// survives in the slice log and the Migration record.
+	s.startJourney(js, s.tree.Path(to), now)
 	s.rescheduleForce(cur)
 }
 
@@ -1608,12 +1605,7 @@ func (s *Sim) handleFinish(v tree.NodeID) {
 		sh.activeTasks--
 		li := s.tree.LeafIndex(js.Leaf)
 		s.assignedRemove(li, js)
-		if s.stream != nil {
-			// Streaming hooks: accumulate/emit the metrics and, in
-			// recycle mode, return js to the freelist (it is not
-			// referenced again below).
-			s.streamComplete(sh, js, li)
-		}
+		s.complete(js, li) // may recycle js: not referenced below
 	} else {
 		w := js.Path[js.Hop]
 		js.OrigOnCur = s.sizeOn(js, js.Hop)
@@ -1646,6 +1638,45 @@ func (s *Sim) handleFinish(v tree.NodeID) {
 	s.reschedule(v)
 	if s.opts.Observer != nil {
 		s.opts.Observer(s)
+	}
+}
+
+// complete is the one completion path of a task that just finished on
+// its leaf (leaf index li): it writes the task's JobMetrics record —
+// into its Records() slot, or under bounded retention into the ring —
+// runs the streaming hooks, and returns js to the freelist unless the
+// engine keeps task state for introspection. In a parallel section
+// each shard worker writes only its own tasks' slots and freelist.
+func (s *Sim) complete(js *JobState, li int) {
+	st := s.stream
+	var m *JobMetrics
+	if s.opts.RetainJobs == 0 {
+		m = &s.records[js.seq]
+	} else {
+		// The ring's scratch: a local would escape through the sink
+		// interface and cost one heap allocation per job.
+		m = &st.scratch
+	}
+	*m = JobMetrics{
+		ID:         js.ID,
+		Release:    js.Release,
+		Completion: js.Completion,
+		Flow:       js.Completion - js.Release,
+		Leaf:       js.Leaf,
+		PathWork:   js.RouterSize*float64(len(js.Path)-1) + js.LeafWork,
+		Weight:     js.Weight,
+	}
+	if st != nil {
+		st.acc.observe(m, li, js.LeafWork)
+		if st.sink != nil && st.sinkErr == nil {
+			st.sinkErr = st.sink.Emit(m)
+		}
+		if st.retain > 0 {
+			st.push(m)
+		}
+	}
+	if !s.keepsTasks() {
+		s.recycle(js)
 	}
 }
 
@@ -1719,9 +1750,20 @@ func (s *Sim) ShardSlices(k int) []Slice {
 	return s.shards[k].slices
 }
 
-// Tasks returns all tasks ever injected, in injection order. Live
-// engine state: read-only for callers.
+// Tasks returns all tasks ever injected, in injection order, on an
+// engine with Options.Instrument or Options.RecordSlices set; it is
+// empty on any other engine, which recycles a task's state at
+// completion (Records() holds what is left of it). Live engine state:
+// read-only for callers.
 func (s *Sim) Tasks() []*JobState { return s.tasks }
+
+// Records returns one JobMetrics record per injected task, in
+// injection order (packets of one job each have their own); it is
+// empty under bounded retention (Options.RetainJobs > 0). The slot of
+// a task that has not completed holds only its job ID, so its Weight
+// is zero, while every completed task's Weight is positive. Live
+// engine state: read-only for callers.
+func (s *Sim) Records() []JobMetrics { return s.records }
 
 // Stats summarize an engine run.
 type Stats struct {
@@ -1753,13 +1795,14 @@ func (s *Sim) totals() (fracFlow, activeIntegral float64, events int64) {
 	return fracFlow, activeIntegral, events
 }
 
-// Stats computes summary statistics of the run so far. In
-// bounded-retention streaming mode the completion-dependent fields
-// come from the online accumulator (there is no task list to walk).
+// Stats computes summary statistics of the run so far, summing the
+// completed tasks' records in injection order. Under bounded
+// retention the completion-dependent fields come from the online
+// accumulator (there are no records to walk).
 func (s *Sim) Stats() Stats {
 	var st Stats
 	st.FracFlow, st.ActiveIntegral, st.Events = s.totals()
-	if s.recycling() {
+	if s.opts.RetainJobs > 0 {
 		a := &s.stream.acc
 		st.Completed = a.Completed
 		st.TotalFlow = a.TotalFlow
@@ -1768,19 +1811,19 @@ func (s *Sim) Stats() Stats {
 		st.Makespan = a.Makespan
 		return st
 	}
-	for _, js := range s.tasks {
-		if js == nil || !js.Completed {
-			continue
+	for i := range s.records {
+		m := &s.records[i]
+		if m.Weight == 0 {
+			continue // not completed yet
 		}
 		st.Completed++
-		f := js.Completion - js.Release
-		st.TotalFlow += f
-		st.WeightedFlow += js.Weight * f
-		if f > st.MaxFlow {
-			st.MaxFlow = f
+		st.TotalFlow += m.Flow
+		st.WeightedFlow += m.Weight * m.Flow
+		if m.Flow > st.MaxFlow {
+			st.MaxFlow = m.Flow
 		}
-		if js.Completion > st.Makespan {
-			st.Makespan = js.Completion
+		if m.Completion > st.Makespan {
+			st.Makespan = m.Completion
 		}
 	}
 	return st

@@ -1,7 +1,7 @@
 // Streaming run support: an online metrics accumulator, a per-job
 // sink, and a bounded retention ring, so the engine can ingest
 // million-job arrival streams in memory independent of trace length.
-// The hooks live on the completion path (handleFinish) and are inert
+// The hooks live on the completion path (Sim.complete) and are inert
 // — one nil check — unless Options.RetainJobs or Options.Sink is set.
 package sim
 
@@ -136,21 +136,16 @@ func (a *StreamStats) snapshot() *StreamStats {
 // applyOptions when Options.RetainJobs or Options.Sink is set.
 type streamState struct {
 	acc StreamStats
-	// ring holds the last retain completions (recycle mode only).
+	// ring holds the last retain completions (bounded retention only).
 	retain   int
 	ring     []JobMetrics
 	ringHead int
 	sink     JobSink
 	sinkErr  error
-	// recycle marks bounded retention: completed tasks return to the
-	// shard freelist immediately and never enter s.tasks, so engine
-	// memory is bounded by the maximum number of concurrently active
-	// tasks rather than the trace length.
-	recycle bool
-	// scratch holds the metrics of the job currently being completed;
-	// a local would escape through the sink interface and cost one
-	// heap allocation per job. Safe to share: streaming hooks force a
-	// single worker, so completions are strictly sequential.
+	// scratch holds the record of the job currently being completed
+	// under bounded retention (see Sim.complete). Safe to share:
+	// streaming hooks force a single worker, so completions are
+	// strictly sequential.
 	scratch JobMetrics
 }
 
@@ -176,10 +171,6 @@ func (st *streamState) ringOrdered() []JobMetrics {
 	return out
 }
 
-// recycling reports bounded-retention mode: s.tasks is not populated
-// and completed JobStates are recycled at completion.
-func (s *Sim) recycling() bool { return s.stream != nil && s.stream.recycle }
-
 // StreamStats returns the run's online accumulator (nil unless the
 // engine has streaming hooks installed via Options.RetainJobs or
 // Options.Sink). Live engine state: read-only for callers.
@@ -190,33 +181,6 @@ func (s *Sim) StreamStats() *StreamStats {
 	return &s.stream.acc
 }
 
-// streamComplete runs the streaming hooks for a task that just
-// completed on its leaf: fold into the accumulator, emit to the
-// sink, and in recycle mode stash the metrics in the retention ring
-// and return the JobState to the shard freelist.
-func (s *Sim) streamComplete(sh *shardState, js *JobState, li int) {
-	st := s.stream
-	m := &st.scratch
-	*m = JobMetrics{
-		ID:         js.ID,
-		Release:    js.Release,
-		Completion: js.Completion,
-		Flow:       js.Completion - js.Release,
-		Leaf:       js.Leaf,
-		PathWork:   js.RouterSize*float64(len(js.Path)-1) + js.LeafWork,
-		Weight:     js.Weight,
-	}
-	st.acc.observe(m, li, js.LeafWork)
-	if st.sink != nil && st.sinkErr == nil {
-		st.sinkErr = st.sink.Emit(m)
-	}
-	if !st.recycle {
-		return
-	}
-	st.push(m)
-	sh.free = append(sh.free, js)
-}
-
 // streamResult assembles the Result of a bounded-retention run from
 // the accumulator: Jobs is only the retention window (completion
 // order), Stream the full summary.
@@ -225,14 +189,7 @@ func (s *Sim) streamResult(n int) (*Result, error) {
 	if st.acc.Completed != n {
 		return nil, s.internalErr("streamResult", "%d of %d streamed jobs completed", st.acc.Completed, n)
 	}
-	var sum Stats
-	sum.FracFlow, sum.ActiveIntegral, sum.Events = s.totals()
-	sum.Completed = st.acc.Completed
-	sum.TotalFlow = st.acc.TotalFlow
-	sum.WeightedFlow = st.acc.WeightedFlow
-	sum.MaxFlow = st.acc.MaxFlow
-	sum.Makespan = st.acc.Makespan
-	return &Result{Sim: s, Jobs: st.ringOrdered(), Stats: sum, Stream: st.acc.snapshot()}, nil
+	return &Result{Sim: s, Jobs: st.ringOrdered(), Stats: s.Stats(), Stream: st.acc.snapshot()}, nil
 }
 
 // WriteNDJSON writes the result as newline-delimited JSON: one

@@ -277,8 +277,10 @@ func TestStreamWriteNDJSON(t *testing.T) {
 	}
 }
 
-// TestStreamAuditSkipped: recycle mode must not trip the end-of-run
-// auditor (which needs full task state) even when slices are on.
+// TestStreamAuditSkipped: bounded retention must not trip the
+// end-of-run auditor. Instrumented, the engine keeps every task's state
+// whatever RetainJobs says, so the auditor runs over the full slice
+// log and passes.
 func TestStreamAuditSkipped(t *testing.T) {
 	tr := tree.FatTree(2, 2, 2)
 	trace := resetTestTrace(t, 100)
@@ -289,6 +291,9 @@ func TestStreamAuditSkipped(t *testing.T) {
 	}
 	if res.Stream.Completed != len(trace.Jobs) {
 		t.Fatalf("completed %d, want %d", res.Stream.Completed, len(trace.Jobs))
+	}
+	if n := len(res.Sim.Tasks()); n != len(trace.Jobs) {
+		t.Fatalf("instrumented bounded-retention run kept %d tasks, want %d", n, len(trace.Jobs))
 	}
 }
 

@@ -137,7 +137,12 @@ type Schedule struct {
 // ExtractSchedule reads an instrumented run into a Schedule.
 func ExtractSchedule(res *sim.Result) *Schedule {
 	sched := &Schedule{}
-	for _, js := range res.Sim.Tasks() {
+	tasks := res.Sim.Tasks()
+	if len(tasks) < len(res.Jobs) {
+		// The engine recycled its task state at completion.
+		panic("trace: ExtractSchedule requires an instrumented run")
+	}
+	for _, js := range tasks {
 		if js.HopArrive == nil {
 			panic("trace: ExtractSchedule requires an instrumented run")
 		}
