@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test test-short test-race test-race-parallel test-benchmark bench bench-json bench-compare bench-dispatch stream-smoke fleet-smoke serve-smoke fuzz-smoke ci experiments examples clean
+.PHONY: all build vet fmt-check test test-short test-race test-engine test-benchmark bench bench-json bench-compare bench-dispatch stream-smoke fleet-smoke serve-smoke fuzz-smoke ci experiments experiments-check examples clean
 
 all: build vet test test-race
 
@@ -26,13 +26,11 @@ test-short:
 test-race:
 	$(GO) test -race -short ./...
 
-# Deep race stress for the parallel engine paths (sharded advance,
-# parallel querying dispatch, sub-shard splitting, streaming): force 4
-# scheduler threads so the worker pool really interleaves, even on
-# boxes where GOMAXPROCS would default lower.
-test-race-parallel:
-	GOMAXPROCS=4 $(GO) test -race -count=1 \
-		-run 'Shard|Split|Stream|Parallel|FStat' ./internal/sim ./internal/scenario
+# The engine packages' full tests, without -short: test-race skips
+# TestEngineStress (120 randomized configurations under SelfCheck) and
+# the other long property tests, so this runs them.
+test-engine:
+	$(GO) test -count=1 ./internal/sim ./internal/scenario
 
 # The repository benchmark (benchmark/) is a module of its own, so the
 # root's ./... skips it: vet and test it from its directory. Its tests
@@ -93,16 +91,25 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzAppend -fuzztime=10s ./internal/jsonfloat
 
 # Everything CI needs: build, vet, a gofmt check, race-clean short
-# tests, the repository benchmark's own tests, a smoke run of the
-# benchmark harness (fast benchtime, throwaway output), and the
+# tests, the engine packages' full tests, the repository benchmark's
+# own tests, a byte-for-byte check of EXPERIMENTS.md, a smoke run of
+# the benchmark harness (fast benchtime, throwaway output), and the
 # constant-memory streaming, fleet determinism and serving-layer
 # overload checks.
-ci: build vet fmt-check test-race test-race-parallel test-benchmark stream-smoke fleet-smoke serve-smoke
+ci: build vet fmt-check test-race test-engine test-benchmark experiments-check stream-smoke fleet-smoke serve-smoke
 	$(GO) run ./cmd/bench -quick -out /tmp/BENCH_ci.json
 
-# Regenerate EXPERIMENTS.md (sequential so B4 throughput is clean).
+# Regenerate EXPERIMENTS.md. The suite reports no wall time and is
+# byte-identical at any -parallel, so the default pool is fine.
 experiments:
-	$(GO) run ./cmd/experiments -format md -out EXPERIMENTS.md -parallel 1
+	$(GO) run ./cmd/experiments -format md -out EXPERIMENTS.md
+
+# Fail when EXPERIMENTS.md is stale: regenerate the suite into a temp
+# file and diff it against the committed report.
+experiments-check:
+	@tmp=$$(mktemp); trap 'rm -f "$$tmp"' EXIT; \
+	$(GO) run ./cmd/experiments -format md -out "$$tmp" || exit 1; \
+	diff -u EXPERIMENTS.md "$$tmp" || { echo "EXPERIMENTS.md is stale: run make experiments"; exit 1; }
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -10,8 +10,9 @@
 // With no -run it executes everything in ID order. -out writes a
 // Markdown report (paper-vs-measured); -csv additionally dumps every
 // table as CSV into the given directory. Experiments are
-// deterministic for a given seed, so -parallel only affects wall
-// time (use -parallel 1 when the B4 throughput numbers matter).
+// deterministic for a given seed and report no wall time, so the
+// output is byte-identical at any -parallel; `make experiments-check`
+// relies on that to diff a regenerated report against EXPERIMENTS.md.
 package main
 
 import (
@@ -103,9 +104,7 @@ func main() {
 
 	var err error
 	if *format == "md" {
-		err = report.WriteMarkdown(w, results, report.Meta{
-			Seed: *seed, Scale: *scale, Date: time.Now().Format("2006-01-02"),
-		})
+		err = report.WriteMarkdown(w, results, report.Meta{Seed: *seed, Scale: *scale})
 	} else {
 		err = report.WriteText(w, results)
 	}

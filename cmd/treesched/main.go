@@ -6,8 +6,7 @@
 //	treesched -topo fattree:2,2,2 -n 2000 -load 0.9 -assigner greedy \
 //	          -policy sjf -speed 1.5 -eps 0.5 -seed 1 [-unrelated]
 //	          [-faults outages:4,50] [-recovery redispatch] [-audit]
-//	          [-shards 0] [-split 8] [-render] [-gantt] [-trace jobs.json]
-//	          [-stream] [-retain 1000]
+//	          [-render] [-gantt] [-trace jobs.json] [-stream] [-retain 1000]
 //	treesched -scenario run.json            # or a compact one-liner file
 //	treesched -topo star:4 -n 500 -dump-scenario > run.json
 //	treesched -topo fattree:2,2,2 -n 4000 -fleet 4 -fleetpolicy jsq \
@@ -32,6 +31,10 @@
 // behind a front-door router instead of a single instance; fault
 // plans are then drawn independently per tree. Fleet routing
 // policies: rr | jsq | local.
+//
+// The engine runs one sequential event loop: the former -shards,
+// -parallel and -split flags are rejected with an error naming the
+// removal (exit 2).
 package main
 
 import (
@@ -42,6 +45,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"strings"
 
 	"treesched/internal/core"
 	"treesched/internal/fleet"
@@ -59,6 +63,10 @@ func main() {
 // run is main minus the process boundary, so error paths are testable:
 // it returns the exit code (0 ok, 1 runtime error, 2 flag error).
 func run(args []string, stdout, stderr io.Writer) int {
+	if name := removedFlag(args); name != "" {
+		fmt.Fprintf(stderr, "treesched: flag -%s was removed: the engine runs one sequential event loop\n", name)
+		return 2
+	}
 	fs := flag.NewFlagSet("treesched", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	topo := fs.String("topo", "fattree:2,2,2", "topology spec")
@@ -88,11 +96,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fleetPolicy := fs.String("fleetpolicy", "", "cross-tree routing policy: rr | jsq | local (implies -fleet with a scenario fleet section)")
 	fleetWorkers := fs.Int("fleetworkers", 0, "trees simulated concurrently in a fleet run (0 = auto; results identical at any value)")
 	scorecardOut := fs.String("scorecard", "", "write the fleet scorecard as JSON to this file")
-	var shards int
-	const shardsHelp = "subtree-shard worker count: 0 = auto (GOMAXPROCS), 1 = sequential (results are identical either way)"
-	fs.IntVar(&shards, "shards", 1, shardsHelp)
-	fs.IntVar(&shards, "parallel", 1, shardsHelp+" (alias of -shards)")
-	split := fs.Int("split", 0, "split root-child subtrees with more than this many leaves into per-child sub-shards (0 = off; per-job metrics exact, aggregate integrals may drift in the last ulps)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -100,22 +103,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "treesched:", err)
 		return 1
 	}
-	if shards < 0 {
-		return fail(fmt.Errorf("-shards: worker count %d is negative (0 = auto, 1 = sequential)", shards))
-	}
-	if shards == 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
-	// Whether -shards/-parallel (and the streaming knobs) were given
-	// explicitly decides if they override a scenario file's engine
-	// settings.
-	shardsSet, splitSet, streamSet, retainSet := false, false, false, false
+	// Whether the streaming knobs were given explicitly decides if they
+	// override a scenario file's engine settings.
+	streamSet, retainSet := false, false
 	fs.Visit(func(f *flag.Flag) {
 		switch f.Name {
-		case "shards", "parallel":
-			shardsSet = true
-		case "split":
-			splitSet = true
 		case "stream":
 			streamSet = true
 		case "retain":
@@ -131,12 +123,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		if sc, err = scenario.Load(data); err != nil {
 			return fail(err)
-		}
-		if shardsSet {
-			sc.Engine.Shards = shards
-		}
-		if splitSet {
-			sc.Engine.Split = *split
 		}
 		if streamSet {
 			sc.Engine.Stream = *stream
@@ -164,8 +150,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Engine: scenario.Engine{
 				Packetized: *packetized,
 				Instrument: *gantt || *checkLemmas,
-				Shards:     shards,
-				Split:      *split,
 				Stream:     *stream,
 				RetainJobs: *retain,
 			},
@@ -208,9 +192,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		sc.Fleet.Policy = *fleetPolicy
 	}
 	if sc.Engine.RetainJobs > 0 {
-		// Bounded retention discards the per-task state these reports
-		// are built from (full slice/task introspection, per-job lemma
-		// ratios).
+		// The engine itself would run these: whether task state outlives
+		// completion depends only on Instrument and RecordSlices, which
+		// -gantt and -audit turn on. Refusing them is a CLI rule — their
+		// slice log and task records grow with the run, which defeats
+		// -retain's bounded memory. -checklemmas reports per-job ratios,
+		// and bounded retention keeps only the last N job records.
 		switch {
 		case *audit:
 			return fail(fmt.Errorf("-audit needs full task retention (drop -retain)"))
@@ -451,4 +438,24 @@ func printedSpeed(sc *scenario.Scenario, fromFlags bool, speedFlag float64) floa
 	default:
 		return 1
 	}
+}
+
+// removedFlag returns the name of the first removed engine flag in
+// args (-shards, -parallel or -split, with one or two dashes and an
+// optional =value), or "".
+func removedFlag(args []string) string {
+	for _, a := range args {
+		if a == "--" {
+			break
+		}
+		if !strings.HasPrefix(a, "-") {
+			continue
+		}
+		name, _, _ := strings.Cut(strings.TrimPrefix(a[1:], "-"), "=")
+		switch name {
+		case "shards", "parallel", "split":
+			return name
+		}
+	}
+	return ""
 }

@@ -126,57 +126,64 @@ func TestRunDumpScenarioIncludesFaults(t *testing.T) {
 	}
 }
 
+// wantRemovedFlag runs treesched with args and requires exit 2 (like
+// other flag errors), no report, and the exact message naming the
+// removed flag.
+func wantRemovedFlag(t *testing.T, name string, args ...string) {
+	t.Helper()
+	code, out, errw := exec(t, args...)
+	want := "treesched: flag -" + name + " was removed: the engine runs one sequential event loop\n"
+	if code != 2 || errw != want || out != "" {
+		t.Fatalf("%v: exit %d, stderr %q, stdout %q; want exit 2 and %q", args, code, errw, out, want)
+	}
+}
+
+// The engine runs one sequential event loop: the former sharded-engine
+// flags -shards, -parallel and -split fail in every spelling and name
+// the removal.
 func TestRunShardsFlag(t *testing.T) {
-	// The sharded engine is a pure speed knob: every worker count must
-	// print the exact same report, and 0 means auto (GOMAXPROCS).
-	base := []string{"-topo", "fattree:4,1,2", "-n", "80", "-seed", "5"}
-	code, want, errw := exec(t, base...)
-	if code != 0 {
-		t.Fatalf("baseline exit %d, stderr %q", code, errw)
-	}
-	for _, extra := range [][]string{
-		{"-shards", "0"},
-		{"-shards", "4"},
-		{"-parallel", "3"},
+	for _, tc := range []struct {
+		flag []string
+		name string
+	}{
+		{[]string{"-shards", "0"}, "shards"},
+		{[]string{"-shards", "4"}, "shards"},
+		{[]string{"--shards=2"}, "shards"},
+		{[]string{"-parallel", "3"}, "parallel"},
+		{[]string{"-split", "8"}, "split"},
+		{[]string{"-split=2"}, "split"},
 	} {
-		code, out, errw := exec(t, append(append([]string{}, base...), extra...)...)
-		if code != 0 {
-			t.Fatalf("%v: exit %d, stderr %q", extra, code, errw)
-		}
-		if out != want {
-			t.Fatalf("%v: report diverges from sequential run:\n%s", extra, out)
-		}
+		wantRemovedFlag(t, tc.name, append([]string{"-topo", "fattree:4,1,2", "-n", "80"}, tc.flag...)...)
 	}
 }
 
+// A negative or non-numeric -shards value is still a flag error; the
+// message names the removal rather than the value.
 func TestRunShardsRejectsNegative(t *testing.T) {
-	code, _, errw := exec(t, "-topo", "star:4", "-n", "20", "-shards", "-2")
-	if code != 1 {
-		t.Fatalf("exit %d, want 1 (stderr %q)", code, errw)
-	}
-	if !strings.Contains(errw, "-shards") || !strings.Contains(errw, "negative") {
-		t.Fatalf("stderr %q does not explain the bad worker count", errw)
-	}
-	if code, _, _ := exec(t, "-topo", "star:4", "-n", "20", "-shards", "two"); code != 2 {
-		t.Fatalf("non-numeric -shards: exit %d, want 2", code)
-	}
+	wantRemovedFlag(t, "shards", "-topo", "star:4", "-n", "20", "-shards", "-2")
+	wantRemovedFlag(t, "shards", "-topo", "star:4", "-n", "20", "-shards", "two")
 }
 
+// -shards no longer overrides a scenario file: the flag fails next to
+// a clean file, and a file still carrying the shards= key fails naming
+// the removed key.
 func TestRunShardsOverridesScenarioFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "run.txt")
-	if err := os.WriteFile(path, []byte("topo=star:4 n=40 size=uniform:1,8 load=0.8 seed=9 shards=2\n"), 0o644); err != nil {
+	dir := t.TempDir()
+	clean := filepath.Join(dir, "clean.txt")
+	if err := os.WriteFile(clean, []byte("topo=star:4 n=40 size=uniform:1,8 load=0.8 seed=9\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	code, want, errw := exec(t, "-scenario", path)
-	if code != 0 {
-		t.Fatalf("exit %d, stderr %q", code, errw)
+	if code, _, errw := exec(t, "-scenario", clean); code != 0 {
+		t.Fatalf("clean scenario: exit %d, stderr %q", code, errw)
 	}
-	code, out, errw := exec(t, "-scenario", path, "-shards", "1")
-	if code != 0 {
-		t.Fatalf("exit %d, stderr %q", code, errw)
+	wantRemovedFlag(t, "shards", "-scenario", clean, "-shards", "1")
+	stale := filepath.Join(dir, "stale.txt")
+	if err := os.WriteFile(stale, []byte("topo=star:4 n=40 size=uniform:1,8 load=0.8 seed=9 shards=2\n"), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if out != want {
-		t.Fatalf("-shards override changed the report:\n%s", out)
+	code, _, errw := exec(t, "-scenario", stale)
+	if want := "treesched: scenario: key \"shards\" was removed: the engine runs one sequential event loop\n"; code != 1 || errw != want {
+		t.Fatalf("scenario with shards=: exit %d, stderr %q; want exit 1 and %q", code, errw, want)
 	}
 }
 

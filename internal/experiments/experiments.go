@@ -8,11 +8,9 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 
 	"treesched/internal/rng"
-	"treesched/internal/sim"
 	"treesched/internal/table"
 	"treesched/internal/workload"
 )
@@ -58,21 +56,6 @@ func (c Config) seed(salt uint64) uint64 {
 
 func (c Config) rng(salt uint64) *rng.Rand {
 	return rng.New(c.seed(salt))
-}
-
-// EngineOptions prepares engine options for a cell that runs the
-// subtree-sharded engine under this config: Workers comes from
-// Parallelism (GOMAXPROCS when 0) and, under RunAll, WorkerTokens
-// aliases the suite-wide token pool, so shard workers and Sweep cells
-// draw from one concurrency budget instead of multiplying it.
-// Schedules are bit-identical at any setting (see sim.Options.Workers).
-func (c Config) EngineOptions(opts sim.Options) sim.Options {
-	opts.Workers = c.Parallelism
-	if opts.Workers <= 0 {
-		opts.Workers = runtime.GOMAXPROCS(0)
-	}
-	opts.WorkerTokens = c.tokens
-	return opts
 }
 
 // TextBlock is a non-tabular artifact (tree renderings etc.).

@@ -56,18 +56,15 @@ func runW1(cfg Config) (*Output, error) {
 		if err != nil {
 			return nil, err
 		}
-		// The sharded engine is a pure speed knob here: schedules stay
-		// bit-identical, and the shard workers share the suite's
-		// concurrency budget under RunAll.
-		g, err := sim.Run(base, tG, core.NewGreedyIdentical(0.5), cfg.EngineOptions(sim.Options{}))
+		g, err := sim.Run(base, tG, core.NewGreedyIdentical(0.5), sim.Options{})
 		if err != nil {
 			return nil, err
 		}
-		rr, err := sim.Run(base, tG, &sched.RoundRobin{}, cfg.EngineOptions(sim.Options{}))
+		rr, err := sim.Run(base, tG, &sched.RoundRobin{}, sim.Options{})
 		if err != nil {
 			return nil, err
 		}
-		rl, err := sim.Run(base, tG, &sched.RandomLeaf{R: cfg.rng(2450 + uint64(si))}, cfg.EngineOptions(sim.Options{}))
+		rl, err := sim.Run(base, tG, &sched.RandomLeaf{R: cfg.rng(2450 + uint64(si))}, sim.Options{})
 		if err != nil {
 			return nil, err
 		}

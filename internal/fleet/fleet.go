@@ -247,8 +247,6 @@ func Run(sc *scenario.Scenario, opts Options) (*Result, error) {
 				Instrument:   sc.Engine.Instrument,
 				ScanQueue:    sc.Engine.ScanQueue,
 				RecordSlices: sc.Engine.RecordSlices,
-				Shards:       sc.Engine.Shards,
-				Split:        sc.Engine.Split,
 				RetainJobs:   sc.Engine.RetainJobs,
 			},
 		}

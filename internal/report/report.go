@@ -12,10 +12,11 @@ import (
 )
 
 // Meta describes how a suite run was produced; it heads the report.
+// It carries no date or timing, so a regenerated report is
+// byte-identical to the committed one when no experiment moved.
 type Meta struct {
 	Seed  uint64
 	Scale float64
-	Date  string // preformatted; empty omits the line
 }
 
 // WriteMarkdown renders the suite as the EXPERIMENTS.md document.
@@ -23,11 +24,7 @@ type Meta struct {
 func WriteMarkdown(w io.Writer, results []experiments.RunResult, meta Meta) error {
 	fmt.Fprintf(w, "# EXPERIMENTS — paper vs. measured\n\n")
 	fmt.Fprintf(w, "Reproduction of Im & Moseley, *Scheduling in Bandwidth Constrained Tree Networks* (SPAA 2015).\n")
-	if meta.Date != "" {
-		fmt.Fprintf(w, "Generated by `cmd/experiments -seed %d -scale %g` on %s.\n\n", meta.Seed, meta.Scale, meta.Date)
-	} else {
-		fmt.Fprintf(w, "Generated by `cmd/experiments -seed %d -scale %g`.\n\n", meta.Seed, meta.Scale)
-	}
+	fmt.Fprintf(w, "Generated by `cmd/experiments -seed %d -scale %g`.\n\n", meta.Seed, meta.Scale)
 	fmt.Fprintf(w, "The paper is a theory paper (proofs, no measured tables), so every entry validates one claim's *shape*: the paper's prediction, then what the simulator measured. See DESIGN.md §4 for the index.\n\n")
 	// Table of contents.
 	for _, rr := range results {

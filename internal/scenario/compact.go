@@ -19,8 +19,9 @@ import (
 //
 // Keys: name topo process n size class load cap related unrelated
 // round maxweight policy assigner eps seed rng aseed speed speeds
-// horizon faults recovery fleet fleetpolicy trees shards split retain
-// and the flags packetized instrument scanqueue slices stream serve.
+// horizon faults recovery fleet fleetpolicy trees retain and the
+// flags packetized instrument scanqueue slices stream serve. The
+// removed keys shards and split fail with an error naming the removal.
 // Inline fault events, like inline jobs, are JSON-only. trees= lists
 // per-tree topology specs separated by semicolons
 // (trees=fattree:2,2,2;star:8).
@@ -130,12 +131,6 @@ func (sc *Scenario) Compact() (string, error) {
 			}
 			add("trees", strings.Join(specs, ";"))
 		}
-	}
-	if sc.Engine.Shards != 0 {
-		add("shards", strconv.Itoa(sc.Engine.Shards))
-	}
-	if sc.Engine.Split != 0 {
-		add("split", strconv.Itoa(sc.Engine.Split))
 	}
 	if sc.Engine.RetainJobs != 0 {
 		add("retain", strconv.Itoa(sc.Engine.RetainJobs))
@@ -277,10 +272,8 @@ func (sc *Scenario) setCompact(key, val string) error {
 		sc.Speed.RootAdjacent, sc.Speed.Router, sc.Speed.Leaf = vals[0], vals[1], vals[2]
 	case "horizon":
 		sc.Horizon, err = strconv.Atoi(val)
-	case "shards":
-		sc.Engine.Shards, err = strconv.Atoi(val)
-	case "split":
-		sc.Engine.Split, err = strconv.Atoi(val)
+	case "shards", "split":
+		return errRemovedKey(key)
 	case "retain":
 		sc.Engine.RetainJobs, err = strconv.Atoi(val)
 	case "faults":

@@ -13,11 +13,11 @@ import (
 // accessors force-disabled, so every query recomputes its answer. The
 // knob is a package global, so it is flipped only for the duration of
 // this (sequentially executed) run.
-func runKnobsOff(t *testing.T, sc *Scenario, shards int) (*sim.Result, error, []sim.Slice) {
+func runKnobsOff(t *testing.T, sc *Scenario) (*sim.Result, error, []sim.Slice) {
 	t.Helper()
 	sim.DisableDispatchMemo = true
 	defer func() { sim.DisableDispatchMemo = false }()
-	return runWithShards(t, sc, shards)
+	return runWarm(t, sc)
 }
 
 // ndjsonBytes serializes a result the way the CLI does — stats header
@@ -38,16 +38,15 @@ func ndjsonBytes(t *testing.T, res *sim.Result) []byte {
 // every state-querying assigner (greedy, shadow, jsq, leastvolume)
 // under every policy, running with the query memo enabled and
 // force-disabled must produce byte-identical NDJSON output — the memo
-// may only ever return the same bits a fresh recomputation would. Both
-// the sequential and the sharded engine are held to the contract,
-// including scenarios that legitimately fail.
+// may only ever return the same bits a fresh recomputation would,
+// including in scenarios that legitimately fail.
 func TestDispatchKnobsDifferential(t *testing.T) {
 	topos := []string{"fattree:4,1,2", "fattree:8,1,2", "fattree:2,2,2", "star:8", "caterpillar:4,2", "broomstick:6,2,2", "random:4,3,3"}
 	policies := []string{"sjf", "fifo", "srpt", "ps", "lcfs", "wsjf"}
 	assigners := []string{"greedy", "shadow", "jsq", "leastvolume"}
 	faultSpecs := []string{"", "", "faults=outages:3,6", "faults=brownouts:3,6,0.5",
 		"faults=leafloss:1,0.6 recovery=redispatch", "faults=leafloss:1,0.6 recovery=hold"}
-	variants := []string{"", "", "split=2", "stream"}
+	variants := []string{"", "", "", "stream"}
 
 	r := rng.New(97)
 	pick := func(xs []string) string { return xs[int(r.Uint64()%uint64(len(xs)))] }
@@ -69,18 +68,16 @@ func TestDispatchKnobsDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", line, err)
 			}
-			for _, shards := range []int{1, 4} {
-				onRes, onErr, _ := runWithShards(t, sc, shards)
-				offRes, offErr, _ := runKnobsOff(t, sc, shards)
-				if onErr != nil || offErr != nil {
-					if onErr == nil || offErr == nil || onErr.Error() != offErr.Error() {
-						t.Fatalf("%s (shards=%d):\n  fast err %v\n  ref err  %v", line, shards, onErr, offErr)
-					}
-					continue
+			onRes, onErr, _ := runWarm(t, sc)
+			offRes, offErr, _ := runKnobsOff(t, sc)
+			if onErr != nil || offErr != nil {
+				if onErr == nil || offErr == nil || onErr.Error() != offErr.Error() {
+					t.Fatalf("%s:\n  fast err %v\n  ref err  %v", line, onErr, offErr)
 				}
-				if on, off := ndjsonBytes(t, onRes), ndjsonBytes(t, offRes); !bytes.Equal(on, off) {
-					t.Fatalf("%s (shards=%d): NDJSON output diverges between memoized and reference dispatch", line, shards)
-				}
+				return
+			}
+			if on, off := ndjsonBytes(t, onRes), ndjsonBytes(t, offRes); !bytes.Equal(on, off) {
+				t.Fatalf("%s: NDJSON output diverges between memoized and reference dispatch", line)
 			}
 		})
 	}

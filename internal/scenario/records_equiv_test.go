@@ -17,8 +17,8 @@ import (
 // report exactly the bits of an instrumented engine, which keeps every
 // task. Across 60 randomized scenarios — state-querying and oblivious
 // assigners under every policy, brown-outs, leaf loss under both
-// recoveries, sub-shard splitting, streaming, bounded retention,
-// packetized runs and sharded engines — the two must agree on
+// recoveries, streaming, bounded retention and packetized runs — the
+// two must agree on
 // Result.Jobs, Stats and NDJSON through a cold Run, a warm Reset +
 // RunOn, and an Inject/Drain loop read through Sim.Stats(), including
 // scenarios that legitimately fail.
@@ -28,7 +28,7 @@ func TestInstrumentationDifferential(t *testing.T) {
 	assigners := []string{"greedy", "shadow", "jsq", "leastvolume", "roundrobin", "random", "closest", "minpath"}
 	faultSpecs := []string{"", "", "faults=outages:3,6", "faults=brownouts:3,6,0.5",
 		"faults=leafloss:1,0.6 recovery=redispatch", "faults=leafloss:1,0.6 recovery=hold"}
-	variants := []string{"", "", "split=2", "stream", "stream retain=5", "packetized", "shards=4"}
+	variants := []string{"", "", "", "stream", "stream retain=5", "packetized", ""}
 
 	r := rng.New(131)
 	pick := func(xs []string) string { return xs[int(r.Uint64()%uint64(len(xs)))] }

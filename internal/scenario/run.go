@@ -126,8 +126,6 @@ func (sc *Scenario) Build() (*Instance, error) {
 			Instrument:   sc.Engine.Instrument,
 			UseScanQueue: sc.Engine.ScanQueue,
 			RecordSlices: sc.Engine.RecordSlices,
-			Workers:      sc.Engine.Shards,
-			SplitShards:  sc.Engine.Split,
 			RetainJobs:   sc.Engine.RetainJobs,
 		},
 		workload: w,

@@ -253,16 +253,6 @@ type Engine struct {
 	ScanQueue bool `json:"scan_queue,omitempty"`
 	// RecordSlices records the execution slices (Gantt input).
 	RecordSlices bool `json:"record_slices,omitempty"`
-	// Shards sets sim.Options.Workers: the worker count for the
-	// subtree-sharded engine (0 or 1 = sequential). Results are
-	// bit-identical either way; this is purely a speed knob.
-	Shards int `json:"shards,omitempty"`
-	// Split sets sim.Options.SplitShards: a root-child subtree with
-	// more than Split leaves is split into per-grandchild sub-shards
-	// so skewed trees still parallelize (0 = off). Per-job results
-	// are bit-identical; aggregate flow-time integrals may differ in
-	// the last ulps.
-	Split int `json:"split,omitempty"`
 	// Stream runs the scenario through the streaming pipeline
 	// (sim.RunStream): when the workload admits it, arrivals are
 	// drawn from an ArrivalSource one job at a time and the trace is
@@ -403,9 +393,22 @@ func ReadJSON(r io.Reader) (*Scenario, error) {
 	dec.DisallowUnknownFields()
 	sc := &Scenario{}
 	if err := dec.Decode(sc); err != nil {
+		// DisallowUnknownFields would call a removed key unknown.
+		for _, key := range []string{"shards", "split"} {
+			if err.Error() == `json: unknown field "`+key+`"` {
+				return nil, errRemovedKey(key)
+			}
+		}
 		return nil, fmt.Errorf("scenario: %w", err)
 	}
 	return sc, nil
+}
+
+// errRemovedKey rejects an engine setting that no longer exists (the
+// former worker count and sub-shard split), naming the removal rather
+// than reporting an unknown key.
+func errRemovedKey(key string) error {
+	return fmt.Errorf("scenario: key %q was removed: the engine runs one sequential event loop", key)
 }
 
 // Load parses either a JSON document (first non-space byte '{') or a

@@ -274,6 +274,22 @@ func TestParseCompactErrors(t *testing.T) {
 	}
 }
 
+// The former worker-count and sub-shard keys fail in both scenario
+// forms with an error naming the removal, not as an unknown key.
+func TestRemovedEngineKeys(t *testing.T) {
+	for _, c := range []struct{ input, key string }{
+		{"topo=star:4 n=10 shards=4", "shards"},
+		{"topo=star:4 n=10 split=2", "split"},
+		{`{"engine": {"shards": 4}}`, "shards"},
+		{`{"engine": {"stream": true, "split": 2}}`, "split"},
+	} {
+		want := `scenario: key "` + c.key + `" was removed: the engine runs one sequential event loop`
+		if _, err := Load([]byte(c.input)); err == nil || err.Error() != want {
+			t.Errorf("Load(%s): got %v, want %q", c.input, err, want)
+		}
+	}
+}
+
 // The workload pipeline must reproduce the hand-wired constructions
 // bit for bit: one rng stream, process → related → unrelated → round
 // → weights.

@@ -9,27 +9,23 @@ import (
 	"treesched/internal/sim"
 )
 
-// TestShardedScenarioEquivalence is the property test for the
-// subtree-sharded engine: across ~100 randomized scenarios (topology ×
-// policy × assigner × fault plan × engine variant × seed) the sharded
-// engine must reproduce the sequential engine bit for bit — per-job
-// metrics, summary stats, slice logs, and even error strings for runs
-// that legitimately fail (leaf loss under hold). The assigner pool
-// includes the state-querying dispatchers (greedy, shadow, jsq,
-// leastvolume), so parallel querying dispatch is covered alongside
-// oblivious replay; the engine variants mix in the streaming pipeline
-// and sub-shard splitting. Each case also runs a sequential reference
-// with the dispatch memo force-disabled, pinning the memoized queries
-// to the straight-line code bit for bit. Under
-// `go test -race` this doubles as the data-race stress for the
-// worker pool.
+// TestShardedScenarioEquivalence is the property test for the sharded
+// engine's warm reuse and its dispatch memo: across 100 randomized
+// scenarios (topology × policy × assigner × fault plan × engine
+// variant × seed), a warm rerun after Reset must reproduce the first
+// run, and a run with the dispatch memo force-disabled must reproduce
+// the memoized one bit for bit — per-job metrics, summary stats, slice
+// logs, and even error strings for runs that legitimately fail (leaf
+// loss under hold). The assigner pool includes the state-querying
+// dispatchers (greedy, shadow, jsq, leastvolume); the engine variants
+// mix in the streaming pipeline.
 func TestShardedScenarioEquivalence(t *testing.T) {
 	topos := []string{"fattree:4,1,2", "fattree:8,1,2", "fattree:2,2,2", "star:8", "caterpillar:4,2", "broomstick:6,2,2", "random:4,3,3"}
 	policies := []string{"sjf", "fifo", "srpt", "ps", "lcfs", "wsjf"}
 	assigners := []string{"greedy", "shadow", "roundrobin", "random", "closest", "leastvolume", "minpath", "jsq"}
 	faultSpecs := []string{"", "", "faults=outages:3,6", "faults=brownouts:3,6,0.5",
 		"faults=leafloss:1,0.6 recovery=redispatch", "faults=leafloss:1,0.6 recovery=hold"}
-	variants := []string{"", "", "split=2", "stream", "stream split=3"}
+	variants := []string{"", "", "", "stream", ""}
 
 	r := rng.New(42)
 	pick := func(xs []string) string { return xs[int(r.Uint64()%uint64(len(xs)))] }
@@ -54,21 +50,13 @@ func TestShardedScenarioEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", line, err)
 			}
-			seqRes, seqErr, seqSlices := runWithShards(t, sc, 1)
-			parRes, parErr, parSlices := runWithShards(t, sc, 4)
-			refRes, refErr, refSlices := runKnobsOff(t, sc, 1)
+			seqRes, seqErr, seqSlices := runWarm(t, sc)
+			refRes, refErr, refSlices := runKnobsOff(t, sc)
 			switch {
-			case seqErr != nil || parErr != nil || refErr != nil:
-				if seqErr == nil || parErr == nil || refErr == nil ||
-					seqErr.Error() != parErr.Error() || seqErr.Error() != refErr.Error() {
-					t.Fatalf("%s:\n  seq err %v\n  par err %v\n  ref err %v", line, seqErr, parErr, refErr)
+			case seqErr != nil || refErr != nil:
+				if seqErr == nil || refErr == nil || seqErr.Error() != refErr.Error() {
+					t.Fatalf("%s:\n  seq err %v\n  ref err %v", line, seqErr, refErr)
 				}
-			case !reflect.DeepEqual(seqRes.Jobs, parRes.Jobs):
-				t.Fatalf("%s: per-job metrics diverge", line)
-			case seqRes.Stats != parRes.Stats:
-				t.Fatalf("%s:\n  seq %+v\n  par %+v", line, seqRes.Stats, parRes.Stats)
-			case !reflect.DeepEqual(seqSlices, parSlices):
-				t.Fatalf("%s: slice logs diverge (%d vs %d)", line, len(seqSlices), len(parSlices))
 			case !reflect.DeepEqual(seqRes.Jobs, refRes.Jobs) || seqRes.Stats != refRes.Stats:
 				t.Fatalf("%s: memoized dispatch diverges from knobs-disabled reference", line)
 			case !reflect.DeepEqual(seqSlices, refSlices):
@@ -78,13 +66,11 @@ func TestShardedScenarioEquivalence(t *testing.T) {
 	}
 }
 
-// runWithShards runs sc once warm (Reset + rerun) with the given shard
-// worker count and returns the second run's outcome, so the warm-reset
-// path of the sharded engine is exercised too.
-func runWithShards(t *testing.T, sc *Scenario, shards int) (*sim.Result, error, []sim.Slice) {
+// runWarm runs sc twice on one engine (Reset + rerun) and returns the
+// second run's outcome, failing unless it reproduces the first.
+func runWarm(t *testing.T, sc *Scenario) (*sim.Result, error, []sim.Slice) {
 	t.Helper()
 	c := *sc
-	c.Engine.Shards = shards
 	r, err := NewRunner(&c)
 	if err != nil {
 		t.Fatalf("build: %v", err)
@@ -98,7 +84,7 @@ func runWithShards(t *testing.T, sc *Scenario, shards int) (*sim.Result, error, 
 		return nil, runErr2, nil
 	}
 	if !reflect.DeepEqual(res.Jobs, res2.Jobs) || res.Stats != res2.Stats {
-		t.Fatalf("warm rerun (shards=%d) is not reproducible", shards)
+		t.Fatal("warm rerun is not reproducible")
 	}
 	var slices []sim.Slice
 	if c.Engine.RecordSlices {

@@ -10,7 +10,7 @@ import (
 
 // TestStreamedScenarioEquivalence is the property test for the
 // streaming pipeline: across randomized scenarios (topology × process
-// × policy × assigner × fault plan × shard count × seed) a streamed
+// × policy × assigner × fault plan × seed) a streamed
 // run under full retention must reproduce the materialized run bit
 // for bit — per-job metrics, summary stats, slice logs, and error
 // strings for runs that legitimately fail. Streamable workloads
@@ -44,9 +44,6 @@ func TestStreamedScenarioEquivalence(t *testing.T) {
 		}
 		if pol != "ps" {
 			line += " slices"
-		}
-		if i%3 == 1 {
-			line += " shards=4"
 		}
 		t.Run(fmt.Sprintf("case%02d", i), func(t *testing.T) {
 			sc, err := ParseCompact(line)

@@ -36,9 +36,6 @@ type ClosestLeaf struct{}
 // Name implements sim.Assigner.
 func (ClosestLeaf) Name() string { return "ClosestLeaf" }
 
-// ObliviousAssigner marks the decision as independent of engine state.
-func (ClosestLeaf) ObliviousAssigner() {}
-
 // Assign implements sim.Assigner.
 func (ClosestLeaf) Assign(q *sim.Query, a *sim.Arrival) tree.NodeID {
 	t := q.Tree()
@@ -61,9 +58,6 @@ type RandomLeaf struct {
 // Name implements sim.Assigner.
 func (*RandomLeaf) Name() string { return "RandomLeaf" }
 
-// ObliviousAssigner marks the decision as independent of engine state.
-func (*RandomLeaf) ObliviousAssigner() {}
-
 // Assign implements sim.Assigner.
 func (rl *RandomLeaf) Assign(q *sim.Query, a *sim.Arrival) tree.NodeID {
 	ls := eligible(q, a)
@@ -78,9 +72,6 @@ type RoundRobin struct {
 
 // Name implements sim.Assigner.
 func (*RoundRobin) Name() string { return "RoundRobin" }
-
-// ObliviousAssigner marks the decision as independent of engine state.
-func (*RoundRobin) ObliviousAssigner() {}
 
 // Assign implements sim.Assigner.
 func (rr *RoundRobin) Assign(q *sim.Query, a *sim.Arrival) tree.NodeID {
@@ -125,9 +116,6 @@ type MinPathWork struct{}
 
 // Name implements sim.Assigner.
 func (MinPathWork) Name() string { return "MinPathWork" }
-
-// ObliviousAssigner marks the decision as independent of engine state.
-func (MinPathWork) ObliviousAssigner() {}
 
 // Assign implements sim.Assigner.
 func (MinPathWork) Assign(q *sim.Query, a *sim.Arrival) tree.NodeID {

@@ -414,7 +414,7 @@ func (s *Server) copyStats(acc *sim.StreamStats) {
 // byte-identity contract is pinned against. Latency stays bounded: a
 // chunk flushes at max lines, and queueSource flushes whenever the
 // engine is about to block on an empty queue. Engine goroutine only
-// (streaming hooks force a single worker), so no locking around buf.
+// (the engine completes jobs one at a time), so no locking around buf.
 type fanoutSink struct {
 	s     *Server
 	buf   []byte

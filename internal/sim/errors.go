@@ -106,12 +106,7 @@ func (e *InternalError) Error() string {
 }
 
 // internalErr builds an InternalError with the active-task snapshot.
-// During a parallel section the snapshot is skipped: walking the task
-// list would race with the other shard workers.
 func (s *Sim) internalErr(op, format string, args ...interface{}) *InternalError {
-	if s.par {
-		return &InternalError{Op: op, Now: s.now, Msg: fmt.Sprintf(format, args...)}
-	}
 	dumps, total := dumpActive(s)
 	return &InternalError{Op: op, Now: s.now, Msg: fmt.Sprintf(format, args...), Tasks: dumps, ActiveTotal: total}
 }

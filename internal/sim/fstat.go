@@ -34,8 +34,7 @@
 //
 // The snapshots decompose over the engine's shards: a node's snapshot
 // depends only on its own queue, so the per-subtree aggregates the
-// greedy rule reads are maintained shard-locally and any dispatch
-// prepass can refresh them without cross-shard state. Processor
+// greedy rule reads are maintained shard-locally. Processor
 // sharing drains every available task at once, invalidating the
 // stored-Remaining correction, so PS mode bypasses the snapshots.
 package sim

@@ -159,21 +159,6 @@ type Assigner interface {
 	Assign(q *Query, j *Arrival) tree.NodeID
 }
 
-// ObliviousAssigner marks an Assigner whose decisions depend only on
-// the topology, the arrival itself and assigner-internal state (a
-// round-robin cursor, a seeded rng) — never on time-varying engine
-// state read through the Query. The sharded engine precomputes such
-// assignments sequentially in arrival order and then injects fully in
-// parallel per shard; assigners without the marker dispatch
-// sequentially and only the drain runs on the worker pool.
-// Implementations must uphold the contract: calling a state-reading
-// Query method from an assigner carrying this marker is a bug.
-type ObliviousAssigner interface {
-	Assigner
-	// ObliviousAssigner is a marker method with no behavior.
-	ObliviousAssigner()
-}
-
 // Arrival is the assigner's view of an arriving job.
 type Arrival struct {
 	ID      int

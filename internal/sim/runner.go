@@ -109,25 +109,10 @@ func RunOn(s *Sim, trace *workload.Trace, asg Assigner) (*Result, error) {
 // per-job metrics (which necessarily allocate a Result). On a warmed
 // engine this is the zero-allocation path measurement loops use; the
 // engine is left drained, so Stats()/Records() remain readable.
-//
-// With Options.Workers > 1 (and more than one shard) the shard event
-// loops run on a worker pool: an ObliviousAssigner lets injection
-// itself run per shard after a sequential dispatch prepass, while a
-// querying assigner commits dispatches sequentially (it must observe
-// engine state at each arrival, exactly as in a sequential run) with
-// the event processing between arrivals and the drain fanned out per
-// shard. Either way the results are bit-identical to the sequential
-// engine's.
 func ReplayOn(s *Sim, trace *workload.Trace, asg Assigner) (err error) {
 	defer recoverInternal(&err)
 	if err := trace.Validate(); err != nil {
 		return err
-	}
-	if w := s.workerCount(); w > 1 {
-		if _, oblivious := asg.(ObliviousAssigner); oblivious {
-			return s.replayParallel(trace, asg, w)
-		}
-		return s.replayQueryingParallel(trace, asg, w)
 	}
 	if err := s.injectTrace(trace, asg); err != nil {
 		return err
@@ -135,8 +120,8 @@ func ReplayOn(s *Sim, trace *workload.Trace, asg Assigner) (err error) {
 	return s.Drain()
 }
 
-// injectTrace is the sequential dispatch loop shared by the
-// sequential and the parallel-drain replay paths.
+// injectTrace is ReplayOn's dispatch loop: advance to each release,
+// consult the assigner, inject.
 func (s *Sim) injectTrace(trace *workload.Trace, asg Assigner) error {
 	t := s.tree
 	// Passing a loop-local Arrival through the Assigner interface makes
@@ -241,9 +226,8 @@ func RunStreamOn(s *Sim, src workload.ArrivalSource, asg Assigner) (*Result, err
 // collecting a Result, returning the number of jobs drawn from the
 // source. Jobs are validated incrementally (dense IDs, sorted
 // releases, per-job validity) since there is no Trace to validate up
-// front. Streaming hooks force sequential execution; a plain
-// TraceSource with no hooks installed delegates to ReplayOn,
-// retaining the sharded-parallel fast path.
+// front. A plain TraceSource with no streaming hooks installed
+// delegates to ReplayOn.
 func ReplayStreamOn(s *Sim, src workload.ArrivalSource, asg Assigner) (n int, err error) {
 	defer recoverInternal(&err)
 	if ts, ok := src.(*workload.TraceSource); ok && s.stream == nil {
@@ -253,14 +237,7 @@ func ReplayStreamOn(s *Sim, src workload.ArrivalSource, asg Assigner) (n int, er
 	if n, err = s.injectStream(src, asg); err != nil {
 		return n, err
 	}
-	if w := s.workerCount(); w > 1 {
-		// Reachable only when no streaming hooks are installed (hooks
-		// force workerCount()==1): a generator-fed full-retention run
-		// still drains its shards in parallel.
-		if err := s.drainParallel(w); err != nil {
-			return n, err
-		}
-	} else if err := s.Drain(); err != nil {
+	if err := s.Drain(); err != nil {
 		return n, err
 	}
 	if s.stream != nil && s.stream.sinkErr != nil {
@@ -277,9 +254,6 @@ func (s *Sim) injectStream(src workload.ArrivalSource, asg Assigner) (int, error
 	a := &s.scratchArrival
 	n := 0
 	prev := 0.0
-	// Generator-fed runs with no streaming hooks may still advance the
-	// shards in parallel between arrivals (hooks force workerCount 1).
-	w := s.workerCount()
 	for {
 		j, ok := src.Next()
 		if !ok {
@@ -298,11 +272,7 @@ func (s *Sim) injectStream(src workload.ArrivalSource, asg Assigner) (int, error
 		if j.LeafSizes != nil && len(j.LeafSizes) != len(t.Leaves()) {
 			return n, fmt.Errorf("sim: job %d has %d leaf sizes for a %d-leaf tree", j.ID, len(j.LeafSizes), len(t.Leaves()))
 		}
-		if w > 1 {
-			s.advanceAllTo(j.Release, w)
-		} else {
-			s.AdvanceTo(j.Release)
-		}
+		s.AdvanceTo(j.Release)
 		*a = Arrival{ID: j.ID, Release: j.Release, Size: j.Size, LeafSizes: j.LeafSizes, Origin: tree.NodeID(j.Origin), Weight: j.Weight}
 		leaf := asg.Assign(s.Query(), a)
 		if _, err := s.Inject(a, leaf); err != nil {

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math"
 	"reflect"
 	"testing"
 
@@ -11,65 +10,15 @@ import (
 	"treesched/internal/workload"
 )
 
-// oblRR is a round-robin assigner carrying the oblivious marker, so
-// replay takes the fully parallel per-shard injection path.
+// oblRR is a round-robin assigner that never reads engine state.
 type oblRR struct{ i int }
 
-func (o *oblRR) Name() string       { return "oblRR" }
-func (o *oblRR) ObliviousAssigner() {}
+func (o *oblRR) Name() string { return "oblRR" }
 func (o *oblRR) Assign(q *Query, _ *Arrival) tree.NodeID {
 	ls := q.Tree().Leaves()
 	l := ls[o.i%len(ls)]
 	o.i++
 	return l
-}
-
-// leastVolume is a querying assigner (reads live engine state), so
-// replay dispatches sequentially and only the drain runs in parallel.
-type leastVolume struct{}
-
-func (leastVolume) Name() string { return "leastVolume" }
-func (leastVolume) Assign(q *Query, _ *Arrival) tree.NodeID {
-	best, bestV := tree.None, math.Inf(1)
-	for _, l := range q.Tree().Leaves() {
-		if v := q.AvailVolume(l); v < bestV {
-			best, bestV = l, v
-		}
-	}
-	return best
-}
-
-// runModes runs the same (tree, trace, opts) sequentially and with
-// the given worker counts and demands bit-identical results: per-job
-// metrics, summary stats, the slice log and the migration log.
-func runModes(t *testing.T, tr *tree.Tree, trace *workload.Trace, mkAsg func() Assigner, opts Options, workers ...int) {
-	t.Helper()
-	opts.Workers = 1
-	seq, err := Run(tr, trace, mkAsg(), opts)
-	if err != nil {
-		t.Fatalf("sequential run: %v", err)
-	}
-	seqSlices := append([]Slice(nil), seq.Sim.Slices()...)
-	seqMigs := append([]Migration(nil), seq.Sim.Migrations()...)
-	for _, w := range workers {
-		opts.Workers = w
-		par, err := Run(tr, trace, mkAsg(), opts)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		if !reflect.DeepEqual(par.Jobs, seq.Jobs) {
-			t.Fatalf("workers=%d: per-job metrics differ from sequential", w)
-		}
-		if par.Stats != seq.Stats {
-			t.Fatalf("workers=%d: stats differ:\n  seq %+v\n  par %+v", w, seq.Stats, par.Stats)
-		}
-		if got := par.Sim.Slices(); !reflect.DeepEqual(got, seqSlices) && !(len(got) == 0 && len(seqSlices) == 0) {
-			t.Fatalf("workers=%d: slice logs differ (%d vs %d slices)", w, len(got), len(seqSlices))
-		}
-		if got := par.Sim.Migrations(); !reflect.DeepEqual(got, seqMigs) && !(len(got) == 0 && len(seqMigs) == 0) {
-			t.Fatalf("workers=%d: migration logs differ", w)
-		}
-	}
 }
 
 func shardTestTrace(t *testing.T, seed uint64, n int, cap float64) *workload.Trace {
@@ -83,93 +32,78 @@ func shardTestTrace(t *testing.T, seed uint64, n int, cap float64) *workload.Tra
 	return trace
 }
 
-func TestShardedEquivalenceOblivious(t *testing.T) {
-	tr := tree.FatTree(8, 1, 2) // 8 root-adjacent subtrees, 16 leaves
-	trace := shardTestTrace(t, 1, 400, 8)
-	for _, pol := range []Policy{nil, FIFO{}, SRPT{}, PS{}, LCFS{}} {
-		opts := Options{Policy: pol, RecordSlices: true}
-		runModes(t, tr, trace, func() Assigner { return &oblRR{} }, opts, 2, 3, 8, 16)
-	}
-}
-
-func TestShardedEquivalenceQuerying(t *testing.T) {
-	tr := tree.FatTree(4, 2, 2)
-	trace := shardTestTrace(t, 2, 400, 4)
-	runModes(t, tr, trace, func() Assigner { return leastVolume{} },
-		Options{RecordSlices: true, Instrument: true, SelfCheck: true}, 2, 4, 8)
-}
-
-func TestShardedEquivalenceFaults(t *testing.T) {
-	tr := tree.FatTree(4, 1, 2)
-	trace := shardTestTrace(t, 3, 300, 4)
-	ra := tr.RootAdjacent()
-	leaves := tr.Leaves()
-	fs := compile(t, tr,
-		faults.Event{Kind: faults.Outage, Node: ra[0], Start: 5, End: 9},
-		faults.Event{Kind: faults.Brownout, Node: leaves[3], Start: 2, End: 40, Factor: 0.5},
-		faults.Event{Kind: faults.Outage, Node: leaves[6], Start: 10, End: 12},
-	)
-	runModes(t, tr, trace, func() Assigner { return &oblRR{} },
-		Options{Faults: fs, RecordSlices: true}, 2, 4)
-	runModes(t, tr, trace, func() Assigner { return leastVolume{} },
-		Options{Faults: fs, RecordSlices: true}, 2, 4)
-}
-
-// Leaf death + redispatch forces the interleaved sequential fallback;
-// the Workers knob must still reproduce the sequential schedule,
-// migrations included.
-func TestShardedEquivalenceRedispatch(t *testing.T) {
-	tr := tree.FatTree(4, 1, 2)
-	trace := shardTestTrace(t, 4, 300, 4)
-	fs := compile(t, tr,
-		faults.Event{Kind: faults.LeafLoss, Node: tr.Leaves()[0], Start: 15},
-		faults.Event{Kind: faults.Outage, Node: tr.RootAdjacent()[1], Start: 5, End: 9},
-	)
-	runModes(t, tr, trace, func() Assigner { return &oblRR{} },
-		Options{Faults: fs, Recovery: RecoverRedispatch, RecordSlices: true}, 2, 4)
-}
-
-// Observer forces the lockstep interleaved fallback: callbacks must
-// fire in the same global order as the sequential engine.
+// An Observer switches the engine from the shard-by-shard loop to the
+// lockstep global-order loop: every callback must see all shard clocks
+// at the engine time, time must never run backwards, and the schedule
+// must be the one the shard-by-shard loop produces.
 func TestShardedObserverLockstep(t *testing.T) {
 	tr := tree.FatTree(4, 1, 2)
 	trace := shardTestTrace(t, 5, 200, 4)
-	type fin struct {
-		at     float64
-		active int
-	}
-	record := func(opts Options) []fin {
-		var log []fin
-		opts.Observer = func(s *Sim) {
-			log = append(log, fin{s.Now(), s.Active()})
+	calls := 0
+	last := 0.0
+	observed, err := Run(tr, trace, &oblRR{}, Options{RecordSlices: true, Observer: func(s *Sim) {
+		calls++
+		if s.Now() < last {
+			t.Fatalf("callback %d: time ran backwards (%v after %v)", calls, s.Now(), last)
 		}
-		if _, err := Run(tr, trace, &oblRR{}, opts); err != nil {
-			t.Fatal(err)
+		last = s.Now()
+		for k := range s.shards {
+			if s.shards[k].now != s.Now() {
+				t.Fatalf("callback %d: shard %d clock %v, engine time %v", calls, k, s.shards[k].now, s.Now())
+			}
 		}
-		return log
+	}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	seq := record(Options{Workers: 1})
-	par := record(Options{Workers: 4})
-	if !reflect.DeepEqual(seq, par) {
-		t.Fatalf("observer callback order differs: %d vs %d entries", len(seq), len(par))
+	// One callback per injection plus one per node completion.
+	if want := len(trace.Jobs) + int(observed.Stats.Events); calls != want {
+		t.Fatalf("observer called %d times, want %d", calls, want)
+	}
+	plain, err := Run(tr, trace, &oblRR{}, Options{RecordSlices: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(observed.Jobs, plain.Jobs) {
+		t.Fatal("per-job metrics differ between the lockstep and the shard-by-shard loop")
+	}
+	if !reflect.DeepEqual(observed.Sim.Slices(), plain.Sim.Slices()) {
+		t.Fatal("slice logs differ between the lockstep and the shard-by-shard loop")
 	}
 }
 
-// A single root-adjacent subtree (Line) degenerates to one shard; the
-// parallel path must cope with fewer shards than workers.
+// A single root-adjacent subtree (Line) degenerates to one shard.
 func TestShardedSingleShard(t *testing.T) {
 	tr := tree.Line(3)
 	trace := shardTestTrace(t, 6, 100, 1)
-	runModes(t, tr, trace, func() Assigner { return &oblRR{} }, Options{RecordSlices: true}, 2, 8)
+	res, err := Run(tr, trace, &oblRR{}, Options{RecordSlices: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := res.Sim
+	if s.NumShards() != 1 {
+		t.Fatalf("NumShards = %d, want 1", s.NumShards())
+	}
+	if res.Stats.Completed != len(trace.Jobs) {
+		t.Fatalf("completed %d of %d jobs", res.Stats.Completed, len(trace.Jobs))
+	}
+	if rep := s.AuditShard(0); !rep.OK() {
+		t.Fatalf("audit of the only shard: %s", rep.Summary())
+	}
+	if !reflect.DeepEqual(s.ShardSlices(0), s.Slices()) {
+		t.Fatal("the only shard's log differs from the full log")
+	}
 }
 
+// A brown-out run audits clean as a whole and shard by shard, and the
+// shard logs partition the full log.
 func TestShardedAuditClean(t *testing.T) {
 	tr := tree.FatTree(4, 1, 2)
 	trace := shardTestTrace(t, 7, 200, 4)
 	fs := compile(t, tr,
 		faults.Event{Kind: faults.Brownout, Node: tr.Leaves()[1], Start: 3, End: 30, Factor: 0.25},
 	)
-	res, err := Run(tr, trace, &oblRR{}, Options{Faults: fs, RecordSlices: true, Workers: 4})
+	res, err := Run(tr, trace, &oblRR{}, Options{Faults: fs, RecordSlices: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,296 +126,81 @@ func TestShardedAuditClean(t *testing.T) {
 	}
 }
 
-// Warm parallel replay must stay cheap: the per-shard event loops are
-// allocation-free, so steady-state cost is just the worker spawn.
+// A warm ReplayOn over eight shards allocates nothing.
 func TestShardedSteadyStateAllocs(t *testing.T) {
 	tr := tree.FatTree(8, 1, 2)
 	trace := shardTestTrace(t, 8, 300, 8)
-	opts := Options{Workers: 4}
-	s := New(tr, opts)
+	s := New(tr, Options{})
 	asg := &oblRR{}
 	replay := func() {
-		s.Reset(opts)
+		s.Reset(Options{})
 		asg.i = 0
 		if err := ReplayOn(s, trace, asg); err != nil {
 			t.Fatal(err)
 		}
 	}
 	replay() // warm the arenas
-	allocs := testing.AllocsPerRun(20, replay)
-	// Budget: goroutine + waitgroup machinery for up to 3 helpers.
-	if allocs > 16 {
-		t.Fatalf("parallel steady-state replay allocates %.1f allocs/run, want <= 16", allocs)
+	if allocs := testing.AllocsPerRun(20, replay); allocs > 0 {
+		t.Fatalf("warm eight-shard replay allocates %.1f times per run, want 0", allocs)
 	}
 }
 
-// The dispatch prepass must surface assigner errors with the same
-// message as the sequential path.
-func TestShardedAssignerError(t *testing.T) {
-	tr := tree.FatTree(4, 1, 2)
-	trace := shardTestTrace(t, 9, 20, 4)
-	bad := badOblivious{node: tr.RootAdjacent()[0]}
-	seqErr := ReplayOn(New(tr, Options{Workers: 1}), trace, bad)
-	parErr := ReplayOn(New(tr, Options{Workers: 4}), trace, bad)
-	if seqErr == nil || parErr == nil {
-		t.Fatalf("want errors from non-leaf assignment, got seq=%v par=%v", seqErr, parErr)
-	}
-	if seqErr.Error() != parErr.Error() {
-		t.Fatalf("error mismatch:\n  seq %v\n  par %v", seqErr, parErr)
-	}
+// badLeaf assigns every job to a fixed node, reading engine state
+// first when querying is set.
+type badLeaf struct {
+	node     tree.NodeID
+	querying bool
 }
 
-type badOblivious struct{ node tree.NodeID }
-
-func (badOblivious) Name() string                          { return "bad" }
-func (badOblivious) ObliviousAssigner()                    {}
-func (b badOblivious) Assign(*Query, *Arrival) tree.NodeID { return b.node }
-
-// jsqLeaf is a second querying assigner: join-the-shortest-queue by
-// available count on the leaf, a different query mix than leastVolume.
-type jsqLeaf struct{}
-
-func (jsqLeaf) Name() string { return "jsqLeaf" }
-func (jsqLeaf) Assign(q *Query, a *Arrival) tree.NodeID {
-	best, bestN := tree.None, int(^uint(0)>>1)
-	for _, l := range q.Tree().Leaves() {
-		if n := q.AvailCount(l); n < bestN {
-			best, bestN = l, n
-		}
+func (badLeaf) Name() string { return "bad" }
+func (b badLeaf) Assign(q *Query, _ *Arrival) tree.NodeID {
+	if b.querying {
+		_ = q.AvailCount(b.node)
 	}
-	_, _ = q.AvailStats(q.Tree().Branch(best), a.Size, a.Release, a.ID)
-	return best
-}
-
-// The parallel querying-dispatch path (Workers > 1, no oblivious
-// marker) must be bit-identical to sequential across policies and a
-// second query mix; doubles as race-detector stress.
-func TestShardedEquivalenceQueryingPolicies(t *testing.T) {
-	tr := tree.FatTree(8, 1, 2)
-	trace := shardTestTrace(t, 20, 400, 8)
-	for _, pol := range []Policy{nil, SRPT{}, PS{}} {
-		opts := Options{Policy: pol, RecordSlices: true}
-		runModes(t, tr, trace, func() Assigner { return jsqLeaf{} }, opts, 2, 4, 8)
-	}
-}
-
-// A querying assigner's injection errors must carry the same message
-// on the parallel dispatch path as on the sequential one.
-type badQuerying struct{ node tree.NodeID }
-
-func (badQuerying) Name() string { return "badQuerying" }
-func (b badQuerying) Assign(q *Query, _ *Arrival) tree.NodeID {
-	_ = q.AvailCount(b.node)
 	return b.node
 }
 
+// opaqueSource hides a TraceSource's type, so ReplayStreamOn runs its
+// own dispatch loop instead of handing the trace to ReplayOn.
+type opaqueSource struct{ workload.ArrivalSource }
+
+// wantDispatchError runs trace with asg through both dispatch loops —
+// ReplayOn's, and the streaming one fed by a source that hides its
+// TraceSource type — and requires the exact error text want from each.
+func wantDispatchError(t *testing.T, tr *tree.Tree, trace *workload.Trace, asg Assigner, want string) {
+	t.Helper()
+	if err := ReplayOn(New(tr, Options{}), trace, asg); err == nil || err.Error() != want {
+		t.Errorf("ReplayOn: got %v, want %q", err, want)
+	}
+	src := opaqueSource{workload.NewTraceSource(trace)}
+	if _, err := ReplayStreamOn(New(tr, Options{}), src, asg); err == nil || err.Error() != want {
+		t.Errorf("streaming loop: got %v, want %q", err, want)
+	}
+}
+
+// An oblivious assigner that picks a router of a four-shard tree fails
+// with the same exact text through both dispatch loops.
+func TestShardedAssignerError(t *testing.T) {
+	tr := tree.FatTree(4, 1, 2)
+	wantDispatchError(t, tr, shardTestTrace(t, 9, 20, 4), badLeaf{node: tr.RootAdjacent()[0]},
+		`sim: assigner "bad": sim: assignment to non-leaf node 1`)
+}
+
+// A querying assigner that picks a router of a four-shard tree fails
+// with the same exact text through both dispatch loops.
 func TestShardedQueryingAssignerError(t *testing.T) {
 	tr := tree.FatTree(4, 1, 2)
+	wantDispatchError(t, tr, shardTestTrace(t, 9, 20, 4), badLeaf{node: tr.RootAdjacent()[0], querying: true},
+		`sim: assigner "bad": sim: assignment to non-leaf node 1`)
+}
+
+// A leaf-size vector that does not match the tree fails with the same
+// exact text through both dispatch loops.
+func TestLeafSizeMismatchError(t *testing.T) {
+	tr := tree.FatTree(4, 1, 2)
 	trace := shardTestTrace(t, 9, 20, 4)
-	bad := badQuerying{node: tr.RootAdjacent()[0]}
-	seqErr := ReplayOn(New(tr, Options{Workers: 1}), trace, bad)
-	parErr := ReplayOn(New(tr, Options{Workers: 4}), trace, bad)
-	if seqErr == nil || parErr == nil {
-		t.Fatalf("want errors from non-leaf assignment, got seq=%v par=%v", seqErr, parErr)
+	for i := range trace.Jobs {
+		trace.Jobs[i].LeafSizes = []float64{1, 2, 3}
 	}
-	if seqErr.Error() != parErr.Error() {
-		t.Fatalf("error mismatch:\n  seq %v\n  par %v", seqErr, parErr)
-	}
-}
-
-// Streaming entry points with a plain TraceSource and no hooks take
-// the sharded-parallel path; generator-fed full-retention runs advance
-// shards in parallel between arrivals. Both must equal sequential.
-func TestStreamParallelEquivalence(t *testing.T) {
-	tr := tree.FatTree(4, 2, 2)
-	trace := shardTestTrace(t, 22, 300, 4)
-	run := func(workers int) *Result {
-		res, err := RunStream(tr, workload.NewTraceSource(trace), jsqLeaf{}, Options{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	seq := run(1)
-	for _, w := range []int{2, 4} {
-		par := run(w)
-		if !reflect.DeepEqual(par.Jobs, seq.Jobs) || par.Stats != seq.Stats {
-			t.Fatalf("workers=%d: trace-source streaming run differs from sequential", w)
-		}
-	}
-	gen := func(workers int) *Result {
-		src, err := workload.NewPoissonSource(rng.New(33), workload.GenConfig{
-			N: 300, Size: workload.UniformSize{Lo: 1, Hi: 16}, Load: 0.9, Capacity: 4,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := RunStream(tr, src, jsqLeaf{}, Options{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	gseq := gen(1)
-	gpar := gen(4)
-	if !reflect.DeepEqual(gpar.Jobs, gseq.Jobs) || gpar.Stats != gseq.Stats {
-		t.Fatal("generator-fed streaming run differs from sequential")
-	}
-}
-
-// --- sub-shard splitting ---
-
-// skewedTree builds a deliberately unbalanced topology: one fat
-// root-child subtree (4 child routers x 4 leaves each) that would
-// serialize a root-child-partition run, plus a small 2-leaf sibling.
-func skewedTree() *tree.Tree {
-	b := tree.NewBuilder()
-	fat := b.AddRouter(b.Root())
-	for i := 0; i < 4; i++ {
-		c := b.AddRouter(fat)
-		for j := 0; j < 4; j++ {
-			b.AddLeaf(c)
-		}
-	}
-	small := b.AddRouter(b.Root())
-	b.AddLeaf(small)
-	b.AddLeaf(small)
-	return b.MustFinalize()
-}
-
-func TestSplitShardsPartition(t *testing.T) {
-	tr := skewedTree()
-	if n := New(tr, Options{}).NumShards(); n != 2 {
-		t.Fatalf("unsplit NumShards = %d, want 2", n)
-	}
-	// Threshold 4: the fat subtree (16 leaves, 4 children) splits into
-	// a head shard plus 4 sub-shards; the 2-leaf sibling does not.
-	if n := New(tr, Options{SplitShards: 4}).NumShards(); n != 6 {
-		t.Fatalf("split NumShards = %d, want 6", n)
-	}
-	// Threshold above every subtree's leaf count: no change.
-	if n := New(tr, Options{SplitShards: 100}).NumShards(); n != 2 {
-		t.Fatalf("high-threshold NumShards = %d, want 2", n)
-	}
-}
-
-// Sequential and parallel execution of the same split partition must
-// be bit-identical for oblivious and querying assigners alike.
-func TestSplitShardsEquivalence(t *testing.T) {
-	tr := skewedTree()
-	trace := shardTestTrace(t, 23, 400, 6)
-	opts := Options{SplitShards: 4, RecordSlices: true}
-	runModes(t, tr, trace, func() Assigner { return &oblRR{} }, opts, 2, 4, 6)
-	runModes(t, tr, trace, func() Assigner { return leastVolume{} }, opts, 2, 4, 6)
-}
-
-func TestSplitShardsFaults(t *testing.T) {
-	tr := skewedTree()
-	trace := shardTestTrace(t, 24, 300, 6)
-	fat := tr.RootAdjacent()[0]
-	fs := compile(t, tr,
-		faults.Event{Kind: faults.Outage, Node: fat, Start: 5, End: 9},
-		faults.Event{Kind: faults.Brownout, Node: tr.Leaves()[3], Start: 2, End: 40, Factor: 0.5},
-	)
-	opts := Options{SplitShards: 4, Faults: fs, RecordSlices: true}
-	runModes(t, tr, trace, func() Assigner { return &oblRR{} }, opts, 2, 4)
-	runModes(t, tr, trace, func() Assigner { return jsqLeaf{} }, opts, 2, 4)
-}
-
-// Against an unsplit run, per-job metrics are exactly equal (every
-// node sees identical arrival instants either way); the integral
-// statistics may differ in final ulps from the extra handoff
-// quadrature breakpoints, and the slice log records the same
-// processing at possibly coarser granularity (see below).
-func TestSplitVsUnsplitJobs(t *testing.T) {
-	tr := skewedTree()
-	trace := shardTestTrace(t, 25, 400, 6)
-	for _, mk := range []func() Assigner{
-		func() Assigner { return &oblRR{} },
-		func() Assigner { return leastVolume{} },
-	} {
-		base, err := Run(tr, trace, mk(), Options{RecordSlices: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		split, err := Run(tr, trace, mk(), Options{RecordSlices: true, SplitShards: 4, Workers: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(base.Jobs, split.Jobs) {
-			t.Fatal("per-job metrics differ between split and unsplit partitions")
-		}
-		rel := math.Abs(split.Stats.FracFlow-base.Stats.FracFlow) / math.Max(1, base.Stats.FracFlow)
-		if rel > 1e-9 {
-			t.Fatalf("FracFlow drifted beyond ulps: %v vs %v", split.Stats.FracFlow, base.Stats.FracFlow)
-		}
-		if split.Stats.Events != base.Stats.Events || split.Stats.Completed != base.Stats.Completed {
-			t.Fatalf("event/completion counts differ: %+v vs %+v", split.Stats, base.Stats)
-		}
-		// Slice logs are not entry-for-entry comparable across
-		// partitions (a head shard's single-node log merges adjacent
-		// slices that interleaved entries keep separate in the unsplit
-		// log); the processed time they record must agree.
-		sliceTime := func(sl []Slice) float64 {
-			var sum float64
-			for i := range sl {
-				sum += sl[i].To - sl[i].From
-			}
-			return sum
-		}
-		st, bt := sliceTime(split.Sim.Slices()), sliceTime(base.Sim.Slices())
-		if math.Abs(st-bt) > 1e-9*math.Max(1, bt) {
-			t.Fatalf("recorded processing time differs: %v vs %v", st, bt)
-		}
-	}
-}
-
-// The whole-run audit still passes under splitting; the per-shard
-// audit is undefined (a task's slices span head and sub-shard logs).
-func TestSplitAudit(t *testing.T) {
-	tr := skewedTree()
-	trace := shardTestTrace(t, 26, 200, 6)
-	res, err := Run(tr, trace, &oblRR{}, Options{SplitShards: 4, RecordSlices: true, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep := res.Sim.Audit(); !rep.OK() {
-		t.Fatalf("audit of split run: %s", rep.Summary())
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("AuditShard did not panic under an active split partition")
-		}
-	}()
-	res.Sim.AuditShard(0)
-}
-
-// Reset across differing SplitShards values rebuilds the partition.
-func TestSplitReset(t *testing.T) {
-	tr := skewedTree()
-	trace := shardTestTrace(t, 27, 200, 6)
-	s := New(tr, Options{})
-	if _, err := RunOn(s, trace, &oblRR{}); err != nil {
-		t.Fatal(err)
-	}
-	s.Reset(Options{SplitShards: 4, Workers: 4})
-	if s.NumShards() != 6 {
-		t.Fatalf("NumShards after split Reset = %d, want 6", s.NumShards())
-	}
-	res, err := RunOn(s, trace, &oblRR{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2 := New(tr, Options{})
-	base, err := RunOn(s2, trace, &oblRR{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res.Jobs, base.Jobs) {
-		t.Fatal("jobs differ after Reset into a split partition")
-	}
-	s.Reset(Options{})
-	if s.NumShards() != 2 {
-		t.Fatalf("NumShards after unsplit Reset = %d, want 2", s.NumShards())
-	}
+	wantDispatchError(t, tr, trace, &oblRR{}, "sim: job 0 has 3 leaf sizes for a 8-leaf tree")
 }

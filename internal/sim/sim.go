@@ -174,8 +174,8 @@ type Options struct {
 	// Observer, when set, is called after every state change (task
 	// injection and every node completion). Used by the Lemma
 	// validators to check invariants at event granularity. An Observer
-	// needs a single global event order, so it forces sequential
-	// lockstep execution regardless of Workers.
+	// needs a single global event order, so the engine then steps every
+	// shard in lockstep through one time-ordered event loop.
 	Observer func(s *Sim)
 	// RecordSlices keeps the exact processing slices (node, job,
 	// interval) including preemption boundaries; costs memory
@@ -190,43 +190,6 @@ type Options struct {
 	// Recovery selects what happens to tasks assigned to a permanently
 	// lost leaf (RecoverHold when unset).
 	Recovery RecoveryPolicy
-	// Workers sets the sharded-execution budget. The engine always
-	// partitions the tree at the root's children into independent
-	// shards (the root performs no processing, so every task's path
-	// lies inside one root-child subtree); when Workers > 1 the shard
-	// event loops run on up to Workers goroutines (capped at the shard
-	// count), producing results bit-identical to a sequential run.
-	// 0 and 1 mean sequential. Configurations that need a global event
-	// order — an Observer, or permanent leaf loss under
-	// RecoverRedispatch (migration crosses shards) — fall back to
-	// sequential automatically.
-	Workers int
-	// SplitShards, when > 0, splits any root-child subtree with more
-	// than SplitShards leaves (and at least two children) one level
-	// deeper: a head shard owning the subtree root alone plus one
-	// sub-shard per child subtree. Skewed trees — one fat root-child
-	// subtree holding most leaves — otherwise serialize on a single
-	// shard; splitting restores parallelism while keeping results
-	// bit-identical between sequential and parallel execution at the
-	// same SplitShards value. Head shards hand tasks to their children
-	// through time-ordered inboxes and never receive events back, so
-	// parallel execution runs in two barrier-separated waves. Against
-	// an unsplit run, per-job metrics are identical and the integral
-	// statistics (FracFlow, ActiveIntegral) may differ in final ulps
-	// (the handoff instants become additional quadrature breakpoints).
-	// 0 disables splitting (one shard per root-child subtree).
-	// Configurations needing a global event or completion order — an
-	// Observer, streaming hooks, or leaf death under
-	// RecoverRedispatch — ignore the knob.
-	SplitShards int
-	// WorkerTokens, when set, is a shared concurrency-budget
-	// semaphore: every worker goroutine beyond the calling one
-	// try-acquires a token and is skipped when the pool is exhausted
-	// (the caller always proceeds, so progress never blocks on the
-	// pool). experiments.RunAll hands its sweep pool here so that
-	// nested cell-level and shard-level parallelism together never
-	// oversubscribe the -parallel budget.
-	WorkerTokens chan struct{}
 	// RetainJobs bounds how many per-job JobMetrics records a run
 	// keeps in memory: 0 keeps one per injected task, N > 0 keeps
 	// only the last N completions in a ring, so with task state
@@ -234,14 +197,12 @@ type Options struct {
 	// peak number of concurrently active tasks instead of the trace
 	// length. Under bounded retention Stats sums accumulate in
 	// completion order (last-ulp float differences vs a full-retention
-	// run) and execution is forced sequential (completions must be
-	// observed in one global order). Not supported by RunPacketized.
+	// run). Not supported by RunPacketized.
 	RetainJobs int
 	// Sink, when non-nil, receives every completed job's metrics in
 	// completion order (e.g. an NDJSONSink writing per-job records to
 	// disk), so the full record can live on disk instead of in RAM.
-	// Installing a sink forces sequential execution, like
-	// RetainJobs > 0. Not supported by RunPacketized.
+	// Not supported by RunPacketized.
 	Sink JobSink
 }
 
@@ -290,9 +251,8 @@ type Slice struct {
 // shards: each shard owns the event heap, clock, flow-time
 // accumulators, slice log and task arena of one root-child subtree.
 // The root performs no processing and every task's path lies inside
-// one subtree, so shards share no mutable state after dispatch; the
-// sequential and the parallel execution modes both run the identical
-// per-shard state machines and differ only in who steps them.
+// one subtree, so shards share no mutable state after dispatch, and
+// one event loop steps them shard by shard between arrivals.
 type Sim struct {
 	tree *tree.Tree
 	opts Options
@@ -303,24 +263,11 @@ type Sim struct {
 	now   float64
 	nodes []nodeState
 
-	// shards hold the per-subtree event machinery; shardOf[v] indexes
-	// shards by node. The partition is one shard per root-child
-	// subtree unless Options.SplitShards splits fat subtrees one level
-	// deeper (see buildPartition).
+	// shards hold the per-subtree event machinery, one per root-child
+	// subtree in root-adjacent order; shardOf[v] indexes shards by node
+	// (0 for the root itself, which performs no processing).
 	shards  []shardState
 	shardOf []int32
-	// splitNow is the effective SplitShards value the current
-	// partition was built for (-1 before the first build).
-	splitNow int
-	// waveAll/wave0/wave1 are the shard index schedules of parallel
-	// execution: without splitting every shard is independent (one
-	// wave over waveAll); with splitting, head shards (wave0) must
-	// finish handing off before their sub-shards (wave1) run.
-	waveAll, wave0, wave1 []int32
-	// startShard[leafIndex] is the shard of Path(leaf)[0]: where a
-	// root-released job assigned to that leaf begins its journey (the
-	// head shard when the subtree is split).
-	startShard []int32
 
 	// tasks lists every injected task in injection order, on engines
 	// that keep task state for introspection (keepsTasks); elsewhere
@@ -332,11 +279,6 @@ type Sim struct {
 	records []JobMetrics
 	nextSeq int64
 
-	// par marks an in-flight parallel section: task-slot writes go to
-	// pre-sized positions and error paths must not walk cross-shard
-	// state.
-	par bool
-
 	// query is the read-only view handed out by Query (one per engine
 	// so the accessor does not allocate).
 	query Query
@@ -347,9 +289,6 @@ type Sim struct {
 	// scratchIDs is reused by Query.AvailCountLarger for packet
 	// de-duplication.
 	scratchIDs []int
-	// assignBuf is reused by the parallel replay's sequential dispatch
-	// prepass.
-	assignBuf []tree.NodeID
 	// sliceCat is the reused concatenation buffer Slices() returns.
 	sliceCat []Slice
 
@@ -385,149 +324,33 @@ type Sim struct {
 func New(t *tree.Tree, opts Options) *Sim {
 	s := &Sim{tree: t}
 	s.shardOf = make([]int32, t.NumNodes())
+	s.shards = make([]shardState, len(t.RootAdjacent()))
+	for k, h := range t.RootAdjacent() {
+		s.shardOf[h] = int32(k)
+		for _, l := range t.SubtreeLeaves(h) {
+			for _, v := range t.Path(l) {
+				s.shardOf[v] = int32(k)
+			}
+		}
+	}
 	s.nodes = make([]nodeState, t.NumNodes())
 	for i := range s.nodes {
 		n := &s.nodes[i]
 		n.id = tree.NodeID(i)
+		n.shard = s.shardOf[i]
 		n.baseSpeed = t.Speed(n.id)
 		n.speed = n.baseSpeed
 		n.leaf = t.IsLeaf(n.id)
 	}
 	s.assigned = make([][]*JobState, len(t.Leaves()))
 	s.upstreamWork = make([]float64, len(t.Leaves()))
-	s.splitNow = -1 // force the first buildPartition
 	s.applyOptions(opts)
 	return s
 }
 
 // NumShards returns the number of shards the engine is partitioned
-// into — one per root-child subtree, more under Options.SplitShards —
-// which is the maximum useful Options.Workers value.
+// into: one per root-child subtree.
 func (s *Sim) NumShards() int { return len(s.shards) }
-
-// effectiveSplit resolves Options.SplitShards against the
-// configuration's eligibility: splitting changes the per-shard event
-// interleaving, so configurations that need a single global event or
-// completion order keep the root-child partition.
-func effectiveSplit(opts Options) int {
-	if opts.SplitShards <= 0 {
-		return 0
-	}
-	if opts.Observer != nil || opts.RetainJobs > 0 || opts.Sink != nil {
-		return 0
-	}
-	if opts.Faults != nil && opts.Faults.HasDeaths() && opts.Recovery == RecoverRedispatch {
-		return 0
-	}
-	return opts.SplitShards
-}
-
-// buildPartition installs the shard partition for the given split
-// threshold (0: one shard per root-child subtree). With split > 0, a
-// root-child subtree with more than split leaves whose root h has at
-// least two children is split one level deeper: a head shard owning h
-// alone, plus one sub-shard per child subtree, indexed in pre-order
-// (head first, then its children, subtrees in root-adjacent order).
-// Tasks flow only downward, so a head never receives events from its
-// children: sequential index-order stepping of the shards stays
-// topologically valid unchanged, and parallel execution needs exactly
-// two barrier-separated waves (heads and unsplit shards, then
-// sub-shards). Rebuilding drops the previous partition's shard state,
-// including its task arenas; Reset only rebuilds when the effective
-// split value changes.
-func (s *Sim) buildPartition(split int) {
-	t := s.tree
-	for i := range s.shardOf {
-		s.shardOf[i] = 0 // the root lands in shard 0; it never processes
-	}
-	var parents []int32
-	var childBuf []tree.NodeID
-	for _, h := range t.RootAdjacent() {
-		leaves := t.SubtreeLeaves(h)
-		childBuf = childBuf[:0]
-		if split > 0 && len(leaves) > split {
-			for _, l := range leaves {
-				p := t.Path(l)
-				if len(p) < 2 {
-					continue // h is itself a leaf
-				}
-				c := p[1]
-				seen := false
-				for _, e := range childBuf {
-					if e == c {
-						seen = true
-						break
-					}
-				}
-				if !seen {
-					childBuf = append(childBuf, c)
-				}
-			}
-		}
-		if len(childBuf) >= 2 {
-			head := int32(len(parents))
-			parents = append(parents, -1)
-			s.shardOf[h] = head
-			for _, c := range childBuf {
-				ci := int32(len(parents))
-				parents = append(parents, head)
-				for _, l := range t.SubtreeLeaves(c) {
-					for i, v := range t.Path(l) {
-						if i > 0 {
-							s.shardOf[v] = ci
-						}
-					}
-				}
-			}
-		} else {
-			k := int32(len(parents))
-			parents = append(parents, -1)
-			for _, l := range leaves {
-				for _, v := range t.Path(l) {
-					s.shardOf[v] = k
-				}
-			}
-			s.shardOf[h] = k
-		}
-	}
-	s.shards = make([]shardState, len(parents))
-	s.waveAll = s.waveAll[:0]
-	s.wave0, s.wave1 = s.wave0[:0], s.wave1[:0]
-	for k := range s.shards {
-		s.shards[k].parent = parents[k]
-		s.waveAll = append(s.waveAll, int32(k))
-		if parents[k] < 0 {
-			s.wave0 = append(s.wave0, int32(k))
-		} else {
-			s.wave1 = append(s.wave1, int32(k))
-		}
-	}
-	for i := range s.nodes {
-		s.nodes[i].shard = s.shardOf[i]
-	}
-	if cap(s.startShard) < len(t.Leaves()) {
-		s.startShard = make([]int32, len(t.Leaves()))
-	}
-	s.startShard = s.startShard[:len(t.Leaves())]
-	for li, l := range t.Leaves() {
-		s.startShard[li] = s.shardOf[t.Path(l)[0]]
-	}
-}
-
-// split reports whether the current partition actually contains
-// sub-shards (the threshold may exceed every subtree's leaf count).
-func (s *Sim) split() bool { return len(s.wave1) > 0 }
-
-// startShardOf returns the shard in which a job dispatched to leaf
-// with the given origin begins its journey: the shard of the first
-// path node. Jobs with a non-root origin start strictly below the
-// root-adjacent node, always inside the leaf's own (sub-)shard.
-func (s *Sim) startShardOf(leaf, origin tree.NodeID) int32 {
-	if origin != 0 {
-		return s.nodes[leaf].shard
-	}
-	return s.startShard[s.tree.LeafIndex(leaf)]
-}
 
 // applyOptions installs opts, building or clearing the per-node queues
 // as needed. The queue implementation depends on the options (scan for
@@ -549,10 +372,6 @@ func (s *Sim) applyOptions(opts Options) {
 	s.opts = opts
 	s.ps = ps
 	_, s.staticKey = opts.Policy.(StaticKeyPolicy)
-	if eff := effectiveSplit(opts); eff != s.splitNow {
-		s.buildPartition(eff)
-		s.splitNow = eff
-	}
 	for i := range s.nodes {
 		n := &s.nodes[i]
 		// A previous run's fault boundaries may have left a scaled
@@ -611,7 +430,7 @@ func (s *Sim) applyOptions(opts Options) {
 // arenas, instrumentation slices), so replaying traces on one engine
 // approaches zero allocations per run. opts may differ arbitrarily
 // from the previous run's options — changing Policy, Instrument,
-// UseScanQueue, Workers, etc. is supported and the engine reconfigures
+// UseScanQueue, Faults, etc. is supported and the engine reconfigures
 // itself.
 //
 // Reset recycles every JobState the previous run still held — the
@@ -621,10 +440,9 @@ func (s *Sim) applyOptions(opts Options) {
 // Extract any metrics you need before resetting.
 func (s *Sim) Reset(opts Options) {
 	// Completed tasks are already on the freelists unless the engine
-	// kept them for introspection; live ones sit in the assigned lists
-	// (nil slots belong to a run aborted mid-parallel-injection).
+	// kept them for introspection; live ones sit in the assigned lists.
 	for _, js := range s.tasks {
-		if js != nil && js.Completed {
+		if js.Completed {
 			s.recycle(js)
 		}
 	}
@@ -658,10 +476,6 @@ func (s *Sim) Reset(opts Options) {
 		sh.eventCount = 0
 		sh.slices = sh.slices[:0]
 		sh.mergeFloor = 0
-		sh.inbox = sh.inbox[:0]
-		sh.inboxIdx = 0
-		sh.err = nil
-		sh.panicVal = nil
 	}
 	for i := range s.upstreamWork {
 		s.upstreamWork[i] = 0
@@ -679,7 +493,7 @@ func (s *Sim) Reset(opts Options) {
 const taskBlockSize = 512
 
 // newTask returns a zeroed JobState from the shard's freelist or
-// arena (per shard so parallel injection never contends).
+// arena.
 // Instrumentation buffers of recycled tasks are kept (emptied) when
 // the engine is instrumented so inject can refill them in place; in
 // uninstrumented mode they are dropped to nil, which downstream code
@@ -788,8 +602,9 @@ func (s *Sim) inject(js *JobState, origin tree.NodeID) error {
 	// target an already-dead leaf; the dispatcher redirects the arrival
 	// to a survivor (no Migration is recorded — the task never started
 	// its original journey). Cross-shard state is read here, which is
-	// safe: redirect requires deaths, and deaths force sequential
-	// execution with every shard advanced to the injection instant.
+	// sound: redirect requires deaths, and deaths switch the engine to
+	// the global-order loop with every shard advanced to the injection
+	// instant.
 	if s.opts.Faults != nil && s.opts.Recovery == RecoverRedispatch {
 		if at, dead := s.opts.Faults.DeathTime(js.Leaf); dead && at <= s.now {
 			if to := s.pickSurvivor(js); to != tree.None {
@@ -822,12 +637,9 @@ func (s *Sim) inject(js *JobState, origin tree.NodeID) error {
 			full = s.tree.Path(js.Leaf)[len(s.tree.Path(js.Leaf))-1:]
 		}
 	}
-	// Stats (activeTasks, fracSum) are charged to the shard where the
-	// task's journey begins — the shard of Path[0], which under
-	// sub-shard splitting is the head shard, not the leaf's sub-shard.
-	// The task arena stays keyed by the leaf's shard (see newTask and
-	// Reset's recycle loop).
-	sh := &s.shards[s.nodes[full[0]].shard]
+	// Stats (activeTasks, fracSum) are charged to the leaf's shard,
+	// which holds every node of the task's path.
+	sh := &s.shards[s.shardOf[js.Leaf]]
 	if js.PrioRouter == 0 {
 		js.PrioRouter = js.RouterSize
 	}
@@ -835,13 +647,7 @@ func (s *Sim) inject(js *JobState, origin tree.NodeID) error {
 		js.PrioLeaf = js.LeafWork
 	}
 	if s.keepsTasks() {
-		if s.par {
-			// Parallel injection: slots were pre-sized by seq so workers
-			// write disjoint positions and injection order stays global.
-			s.tasks[js.seq] = js
-		} else {
-			s.tasks = append(s.tasks, js)
-		}
+		s.tasks = append(s.tasks, js)
 	}
 	sh.activeTasks++
 	sh.fracSum += js.FracWeight
@@ -1134,11 +940,10 @@ func (s *Sim) nextEvent(sh *shardState) (finishEvent, bool) {
 }
 
 // advanceShard moves one shard's clock forward with no events in
-// between, accumulating its flow-time integrals. Every shard advances
-// through the identical set of instants in both execution modes (all
-// arrival releases, plus the shard's own events and boundaries, plus
-// the common drain end time), so the floating-point quadrature of the
-// integrals is bit-identical between sequential and parallel runs.
+// between, accumulating its flow-time integrals. The instants a shard
+// advances through (all arrival releases, plus the shard's own events
+// and boundaries, plus the common drain end time) are the quadrature
+// points of those integrals, so they fix FracFlow's bits.
 func (s *Sim) advanceShard(sh *shardState, to float64) {
 	dt := to - sh.now
 	if dt <= 0 {
@@ -1156,12 +961,10 @@ func (s *Sim) advanceShard(sh *shardState, to float64) {
 	sh.now = to
 }
 
-// advanceShardTo processes shard k's events, fault boundaries and
-// parent handoffs up to and including target and leaves the shard
-// clock there. At equal instants finish events win (a task completing
-// exactly at an outage start still completes), then boundaries, then
-// handoffs (a task arriving exactly at a boundary sees the post-fault
-// speed, matching Inject's applyDueBoundaries).
+// advanceShardTo processes shard k's events and fault boundaries up
+// to and including target and leaves the shard clock there. At equal
+// instants finish events win (a task completing exactly at an outage
+// start still completes), then boundaries.
 func (s *Sim) advanceShardTo(k int, target float64) {
 	sh := &s.shards[k]
 	for {
@@ -1170,34 +973,22 @@ func (s *Sim) advanceShardTo(k int, target float64) {
 		// staleness validation (a random node lookup) can wait; stale
 		// tops beyond target stay queued and are discarded whenever the
 		// clock reaches them. Querying assigners hit this on every
-		// shard at every arrival barrier.
+		// shard at every arrival.
 		if len(sh.events) == 0 || sh.events[0].at > target {
-			bDue := false
-			if s.opts.Faults != nil {
-				b, bOK := sh.peekBoundary()
-				bDue = bOK && b.At <= target
+			if s.opts.Faults == nil {
+				break
 			}
-			if !bDue {
-				if h, hOK := sh.peekHandoff(); !hOK || h.at > target {
-					break
-				}
+			if b, ok := sh.peekBoundary(); !ok || b.At > target {
+				break
 			}
 		}
 		ev, evOK := s.nextEvent(sh)
 		if s.opts.Faults != nil {
 			if b, bOK := sh.peekBoundary(); bOK && b.At <= target && (!evOK || b.At < ev.at || ev.at > target) {
-				if h, hOK := sh.peekHandoff(); !hOK || b.At <= h.at {
-					s.advanceShard(sh, b.At)
-					s.applyBoundary(sh, b)
-					continue
-				}
+				s.advanceShard(sh, b.At)
+				s.applyBoundary(sh, b)
+				continue
 			}
-		}
-		if h, hOK := sh.peekHandoff(); hOK && h.at <= target && (!evOK || h.at < ev.at || ev.at > target) {
-			sh.inboxIdx++
-			s.advanceShard(sh, h.at)
-			s.applyHandoff(sh, h.js)
-			continue
 		}
 		if !evOK || ev.at > target {
 			break
@@ -1209,26 +1000,18 @@ func (s *Sim) advanceShardTo(k int, target float64) {
 	s.advanceShard(sh, target)
 }
 
-// drainShard processes every remaining event, boundary and handoff of
-// shard k, with the same tie order as advanceShardTo.
+// drainShard processes every remaining event and boundary of shard k,
+// with the same tie order as advanceShardTo.
 func (s *Sim) drainShard(k int) {
 	sh := &s.shards[k]
 	for {
 		ev, evOK := s.nextEvent(sh)
 		if s.opts.Faults != nil {
 			if b, bOK := sh.peekBoundary(); bOK && (!evOK || b.At < ev.at) {
-				if h, hOK := sh.peekHandoff(); !hOK || b.At <= h.at {
-					s.advanceShard(sh, b.At)
-					s.applyBoundary(sh, b)
-					continue
-				}
+				s.advanceShard(sh, b.At)
+				s.applyBoundary(sh, b)
+				continue
 			}
-		}
-		if h, hOK := sh.peekHandoff(); hOK && (!evOK || h.at < ev.at) {
-			sh.inboxIdx++
-			s.advanceShard(sh, h.at)
-			s.applyHandoff(sh, h.js)
-			continue
 		}
 		if !evOK {
 			break
@@ -1237,19 +1020,6 @@ func (s *Sim) drainShard(k int) {
 		s.advanceShard(sh, ev.at)
 		s.handleFinish(ev.node)
 	}
-}
-
-// applyHandoff completes a parent-to-sub-shard task transfer at the
-// shard's current clock: the task joins the shard's residence
-// accounting and its next node's queue. The emitting side (see
-// handleFinish) already advanced the task's per-hop fields.
-func (s *Sim) applyHandoff(sh *shardState, js *JobState) {
-	sh.activeTasks++
-	sh.fracSum += js.FracWeight
-	w := js.Path[js.Hop]
-	s.sync(w)
-	s.availPush(w, js)
-	s.reschedule(w)
 }
 
 // AdvanceTo processes all events (and fault boundaries) up to and
@@ -1270,22 +1040,13 @@ func (s *Sim) AdvanceTo(target float64) {
 	s.now = target
 }
 
-// interleavedMode reports whether sequential execution must process
-// events in a single global time order: Observers watch cross-shard
-// state at event granularity, and recovery re-dispatch migrates tasks
-// across shards.
-func (s *Sim) interleavedMode() bool { return !s.parallelOK() }
-
-// parallelOK reports whether the configuration admits per-shard
-// execution (sequential per-shard ordering or parallel workers).
-func (s *Sim) parallelOK() bool {
-	if s.opts.Observer != nil {
-		return false
-	}
-	if s.opts.Faults != nil && s.opts.Faults.HasDeaths() && s.opts.Recovery == RecoverRedispatch {
-		return false
-	}
-	return true
+// interleavedMode reports whether events must be processed in one
+// global time order rather than shard by shard: Observers watch
+// cross-shard state at event granularity, and recovery re-dispatch
+// migrates tasks across shards.
+func (s *Sim) interleavedMode() bool {
+	return s.opts.Observer != nil ||
+		(s.opts.Faults != nil && s.opts.Faults.HasDeaths() && s.opts.Recovery == RecoverRedispatch)
 }
 
 // runInterleaved processes events of all shards in one global
@@ -1360,8 +1121,7 @@ func (s *Sim) Drain() (err error) {
 
 // finishDrain aligns every shard at the common end time (the maximum
 // shard clock, in shard-index order so the alignment is deterministic)
-// and performs the end-of-run checks shared by the sequential and
-// parallel drains.
+// and performs the end-of-run checks.
 func (s *Sim) finishDrain() error {
 	end := s.now
 	for k := range s.shards {
@@ -1500,10 +1260,10 @@ func (js *JobState) workOnLeaf(li int) float64 {
 // `to`: it restarts at the root of the new leaf's path with full
 // remaining work there (partial work on the abandoned journey is
 // lost), and the move is recorded as a Migration. Migration can cross
-// shards, which is why deaths under RecoverRedispatch force the
-// interleaved sequential mode: the destination shard's clock is
-// brought up to the migration instant here (its earlier events were
-// already processed by the global-order loop).
+// shards, which is why deaths under RecoverRedispatch switch the engine
+// to the global-order loop: the destination shard's clock is brought
+// up to the migration instant here (its earlier events were already
+// processed by that loop).
 func (s *Sim) migrate(js *JobState, to tree.NodeID) {
 	cur := js.CurrentNode()
 	n := &s.nodes[cur]
@@ -1616,24 +1376,9 @@ func (s *Sim) handleFinish(v tree.NodeID) {
 			js.HopArrive[js.Hop] = now
 		}
 		s.setKey(js)
-		if ws := s.nodes[w].shard; ws != n.shard {
-			// Sub-shard handoff: the next node belongs to a child
-			// sub-shard of this head shard. The task leaves this
-			// shard's residence accounting now and enters the child's
-			// when the child consumes the inbox entry at the same
-			// instant. Only the head ever appends to a child's inbox
-			// and heads run strictly before children in parallel mode,
-			// so the inbox needs no synchronization; emission order is
-			// the head's event order, so entries are time-sorted.
-			sh.activeTasks--
-			sh.fracSum -= js.FracWeight
-			dst := &s.shards[ws]
-			dst.inbox = append(dst.inbox, handoff{at: now, js: js})
-		} else {
-			s.sync(w) // see Inject: distribute elapsed work before joining
-			s.availPush(w, js)
-			s.reschedule(w)
-		}
+		s.sync(w) // see Inject: distribute elapsed work before joining
+		s.availPush(w, js)
+		s.reschedule(w)
 	}
 	s.reschedule(v)
 	if s.opts.Observer != nil {
@@ -1645,8 +1390,7 @@ func (s *Sim) handleFinish(v tree.NodeID) {
 // its leaf (leaf index li): it writes the task's JobMetrics record —
 // into its Records() slot, or under bounded retention into the ring —
 // runs the streaming hooks, and returns js to the freelist unless the
-// engine keeps task state for introspection. In a parallel section
-// each shard worker writes only its own tasks' slots and freelist.
+// engine keeps task state for introspection.
 func (s *Sim) complete(js *JobState, li int) {
 	st := s.stream
 	var m *JobMetrics
@@ -1726,9 +1470,8 @@ func (s *Sim) Active() int {
 // subtree, in root-adjacent order) and within each shard appear in the
 // order work was performed; consecutive slices of one task on one node
 // are merged. With a single root branch this is plain time order. The
-// grouping is identical in sequential and parallel runs. The returned
-// slice is an engine-owned buffer reused by the next call after a
-// Reset; copy it to retain.
+// returned slice is an engine-owned buffer reused by the next call
+// after a Reset; copy it to retain.
 func (s *Sim) Slices() []Slice {
 	if !s.opts.RecordSlices {
 		panic("sim: Slices requires Options.RecordSlices")
@@ -1783,8 +1526,8 @@ type Stats struct {
 	Completed      int
 }
 
-// totals sums the per-shard running totals in shard-index order, so
-// the floating-point result is independent of execution mode.
+// totals sums the per-shard running totals in shard-index order, which
+// fixes the floating-point result.
 func (s *Sim) totals() (fracFlow, activeIntegral float64, events int64) {
 	for k := range s.shards {
 		sh := &s.shards[k]

@@ -144,8 +144,7 @@ type streamState struct {
 	sinkErr  error
 	// scratch holds the record of the job currently being completed
 	// under bounded retention (see Sim.complete). Safe to share:
-	// streaming hooks force a single worker, so completions are
-	// strictly sequential.
+	// completions are strictly sequential.
 	scratch JobMetrics
 }
 

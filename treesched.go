@@ -215,10 +215,6 @@ type (
 	// Policy orders jobs on a node; Assigner picks the leaf.
 	Policy   = sim.Policy
 	Assigner = sim.Assigner
-	// ObliviousAssigner marks assigners that never read engine state,
-	// letting the sharded engine (Options.Workers > 1) inject fully in
-	// parallel per root-child subtree.
-	ObliviousAssigner = sim.ObliviousAssigner
 	// Arrival is the assigner's view of an arriving job.
 	Arrival = sim.Arrival
 	// Query is the read-only engine state view given to assigners.
