@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test test-short test-race test-engine test-benchmark bench bench-json bench-compare bench-dispatch stream-smoke fleet-smoke serve-smoke fuzz-smoke ci experiments experiments-check examples clean
+.PHONY: all build vet fmt-check test test-short test-race test-engine test-benchmark bench bench-json bench-compare bench-dispatch stream-smoke fleet-smoke serve-smoke fuzz-smoke ci experiments experiments-check examples loc clean
 
 all: build vet test test-race
 
@@ -117,6 +117,12 @@ examples:
 	$(GO) run ./examples/packetrouting
 	$(GO) run ./examples/heterogeneous
 	$(GO) run ./examples/certificates
+
+# Print the line counts of the root module's tracked Go files, non-test
+# and test apart; benchmark/ is a module of its own and is left out.
+loc:
+	@git ls-files -- '*.go' ':!:benchmark/' | grep -v '_test\.go$$' | xargs cat | wc -l | xargs printf 'non-test Go lines: %s\n'
+	@git ls-files -- '*_test.go' ':!:benchmark/' | xargs cat | wc -l | xargs printf 'test Go lines:     %s\n'
 
 clean:
 	$(GO) clean ./...

@@ -53,9 +53,9 @@
 //	engine/dispatch-deep      greedy dispatch on a deep, narrow
 //	                          topology (depth-6 root-to-leaf paths):
 //	                          store-and-forward hop work dominates, so
-//	                          this row exercises the memoized
-//	                          path-query and reschedule machinery the
-//	                          wide row under-weights
+//	                          this row exercises the path-query and
+//	                          reschedule machinery the wide row
+//	                          under-weights
 //	scenario/run       declarative layer: scenario.Runner on the same
 //	                   workload as engine/warm (overhead shows as the
 //	                   delta between the two rows)
@@ -146,8 +146,9 @@ type benchFile struct {
 	// peaks are the acceptance bar.
 	StreamMemory []streamMemRow `json:"stream_memory,omitempty"`
 	// DispatchBaseline is the before/after record for the v9 dispatch
-	// fast path (epoch-memoized path queries, bound-pruned greedy
-	// descent, incremental fstat maintenance): each engine/dispatch-*
+	// fast path (epoch-memoized path queries and a bound-pruned greedy
+	// descent, both since removed, and incremental fstat maintenance):
+	// each engine/dispatch-*
 	// kernel's ns/op from this run next to its pre-fast-path
 	// baseline. Single-core absolute numbers wander ±10-20% with host
 	// noise, so the interleaved A/B rows (minimum of repeated 1s runs

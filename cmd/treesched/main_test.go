@@ -187,6 +187,26 @@ func TestRunShardsOverridesScenarioFile(t *testing.T) {
 	}
 }
 
+// A packetized scenario whose jobs carry a leaf-size vector that does
+// not match the tree exits 1 with the engine's message, as the store-
+// and-forward run of the same file does, instead of indexing past the
+// vector when a job lands on a leaf beyond it.
+func TestRunPacketizedLeafSizeMismatch(t *testing.T) {
+	const jobs = `[{"ID":0,"Release":0,"Size":2,"LeafSizes":[1,2,3]},{"ID":1,"Release":1,"Size":3,"LeafSizes":[1,2,3]},` +
+		`{"ID":2,"Release":2,"Size":2,"LeafSizes":[1,2,3]},{"ID":3,"Release":3,"Size":2,"LeafSizes":[1,2,3]}]`
+	const want = "treesched: sim: job 0 has 3 leaf sizes for a 8-leaf tree\n"
+	for _, engine := range []string{`{"packetized":true}`, `{}`} {
+		path := filepath.Join(t.TempDir(), "f.json")
+		sc := `{"topology":"fattree:2,2,2","assigner":"roundrobin","engine":` + engine + `,"workload":{"jobs":` + jobs + `}}`
+		if err := os.WriteFile(path, []byte(sc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if code, _, errw := exec(t, "-scenario", path); code != 1 || errw != want {
+			t.Errorf("engine %s: exit %d, stderr %q; want exit 1 and %q", engine, code, errw, want)
+		}
+	}
+}
+
 func TestRunStreamFlagMatchesMaterialized(t *testing.T) {
 	// The streaming pipeline is bit-identical; only the lower-bound
 	// line (which needs the materialized trace) may differ.

@@ -65,9 +65,10 @@ func (c GreedyConfig) scanWeight() float64 {
 // The first term is the higher-priority volume the job must wait for
 // on its root-adjacent node (S includes J_j itself, contributing p_j);
 // the second charges the job for every lower-priority job it delays.
-// The engine memoizes the underlying AvailStats per node and arrival
-// (see sim.Query), so evaluating F for every leaf of a branch costs
-// one snapshot search total, not one per leaf.
+// F depends on v only through its branch root, so GreedyIdentical
+// evaluates it once per run of its plan; callers that evaluate it per
+// leaf repeat the branch root's AvailStats query, which then finds the
+// node synced and its snapshot current and changes nothing.
 func F(q *sim.Query, a *sim.Arrival, v tree.NodeID) float64 {
 	return fAt(q, a, q.Tree().Branch(v))
 }
@@ -160,8 +161,9 @@ func (g *GreedyIdentical) Name() string { return "GreedyIdentical" }
 // (R(v), d_v), so the scan scores one head per run of the origin's
 // plan, in leaf order, and keeps the first strict minimum. Scoring
 // every candidate leaf in turn picks the same leaf and makes the same
-// branch-root queries in the same order; it only adds repeats, which
-// the engine's query memo answers without touching engine state.
+// branch-root queries in the same order; it only adds repeats of a
+// query at the same engine state, which change nothing (pinned by the
+// repeated-query legs of the scenario equivalence tests).
 func (g *GreedyIdentical) Assign(q *sim.Query, a *sim.Arrival) tree.NodeID {
 	g.Cfg.validate()
 	p := g.plans.of(q.Tree(), a.Origin)
@@ -209,9 +211,9 @@ func NewGreedyUnrelated(eps float64) *GreedyUnrelated {
 func (g *GreedyUnrelated) Name() string { return "GreedyUnrelated" }
 
 // Assign implements sim.Assigner: every candidate leaf of the origin's
-// plan is scored in leaf order and the first strict minimum wins. The
-// F term is shared per branch via the engine's query memo; F' must be
-// evaluated per leaf.
+// plan is scored in leaf order and the first strict minimum wins. F
+// and F' are evaluated per leaf: F repeats its branch root's query
+// for every leaf of the branch, a repeat that changes nothing.
 func (g *GreedyUnrelated) Assign(q *sim.Query, a *sim.Arrival) tree.NodeID {
 	g.Cfg.validate()
 	t := q.Tree()

@@ -7,17 +7,57 @@ import (
 
 	"treesched/internal/rng"
 	"treesched/internal/sim"
+	"treesched/internal/tree"
 )
 
-// runKnobsOff runs sc with the epoch memoization of the Query
-// accessors force-disabled, so every query recomputes its answer. The
-// knob is a package global, so it is flipped only for the duration of
-// this (sequentially executed) run.
-func runKnobsOff(t *testing.T, sc *Scenario) (*sim.Result, error, []sim.Slice) {
+// repeatQueries wraps an assigner with a second instance of the same
+// rule (built by Instance.NewAssigner, so in the same state) that
+// answers every arrival first, on the same Query; its leaf is
+// discarded. Every query the wrapped assigner makes then repeats one
+// already made at the same engine state.
+type repeatQueries struct {
+	sim.Assigner
+	first sim.Assigner
+}
+
+func (r repeatQueries) Assign(q *sim.Query, a *sim.Arrival) tree.NodeID {
+	r.first.Assign(q, a)
+	return r.Assigner.Assign(q, a)
+}
+
+// runRepeated runs sc once on a fresh engine with its assigner wrapped
+// in repeatQueries, so every state query is asked twice in a row.
+func runRepeated(t *testing.T, sc *Scenario) (*sim.Result, error, []sim.Slice) {
 	t.Helper()
-	sim.DisableDispatchMemo = true
-	defer func() { sim.DisableDispatchMemo = false }()
-	return runWarm(t, sc)
+	c := *sc
+	in, err := c.Build()
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	asg, err := in.NewAssigner()
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := in.NewAssigner()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := sim.New(in.Tree, in.Opts)
+	rq := repeatQueries{Assigner: asg, first: first}
+	var res *sim.Result
+	if c.Engine.Stream {
+		res, err = in.runStream(s, rq)
+	} else {
+		res, err = sim.RunOn(s, in.Trace, rq)
+	}
+	if err != nil {
+		return nil, err, nil
+	}
+	var slices []sim.Slice
+	if c.Engine.RecordSlices {
+		slices = append(slices, s.Slices()...)
+	}
+	return res, nil, slices
 }
 
 // ndjsonBytes serializes a result the way the CLI does — stats header
@@ -33,13 +73,14 @@ func ndjsonBytes(t *testing.T, res *sim.Result) []byte {
 	return buf.Bytes()
 }
 
-// TestDispatchKnobsDifferential is the determinism contract for the
-// memoized dispatch path: across 60 randomized scenarios covering
+// TestDispatchKnobsDifferential is the determinism contract for
+// repeated dispatch queries: across 60 randomized scenarios covering
 // every state-querying assigner (greedy, shadow, jsq, leastvolume)
-// under every policy, running with the query memo enabled and
-// force-disabled must produce byte-identical NDJSON output — the memo
-// may only ever return the same bits a fresh recomputation would,
-// including in scenarios that legitimately fail.
+// under every policy, a run in which every query is asked twice at the
+// same engine state (runRepeated) must produce byte-identical NDJSON
+// output to a plain run — a repeat finds its node synced and its
+// snapshot chain extended and may change nothing, including in
+// scenarios that legitimately fail.
 func TestDispatchKnobsDifferential(t *testing.T) {
 	topos := []string{"fattree:4,1,2", "fattree:8,1,2", "fattree:2,2,2", "star:8", "caterpillar:4,2", "broomstick:6,2,2", "random:4,3,3"}
 	policies := []string{"sjf", "fifo", "srpt", "ps", "lcfs", "wsjf"}
@@ -68,16 +109,16 @@ func TestDispatchKnobsDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", line, err)
 			}
-			onRes, onErr, _ := runWarm(t, sc)
-			offRes, offErr, _ := runKnobsOff(t, sc)
-			if onErr != nil || offErr != nil {
-				if onErr == nil || offErr == nil || onErr.Error() != offErr.Error() {
-					t.Fatalf("%s:\n  fast err %v\n  ref err  %v", line, onErr, offErr)
+			plainRes, plainErr, _ := runWarm(t, sc)
+			repRes, repErr, _ := runRepeated(t, sc)
+			if plainErr != nil || repErr != nil {
+				if plainErr == nil || repErr == nil || plainErr.Error() != repErr.Error() {
+					t.Fatalf("%s:\n  plain err    %v\n  repeated err %v", line, plainErr, repErr)
 				}
 				return
 			}
-			if on, off := ndjsonBytes(t, onRes), ndjsonBytes(t, offRes); !bytes.Equal(on, off) {
-				t.Fatalf("%s: NDJSON output diverges between memoized and reference dispatch", line)
+			if plain, rep := ndjsonBytes(t, plainRes), ndjsonBytes(t, repRes); !bytes.Equal(plain, rep) {
+				t.Fatalf("%s: NDJSON output diverges when every query is repeated", line)
 			}
 		})
 	}

@@ -10,15 +10,15 @@ import (
 )
 
 // TestShardedScenarioEquivalence is the property test for the sharded
-// engine's warm reuse and its dispatch memo: across 100 randomized
-// scenarios (topology × policy × assigner × fault plan × engine
-// variant × seed), a warm rerun after Reset must reproduce the first
-// run, and a run with the dispatch memo force-disabled must reproduce
-// the memoized one bit for bit — per-job metrics, summary stats, slice
-// logs, and even error strings for runs that legitimately fail (leaf
-// loss under hold). The assigner pool includes the state-querying
-// dispatchers (greedy, shadow, jsq, leastvolume); the engine variants
-// mix in the streaming pipeline.
+// engine's warm reuse and for repeated dispatch queries: across 100
+// randomized scenarios (topology × policy × assigner × fault plan ×
+// engine variant × seed), a warm rerun after Reset must reproduce the
+// first run, and a run in which every query is asked twice at the same
+// engine state (runRepeated) must reproduce the plain one bit for bit
+// — per-job metrics, summary stats, slice logs, and even error strings
+// for runs that legitimately fail (leaf loss under hold). The assigner
+// pool includes the state-querying dispatchers (greedy, shadow, jsq,
+// leastvolume); the engine variants mix in the streaming pipeline.
 func TestShardedScenarioEquivalence(t *testing.T) {
 	topos := []string{"fattree:4,1,2", "fattree:8,1,2", "fattree:2,2,2", "star:8", "caterpillar:4,2", "broomstick:6,2,2", "random:4,3,3"}
 	policies := []string{"sjf", "fifo", "srpt", "ps", "lcfs", "wsjf"}
@@ -51,16 +51,16 @@ func TestShardedScenarioEquivalence(t *testing.T) {
 				t.Fatalf("%s: %v", line, err)
 			}
 			seqRes, seqErr, seqSlices := runWarm(t, sc)
-			refRes, refErr, refSlices := runKnobsOff(t, sc)
+			repRes, repErr, repSlices := runRepeated(t, sc)
 			switch {
-			case seqErr != nil || refErr != nil:
-				if seqErr == nil || refErr == nil || seqErr.Error() != refErr.Error() {
-					t.Fatalf("%s:\n  seq err %v\n  ref err %v", line, seqErr, refErr)
+			case seqErr != nil || repErr != nil:
+				if seqErr == nil || repErr == nil || seqErr.Error() != repErr.Error() {
+					t.Fatalf("%s:\n  plain err    %v\n  repeated err %v", line, seqErr, repErr)
 				}
-			case !reflect.DeepEqual(seqRes.Jobs, refRes.Jobs) || seqRes.Stats != refRes.Stats:
-				t.Fatalf("%s: memoized dispatch diverges from knobs-disabled reference", line)
-			case !reflect.DeepEqual(seqSlices, refSlices):
-				t.Fatalf("%s: slice logs diverge from knobs-disabled reference", line)
+			case !reflect.DeepEqual(seqRes.Jobs, repRes.Jobs) || seqRes.Stats != repRes.Stats:
+				t.Fatalf("%s: repeated queries change the run's jobs or stats", line)
+			case !reflect.DeepEqual(seqSlices, repSlices):
+				t.Fatalf("%s: repeated queries change the slice log", line)
 			}
 		})
 	}

@@ -333,8 +333,8 @@ func (s *Server) putBatch(b []workload.Job) {
 // queueSource adapts the admission queue to workload.ArrivalSource,
 // unpacking admitted batches job by job. Next blocks until a batch is
 // admitted or the queue is closed by Drain. Admission already
-// validated everything injectStream checks, so the engine loop cannot
-// fail on client input. Before any blocking receive it flushes the
+// validated everything the streaming loop checks, so the engine loop
+// cannot fail on client input. Before any blocking receive it flushes the
 // completion fan-out: the engine is about to go idle, so whatever the
 // last injections completed must not sit in the chunk buffer waiting
 // for the next arrival (the fan-out's latency bound).

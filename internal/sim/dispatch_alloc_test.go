@@ -8,8 +8,9 @@ import (
 
 // greedyProbe mirrors the paper's identical-endpoint greedy rule from
 // inside the package (core cannot be imported here): it evaluates
-// AvailStats on every root-adjacent branch plus AvailVolume on the
-// winner — the exact query mix the memoized dispatch path serves.
+// AvailStats for every leaf (so each branch root is queried once per
+// leaf of its branch) plus AvailVolume on the winner — the query mix
+// of state-querying dispatch, repeats included.
 type greedyProbe struct{}
 
 func (greedyProbe) Name() string { return "greedyProbe" }
@@ -29,9 +30,9 @@ func (greedyProbe) Assign(q *Query, a *Arrival) tree.NodeID {
 	return best
 }
 
-// Warm state-querying dispatch must be allocation-free: the epoch
-// memo, the fstat snapshots (sorted window, key mirror, prefix
-// chains) and the engine-owned Query view all live in reusable
+// Warm state-querying dispatch must be allocation-free: the fstat
+// snapshots (sorted window, key mirror, prefix chains), the engine-
+// owned Query view and the scratch Arrival all live in reusable
 // arenas, so steady state allocates nothing at all.
 func TestDispatchSteadyStateAllocs(t *testing.T) {
 	tr := tree.FatTree(8, 1, 2)

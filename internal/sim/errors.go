@@ -86,8 +86,8 @@ func (e *StuckError) Error() string {
 // InternalError reports a violated engine invariant (a bug, not a
 // user error): the failing operation, the simulation time, and a
 // snapshot of the active tasks. The engine panics with *InternalError
-// at the point of detection; Drain, ReplayOn and RunPacketized
-// recover it into an ordinary error return.
+// at the point of detection; Drain, ReplayOn, ReplayStreamOn and
+// RunPacketized recover it into an ordinary error return.
 type InternalError struct {
 	Op    string
 	Now   float64

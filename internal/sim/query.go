@@ -44,15 +44,7 @@ func (q *Query) AvailVolumeHigher(v tree.NodeID, size, release float64, id int) 
 		}
 		return sum
 	}
-	sc := &n.scratch
-	epoch := q.s.shards[n.shard].epoch
-	if !DisableDispatchMemo && sc.epoch == epoch && sc.size == size && sc.release == release && sc.id == id {
-		// A full AvailStats record for these arguments is current;
-		// recomputing would reproduce the same bits (see fstat.stats).
-		return sc.volHigher
-	}
-	f := q.s.refreshFStat(n)
-	return f.volumeHigher(n, size, release, id)
+	return q.s.refreshFStat(n).volumeHigher(n, size, release, id)
 }
 
 // AvailCountLarger returns |{J_i available on v : p_{i,v} > size}| —
@@ -62,15 +54,7 @@ func (q *Query) AvailVolumeHigher(v tree.NodeID, size, release float64, id int) 
 func (q *Query) AvailCountLarger(v tree.NodeID, size float64) int {
 	n := &q.s.nodes[v]
 	if !q.s.ps {
-		// The count depends only on size, so an AvailStats record with
-		// a matching epoch and size answers it regardless of the
-		// (release, id) it was probed with.
-		sc := &n.scratch
-		if !DisableDispatchMemo && sc.epoch == q.s.shards[n.shard].epoch && sc.size == size {
-			return sc.count
-		}
-		f := q.s.refreshFStat(n)
-		return f.countLarger(size)
+		return q.s.refreshFStat(n).countLarger(size)
 	}
 	// PS fallback: collect the qualifying IDs into the engine-owned
 	// scratch, sort it, and count adjacency groups — O(k log k) instead
@@ -120,15 +104,7 @@ func (q *Query) AvailVolume(v tree.NodeID) float64 {
 		}
 		return sum
 	}
-	sc := &n.scratch
-	epoch := q.s.shards[n.shard].epoch
-	if !DisableDispatchMemo && sc.volEpoch == epoch {
-		return sc.vol
-	}
-	f := q.s.refreshFStat(n)
-	vol := f.volume(n)
-	sc.volEpoch, sc.vol = epoch, vol
-	return vol
+	return q.s.refreshFStat(n).volume(n)
 }
 
 // AvailStats returns AvailVolumeHigher and AvailCountLarger of v in
@@ -140,16 +116,7 @@ func (q *Query) AvailStats(v tree.NodeID, size, release float64, id int) (volHig
 	if q.s.ps {
 		return q.AvailVolumeHigher(v, size, release, id), q.AvailCountLarger(v, size)
 	}
-	sc := &n.scratch
-	epoch := q.s.shards[n.shard].epoch
-	if !DisableDispatchMemo && sc.epoch == epoch && sc.size == size && sc.release == release && sc.id == id {
-		return sc.volHigher, sc.count
-	}
-	f := q.s.refreshFStat(n)
-	vh, c := f.stats(n, size, release, id)
-	sc.epoch, sc.size, sc.release, sc.id = epoch, size, release, id
-	sc.volHigher, sc.count = vh, c
-	return vh, c
+	return q.s.refreshFStat(n).stats(n, size, release, id)
 }
 
 // AvailCount returns the number of jobs available on v.

@@ -111,35 +111,48 @@ func RunOn(s *Sim, trace *workload.Trace, asg Assigner) (*Result, error) {
 // engine is left drained, so Stats()/Records() remain readable.
 func ReplayOn(s *Sim, trace *workload.Trace, asg Assigner) (err error) {
 	defer recoverInternal(&err)
+	return s.replay(trace, asg, false)
+}
+
+// replay is the materialized-trace driver of ReplayOn and
+// RunPacketized: it validates the whole trace up front, runs every
+// job through the per-arrival step, and drains.
+func (s *Sim) replay(trace *workload.Trace, asg Assigner, packets bool) error {
 	if err := trace.Validate(); err != nil {
 		return err
 	}
-	if err := s.injectTrace(trace, asg); err != nil {
-		return err
+	for i := range trace.Jobs {
+		if err := s.arrive(&trace.Jobs[i], asg, packets); err != nil {
+			return err
+		}
 	}
 	return s.Drain()
 }
 
-// injectTrace is ReplayOn's dispatch loop: advance to each release,
-// consult the assigner, inject.
-func (s *Sim) injectTrace(trace *workload.Trace, asg Assigner) error {
-	t := s.tree
-	// Passing a loop-local Arrival through the Assigner interface makes
-	// it escape; the engine-owned scratch keeps the warm path at zero
+// arrive is the per-arrival step every driver shares: it checks j's
+// leaf-size vector against the tree, advances the engine to j's
+// release, consults the assigner, and injects the job on the chosen
+// leaf — whole, or split into unit packets for RunPacketized.
+func (s *Sim) arrive(j *workload.Job, asg Assigner, packets bool) error {
+	if n := len(s.tree.Leaves()); j.LeafSizes != nil && len(j.LeafSizes) != n {
+		return fmt.Errorf("sim: job %d has %d leaf sizes for a %d-leaf tree", j.ID, len(j.LeafSizes), n)
+	}
+	s.AdvanceTo(j.Release)
+	// Passing a local Arrival through the Assigner interface makes it
+	// escape; the engine-owned scratch keeps the warm path at zero
 	// allocations. Assigners must not retain the pointer past Assign
-	// (the value was already overwritten every iteration).
+	// (the next arrival overwrites it).
 	a := &s.scratchArrival
-	for i := range trace.Jobs {
-		j := &trace.Jobs[i]
-		if j.LeafSizes != nil && len(j.LeafSizes) != len(t.Leaves()) {
-			return fmt.Errorf("sim: job %d has %d leaf sizes for a %d-leaf tree", j.ID, len(j.LeafSizes), len(t.Leaves()))
-		}
-		s.AdvanceTo(j.Release)
-		*a = Arrival{ID: j.ID, Release: j.Release, Size: j.Size, LeafSizes: j.LeafSizes, Origin: tree.NodeID(j.Origin), Weight: j.Weight}
-		leaf := asg.Assign(s.Query(), a)
-		if _, err := s.Inject(a, leaf); err != nil {
-			return fmt.Errorf("sim: assigner %q: %w", asg.Name(), err)
-		}
+	*a = Arrival{ID: j.ID, Release: j.Release, Size: j.Size, LeafSizes: j.LeafSizes, Origin: tree.NodeID(j.Origin), Weight: j.Weight}
+	leaf := asg.Assign(s.Query(), a)
+	var err error
+	if packets {
+		err = s.injectPackets(a, leaf)
+	} else {
+		_, err = s.Inject(a, leaf)
+	}
+	if err != nil {
+		return fmt.Errorf("sim: assigner %q: %w", asg.Name(), err)
 	}
 	return nil
 }
@@ -224,17 +237,26 @@ func RunStreamOn(s *Sim, src workload.ArrivalSource, asg Assigner) (*Result, err
 
 // ReplayStreamOn drives the streaming inject→drain cycle without
 // collecting a Result, returning the number of jobs drawn from the
-// source. Jobs are validated incrementally (dense IDs, sorted
-// releases, per-job validity) since there is no Trace to validate up
-// front. A plain TraceSource with no streaming hooks installed
-// delegates to ReplayOn.
+// source. There is no Trace to validate up front, so each job gets
+// Trace.Validate's checks as it is drawn (Job.ValidateAt).
 func ReplayStreamOn(s *Sim, src workload.ArrivalSource, asg Assigner) (n int, err error) {
 	defer recoverInternal(&err)
-	if ts, ok := src.(*workload.TraceSource); ok && s.stream == nil {
-		tr := ts.Trace()
-		return len(tr.Jobs), ReplayOn(s, tr, asg)
+	prev := 0.0
+	for {
+		j, ok := src.Next()
+		if !ok {
+			break
+		}
+		if err := j.ValidateAt(n, prev); err != nil {
+			return n, err
+		}
+		prev = j.Release
+		if err := s.arrive(&j, asg, false); err != nil {
+			return n, err
+		}
+		n++
 	}
-	if n, err = s.injectStream(src, asg); err != nil {
+	if err := src.Err(); err != nil {
 		return n, err
 	}
 	if err := s.Drain(); err != nil {
@@ -244,43 +266,6 @@ func ReplayStreamOn(s *Sim, src workload.ArrivalSource, asg Assigner) (n int, er
 		return n, fmt.Errorf("sim: job sink: %w", s.stream.sinkErr)
 	}
 	return n, nil
-}
-
-// injectStream is the sequential dispatch loop of the streaming
-// path, mirroring injectTrace plus the incremental validation that
-// Trace.Validate would have done.
-func (s *Sim) injectStream(src workload.ArrivalSource, asg Assigner) (int, error) {
-	t := s.tree
-	a := &s.scratchArrival
-	n := 0
-	prev := 0.0
-	for {
-		j, ok := src.Next()
-		if !ok {
-			break
-		}
-		if j.ID != n {
-			return n, fmt.Errorf("workload: job at position %d has ID %d (IDs must be dense)", n, j.ID)
-		}
-		if err := j.Validate(); err != nil {
-			return n, err
-		}
-		if j.Release < prev {
-			return n, fmt.Errorf("workload: releases not sorted at position %d", n)
-		}
-		prev = j.Release
-		if j.LeafSizes != nil && len(j.LeafSizes) != len(t.Leaves()) {
-			return n, fmt.Errorf("sim: job %d has %d leaf sizes for a %d-leaf tree", j.ID, len(j.LeafSizes), len(t.Leaves()))
-		}
-		s.AdvanceTo(j.Release)
-		*a = Arrival{ID: j.ID, Release: j.Release, Size: j.Size, LeafSizes: j.LeafSizes, Origin: tree.NodeID(j.Origin), Weight: j.Weight}
-		leaf := asg.Assign(s.Query(), a)
-		if _, err := s.Inject(a, leaf); err != nil {
-			return n, fmt.Errorf("sim: assigner %q: %w", asg.Name(), err)
-		}
-		n++
-	}
-	return n, src.Err()
 }
 
 // RunPacketized simulates the paper's Section 2 variant in which a
@@ -296,44 +281,42 @@ func RunPacketized(t *tree.Tree, trace *workload.Trace, asg Assigner, opts Optio
 		// would corrupt per-job accounting.
 		return nil, fmt.Errorf("sim: RunPacketized does not support streaming retention or sinks")
 	}
-	if err := trace.Validate(); err != nil {
-		return nil, err
-	}
 	s := New(t, opts)
-	for i := range trace.Jobs {
-		j := &trace.Jobs[i]
-		s.AdvanceTo(j.Release)
-		a := &Arrival{ID: j.ID, Release: j.Release, Size: j.Size, LeafSizes: j.LeafSizes, Origin: tree.NodeID(j.Origin)}
-		leaf := asg.Assign(s.Query(), a)
-		li := t.LeafIndex(leaf)
-		if li < 0 {
-			return nil, fmt.Errorf("sim: assigner %q chose non-leaf %d", asg.Name(), leaf)
-		}
-		k := int(math.Ceil(j.Size))
-		if k < 1 {
-			k = 1
-		}
-		routerPiece := j.Size / float64(k)
-		leafPiece := a.LeafSize(li) / float64(k)
-		for p := 0; p < k; p++ {
-			js := s.newTask(&s.shards[s.shardOf[leaf]])
-			js.ID = j.ID
-			js.Release = j.Release
-			js.RouterSize = routerPiece
-			js.LeafWork = leafPiece
-			js.PrioRouter = j.Size
-			js.PrioLeaf = a.LeafSize(li)
-			js.FracWeight = 1 / float64(k)
-			js.Leaf = leaf
-			js.leafSizes = j.LeafSizes
-			s.claimSeq(js)
-			if err := s.inject(js, tree.NodeID(j.Origin)); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if err := s.Drain(); err != nil {
+	if err := s.replay(trace, asg, true); err != nil {
 		return nil, err
 	}
 	return collect(t, s, len(trace.Jobs))
+}
+
+// injectPackets is Inject for RunPacketized: it splits the arrival
+// into ceil(p_j) packets that keep the job's ID and priority sizes and
+// travel to leaf independently.
+func (s *Sim) injectPackets(a *Arrival, leaf tree.NodeID) error {
+	li := s.tree.LeafIndex(leaf)
+	if li < 0 {
+		return fmt.Errorf("sim: assignment to non-leaf node %d", leaf)
+	}
+	k := int(math.Ceil(a.Size))
+	if k < 1 {
+		k = 1
+	}
+	routerPiece := a.Size / float64(k)
+	leafPiece := a.LeafSize(li) / float64(k)
+	for p := 0; p < k; p++ {
+		js := s.newTask(&s.shards[s.shardOf[leaf]])
+		js.ID = a.ID
+		js.Release = a.Release
+		js.RouterSize = routerPiece
+		js.LeafWork = leafPiece
+		js.PrioRouter = a.Size
+		js.PrioLeaf = a.LeafSize(li)
+		js.FracWeight = 1 / float64(k)
+		js.Leaf = leaf
+		js.leafSizes = a.LeafSizes
+		s.claimSeq(js)
+		if err := s.inject(js, a.Origin); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -13,11 +13,6 @@ import "treesched/internal/faults"
 // in shard-index order.
 type shardState struct {
 	now float64
-	// epoch counts the shard's dispatch-relevant state changes (queue
-	// membership, running-task switches, clock movement); the per-node
-	// dispatchScratch memos stamp their answers with it. Reset bumps
-	// rather than zeroes it so stale stamps can never match.
-	epoch uint64
 	// events is a min-heap of scheduled node-finish events with lazy
 	// invalidation via nodeState.finishSeq.
 	events []finishEvent

@@ -160,26 +160,24 @@ func (b badLeaf) Assign(q *Query, _ *Arrival) tree.NodeID {
 	return b.node
 }
 
-// opaqueSource hides a TraceSource's type, so ReplayStreamOn runs its
-// own dispatch loop instead of handing the trace to ReplayOn.
-type opaqueSource struct{ workload.ArrivalSource }
-
-// wantDispatchError runs trace with asg through both dispatch loops —
-// ReplayOn's, and the streaming one fed by a source that hides its
-// TraceSource type — and requires the exact error text want from each.
+// wantDispatchError runs trace with asg through all three drivers —
+// ReplayOn, the streaming loop and RunPacketized — and requires the
+// exact error text want from each.
 func wantDispatchError(t *testing.T, tr *tree.Tree, trace *workload.Trace, asg Assigner, want string) {
 	t.Helper()
 	if err := ReplayOn(New(tr, Options{}), trace, asg); err == nil || err.Error() != want {
 		t.Errorf("ReplayOn: got %v, want %q", err, want)
 	}
-	src := opaqueSource{workload.NewTraceSource(trace)}
-	if _, err := ReplayStreamOn(New(tr, Options{}), src, asg); err == nil || err.Error() != want {
+	if _, err := ReplayStreamOn(New(tr, Options{}), workload.NewTraceSource(trace), asg); err == nil || err.Error() != want {
 		t.Errorf("streaming loop: got %v, want %q", err, want)
+	}
+	if _, err := RunPacketized(tr, trace, asg, Options{}); err == nil || err.Error() != want {
+		t.Errorf("RunPacketized: got %v, want %q", err, want)
 	}
 }
 
 // An oblivious assigner that picks a router of a four-shard tree fails
-// with the same exact text through both dispatch loops.
+// with the same exact text through all three drivers.
 func TestShardedAssignerError(t *testing.T) {
 	tr := tree.FatTree(4, 1, 2)
 	wantDispatchError(t, tr, shardTestTrace(t, 9, 20, 4), badLeaf{node: tr.RootAdjacent()[0]},
@@ -187,7 +185,7 @@ func TestShardedAssignerError(t *testing.T) {
 }
 
 // A querying assigner that picks a router of a four-shard tree fails
-// with the same exact text through both dispatch loops.
+// with the same exact text through all three drivers.
 func TestShardedQueryingAssignerError(t *testing.T) {
 	tr := tree.FatTree(4, 1, 2)
 	wantDispatchError(t, tr, shardTestTrace(t, 9, 20, 4), badLeaf{node: tr.RootAdjacent()[0], querying: true},
@@ -195,7 +193,7 @@ func TestShardedQueryingAssignerError(t *testing.T) {
 }
 
 // A leaf-size vector that does not match the tree fails with the same
-// exact text through both dispatch loops.
+// exact text through all three drivers.
 func TestLeafSizeMismatchError(t *testing.T) {
 	tr := tree.FatTree(4, 1, 2)
 	trace := shardTestTrace(t, 9, 20, 4)

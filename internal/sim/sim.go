@@ -101,12 +101,7 @@ type nodeState struct {
 	avail taskQueue
 	// fsnap is the node's F-statistic snapshot (see fstat.go),
 	// invalidated on every queue membership change.
-	fsnap fstat
-	// scratch memoizes the node's last dispatch-query answers under
-	// the owning shard's epoch (see Query.AvailStats): a state-querying
-	// assigner probing the same interior node for many candidate
-	// leaves within one arrival pays the snapshot search once.
-	scratch dispatchScratch
+	fsnap   fstat
 	running *JobState
 	// finishSeq invalidates scheduled finish events; only the event
 	// carrying the current value is live.
@@ -119,35 +114,6 @@ type nodeState struct {
 	// fractional-flow sum (0 for routers and idle leaves).
 	fracContrib float64
 }
-
-// dispatchScratch is one node's memo of its latest dispatch-query
-// answers, keyed by the owning shard's epoch counter plus the query
-// arguments. The epoch is bumped on every state change that could move
-// an answer (queue membership, running-task switch, clock advance), so
-// a matching stamp proves the cached value is still the exact result —
-// recomputing it would reproduce the same bits. DisableDispatchMemo
-// bypasses the lookup (never the store), which is how the differential
-// tests pin that equivalence.
-type dispatchScratch struct {
-	// epoch/size/release/id stamp the AvailStats record below.
-	epoch     uint64
-	size      float64
-	release   float64
-	id        int
-	volHigher float64
-	count     int
-	// volEpoch stamps the argument-free AvailVolume record.
-	volEpoch uint64
-	vol      float64
-}
-
-// DisableDispatchMemo, when set, makes the Query accessors skip the
-// per-node memo lookup and recompute every answer from the snapshot.
-// The stores and the snapshot arithmetic are identical either way, so
-// results are bit-identical with the memo on or off; the knob exists
-// for the differential tests and for benchmarking the memo's effect.
-// Not safe to toggle while an engine is running.
-var DisableDispatchMemo bool
 
 type finishEvent struct {
 	at   float64
@@ -282,9 +248,10 @@ type Sim struct {
 	// query is the read-only view handed out by Query (one per engine
 	// so the accessor does not allocate).
 	query Query
-	// scratchArrival is reused by ReplayOn: passing a stack Arrival
-	// through the Assigner interface makes it escape, which would cost
-	// one heap allocation per replay on the zero-alloc warm path.
+	// scratchArrival is the Arrival every driver's per-arrival step
+	// (arrive) hands the assigner: a stack Arrival passed through the
+	// Assigner interface escapes, which would cost one heap allocation
+	// per arrival on the zero-alloc warm path.
 	scratchArrival Arrival
 	// scratchIDs is reused by Query.AvailCountLarger for packet
 	// de-duplication.
@@ -389,15 +356,11 @@ func (s *Sim) applyOptions(opts Options) {
 			n.avail.clear()
 		}
 		n.fsnap.clear()
-		n.scratch = dispatchScratch{}
 	}
 	// Partition the global boundary list by shard; filtering a
-	// (time, node)-sorted list keeps each shard's list sorted. The
-	// epoch bump (fresh shards start at 1, and node scratches were just
-	// zeroed) guarantees no pre-Reset memo stamp can match post-Reset.
+	// (time, node)-sorted list keeps each shard's list sorted.
 	for k := range s.shards {
 		s.shards[k].bounds = s.shards[k].bounds[:0]
-		s.shards[k].epoch++
 	}
 	if opts.Faults != nil {
 		for _, b := range opts.Faults.Boundaries() {
@@ -699,11 +662,9 @@ func (s *Sim) startJourney(js *JobState, path []tree.NodeID, now float64) {
 
 // availPush and availRemove are the queue-membership mutators: every
 // membership change goes through them so the node's F-statistic
-// snapshot is updated exactly at event boundaries and the shard's
-// dispatch epoch advances (invalidating the per-node query memos).
+// snapshot is updated exactly at event boundaries.
 func (s *Sim) availPush(v tree.NodeID, js *JobState) {
 	n := &s.nodes[v]
-	s.shards[n.shard].epoch++
 	if n.leaf && js.Hop > 0 {
 		// The task reached its leaf: it leaves the upstream backlog.
 		// (A task pushed at Hop 0 on a leaf was dispatched there
@@ -718,7 +679,6 @@ func (s *Sim) availPush(v tree.NodeID, js *JobState) {
 
 func (s *Sim) availRemove(v tree.NodeID, js *JobState) {
 	n := &s.nodes[v]
-	s.shards[n.shard].epoch++
 	if n.fsnap.active {
 		n.fsnap.remove(js)
 	}
@@ -845,16 +805,12 @@ func (s *Sim) rescheduleWith(v tree.NodeID, force bool) {
 	if best == n.running && !force {
 		return
 	}
-	if old := n.running; old != nil && old != best {
+	if old := n.running; old != nil && old != best && n.fsnap.active {
 		// Preemption without a membership change (the policy key can
 		// drift under SRPT): the preempted task keeps its queue slot
 		// but its stored snapshot Remaining is stale now that the
-		// running-task correction stops covering it — and the memoized
-		// query answers move with the running task either way.
-		sh.epoch++
-		if n.fsnap.active {
-			n.fsnap.markStale(old)
-		}
+		// running-task correction stops covering it.
+		n.fsnap.markStale(old)
 	}
 	n.running = best
 	n.finishSeq++
@@ -949,9 +905,6 @@ func (s *Sim) advanceShard(sh *shardState, to float64) {
 	if dt <= 0 {
 		return
 	}
-	// Clock movement drifts running-task Remaining values, so memoized
-	// query answers from earlier instants are no longer current.
-	sh.epoch++
 	sh.activeIntegral += float64(sh.activeTasks) * dt
 	sh.fracIntegral += sh.fracSum*dt - 0.5*sh.fracRate*dt*dt
 	sh.fracSum -= sh.fracRate * dt
@@ -1025,7 +978,8 @@ func (s *Sim) drainShard(k int) {
 // AdvanceTo processes all events (and fault boundaries) up to and
 // including the target time and leaves every shard's clock there.
 // Violated engine invariants panic with *InternalError; Drain,
-// ReplayOn and RunPacketized recover those into error returns.
+// ReplayOn, ReplayStreamOn and RunPacketized recover those into error
+// returns.
 func (s *Sim) AdvanceTo(target float64) {
 	if target < s.now-timeEps {
 		panic(fmt.Sprintf("sim: AdvanceTo(%v) before now=%v", target, s.now))

@@ -51,11 +51,6 @@ func (s *TraceSource) Next() (Job, bool) {
 
 func (s *TraceSource) Err() error { return nil }
 
-// Trace returns the underlying trace. Consumers that can replay a
-// whole trace more efficiently (e.g. the sharded parallel engine) use
-// this to unwrap the adapter.
-func (s *TraceSource) Trace() *Trace { return s.tr }
-
 // PoissonSource streams the exact job sequence of Poisson: per job it
 // draws one exponential interarrival then one size sample.
 type PoissonSource struct {

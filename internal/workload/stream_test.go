@@ -83,9 +83,6 @@ func TestTraceSourceRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := NewTraceSource(tr)
-	if src.Trace() != tr {
-		t.Fatal("Trace() does not return the wrapped trace")
-	}
 	if got := drain(t, src); !reflect.DeepEqual(got, tr.Jobs) {
 		t.Fatal("TraceSource jobs differ from the wrapped trace")
 	}

@@ -95,17 +95,29 @@ type Trace struct {
 
 // Validate checks ordering, ID density and per-job validity.
 func (tr *Trace) Validate() error {
+	prev := 0.0
 	for i := range tr.Jobs {
-		j := &tr.Jobs[i]
-		if j.ID != i {
-			return fmt.Errorf("workload: job at position %d has ID %d (IDs must be dense)", i, j.ID)
-		}
-		if err := j.Validate(); err != nil {
+		if err := tr.Jobs[i].ValidateAt(i, prev); err != nil {
 			return err
 		}
-		if i > 0 && j.Release < tr.Jobs[i-1].Release {
-			return fmt.Errorf("workload: releases not sorted at position %d", i)
-		}
+		prev = tr.Jobs[i].Release
+	}
+	return nil
+}
+
+// ValidateAt makes Trace.Validate's checks of j as the job at position
+// pos of a trace whose previous job was released at prev (0 for the
+// first): a dense ID, per-job validity, and a sorted release. Streaming
+// consumers apply it to each job as they draw it.
+func (j *Job) ValidateAt(pos int, prev float64) error {
+	if j.ID != pos {
+		return fmt.Errorf("workload: job at position %d has ID %d (IDs must be dense)", pos, j.ID)
+	}
+	if err := j.Validate(); err != nil {
+		return err
+	}
+	if j.Release < prev {
+		return fmt.Errorf("workload: releases not sorted at position %d", pos)
 	}
 	return nil
 }
