@@ -146,9 +146,9 @@ type benchFile struct {
 	// peaks are the acceptance bar.
 	StreamMemory []streamMemRow `json:"stream_memory,omitempty"`
 	// DispatchBaseline is the before/after record for the v9 dispatch
-	// fast path (epoch-memoized path queries and a bound-pruned greedy
-	// descent, both since removed, and incremental fstat maintenance):
-	// each engine/dispatch-*
+	// fast path (epoch-memoized path queries, a bound-pruned greedy
+	// descent and delta-patched fstat prefix chains, all since
+	// replaced): each engine/dispatch-*
 	// kernel's ns/op from this run next to its pre-fast-path
 	// baseline. Single-core absolute numbers wander ±10-20% with host
 	// noise, so the interleaved A/B rows (minimum of repeated 1s runs

@@ -65,10 +65,10 @@ func (c GreedyConfig) scanWeight() float64 {
 // The first term is the higher-priority volume the job must wait for
 // on its root-adjacent node (S includes J_j itself, contributing p_j);
 // the second charges the job for every lower-priority job it delays.
-// F depends on v only through its branch root, so GreedyIdentical
-// evaluates it once per run of its plan; callers that evaluate it per
-// leaf repeat the branch root's AvailStats query, which then finds the
-// node synced and its snapshot current and changes nothing.
+// So F(j,v) ≥ p_j, with equality (bit for bit) when the branch root
+// holds no work. F depends on v only through its branch root, and
+// queries are pure, so evaluating it per leaf only repeats the branch
+// root's AvailStats query.
 func F(q *sim.Query, a *sim.Arrival, v tree.NodeID) float64 {
 	return fAt(q, a, q.Tree().Branch(v))
 }
@@ -159,11 +159,13 @@ func (g *GreedyIdentical) Name() string { return "GreedyIdentical" }
 
 // Assign implements sim.Assigner. The cost depends on v only through
 // (R(v), d_v), so the scan scores one head per run of the origin's
-// plan, in leaf order, and keeps the first strict minimum. Scoring
-// every candidate leaf in turn picks the same leaf and makes the same
-// branch-root queries in the same order; it only adds repeats of a
-// query at the same engine state, which change nothing (pinned by the
-// repeated-query legs of the scenario equivalence tests).
+// plan, in leaf order, and keeps the first strict minimum. A run's
+// floor p_j + dw·d_v·p_j is a float lower bound of its cost (F ≥ p_j,
+// and rounding is monotone) and equals the cost of an empty branch
+// root bit for bit, so the scan skips every run whose floor is not
+// below the best cost so far and prices an empty branch root at its
+// floor without a query. Since queries are pure, it picks the leaf a
+// straight scan of every candidate picks, float ties included.
 func (g *GreedyIdentical) Assign(q *sim.Query, a *sim.Arrival) tree.NodeID {
 	g.Cfg.validate()
 	p := g.plans.of(q.Tree(), a.Origin)
@@ -176,7 +178,15 @@ func (g *GreedyIdentical) Assign(q *sim.Query, a *sim.Arrival) tree.NodeID {
 	for _, h := range p.runs {
 		cost := dw * float64(h.depth) * a.Size
 		if !g.Cfg.DropVolumeTerm {
-			cost = fAt(q, a, h.branch) + cost
+			floor := a.Size + cost
+			switch {
+			case floor >= bestCost:
+				continue
+			case q.AvailCount(h.branch) == 0:
+				cost = floor
+			default:
+				cost = fAt(q, a, h.branch) + cost
+			}
 		}
 		if cost < bestCost {
 			best, bestCost = h.leaf, cost
@@ -212,8 +222,9 @@ func (g *GreedyUnrelated) Name() string { return "GreedyUnrelated" }
 
 // Assign implements sim.Assigner: every candidate leaf of the origin's
 // plan is scored in leaf order and the first strict minimum wins. F
-// and F' are evaluated per leaf: F repeats its branch root's query
-// for every leaf of the branch, a repeat that changes nothing.
+// and F' are evaluated per leaf, so F repeats its branch root's query
+// for every leaf of the branch; queries are pure, so the repeats cost
+// time but change nothing.
 func (g *GreedyUnrelated) Assign(q *sim.Query, a *sim.Arrival) tree.NodeID {
 	g.Cfg.validate()
 	t := q.Tree()

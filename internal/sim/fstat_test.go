@@ -2,20 +2,24 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"testing"
 
+	"treesched/internal/faults"
+	"treesched/internal/rng"
 	"treesched/internal/tree"
 )
 
-// Naive references: the pre-snapshot per-query scans over the raw
-// queue, kept here as the ground truth the fstat fast path must match.
+// Naive references: per-query scans over the raw queue, read-only like
+// the queries, kept here as the ground truth the fstat fast path must
+// match.
 
 func naiveVolumeHigher(s *Sim, v tree.NodeID, size, release float64, id int) float64 {
-	s.sync(v)
+	n := &s.nodes[v]
 	var sum float64
-	for _, js := range s.nodes[v].avail.tasks() {
+	for _, js := range n.avail.tasks() {
 		if higherPriority(js.PrioOnCur, js.Release, js.ID, js.seq, size, release, id, maxSeq) {
-			sum += js.Remaining
+			sum += s.remainingAt(n, js)
 		}
 	}
 	return sum
@@ -44,10 +48,10 @@ func naiveCountLarger(s *Sim, v tree.NodeID, size float64) int {
 }
 
 func naiveVolume(s *Sim, v tree.NodeID) float64 {
-	s.sync(v)
+	n := &s.nodes[v]
 	var sum float64
-	for _, js := range s.nodes[v].avail.tasks() {
-		sum += js.Remaining
+	for _, js := range n.avail.tasks() {
+		sum += s.remainingAt(n, js)
 	}
 	return sum
 }
@@ -141,7 +145,8 @@ func TestFStatMatchesScanPacketized(t *testing.T) {
 
 // TestFStatQueriesAllocFree pins both AvailCountLarger paths —
 // snapshot and PS sorted-scratch fallback — at zero allocations once
-// warm, including a forced refresh (the refresh reuses its slices).
+// warm, including a forced re-activation (clear, then the next query
+// sorts and folds again into the retained slices).
 func TestFStatQueriesAllocFree(t *testing.T) {
 	tr := tree.FatTree(2, 1, 2)
 	leaf := tr.Leaves()[0]
@@ -160,7 +165,7 @@ func TestFStatQueriesAllocFree(t *testing.T) {
 		q := s.Query()
 		q.AvailCountLarger(br, 3.5) // warm the scratch / snapshot
 		allocs := testing.AllocsPerRun(100, func() {
-			s.nodes[br].fsnap.invalidate()
+			s.nodes[br].fsnap.clear()
 			q.AvailCountLarger(br, 3.5)
 			q.AvailVolumeHigher(br, 3.5, 0, 1<<30)
 			q.AvailVolume(br)
@@ -171,11 +176,104 @@ func TestFStatQueriesAllocFree(t *testing.T) {
 	}
 }
 
+// TestFStatLateActivation runs two engines in lockstep through the
+// same injections (round-robin placement, a mix of whole jobs and
+// packetized ones, brown-outs): one queries every node from the first
+// arrival on, so its snapshots are maintained from time zero, the
+// other activates each node's snapshot at a random later arrival. From
+// then on both must hold the same window and aggregates and answer
+// every query with the same bits, under every snapshot policy.
+func TestFStatLateActivation(t *testing.T) {
+	tr := tree.FatTree(2, 2, 2)
+	trace := shardTestTrace(t, 13, 300, 2)
+	var evs []faults.Event
+	for i, v := range []tree.NodeID{tr.RootAdjacent()[0], tr.Leaves()[3]} {
+		evs = append(evs, faults.Event{Kind: faults.Brownout, Node: v, Start: 20 + 40*float64(i), End: 50 + 40*float64(i), Factor: 0.5})
+	}
+	fs, err := faults.Compile(tr, &faults.Plan{Events: evs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pol := range []Policy{SJF{}, FIFO{}, SRPT{}, WSJF{}, LCFS{}} {
+		t.Run(pol.Name(), func(t *testing.T) {
+			opts := Options{Policy: pol, Faults: fs}
+			early, late := New(tr, opts), New(tr, opts)
+			r := rng.New(77)
+			wake := make([]int, tr.NumNodes())
+			for v := range wake {
+				wake[v] = r.Intn(len(trace.Jobs))
+			}
+			leaves := tr.Leaves()
+			for i := range trace.Jobs {
+				j := &trace.Jobs[i]
+				a := Arrival{ID: j.ID, Release: j.Release, Size: j.Size}
+				for _, s := range []*Sim{early, late} {
+					s.AdvanceTo(j.Release)
+				}
+				for v := tree.NodeID(1); int(v) < tr.NumNodes(); v++ {
+					if i < wake[v] {
+						early.Query().AvailVolume(v)
+						continue
+					}
+					requireSameSnapshot(t, early, late, v, &a)
+				}
+				leaf := leaves[i%len(leaves)]
+				for _, s := range []*Sim{early, late} {
+					if i%3 == 0 {
+						err = s.injectPackets(&a, leaf)
+					} else {
+						_, err = s.Inject(&a, leaf)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}
+
+// requireSameSnapshot queries node v on both engines (activating the
+// snapshot on first use) and fails unless the answers agree bit for
+// bit and the snapshots hold the same window and aggregates.
+func requireSameSnapshot(t *testing.T, a, b *Sim, v tree.NodeID, arr *Arrival) {
+	t.Helper()
+	qa, qb := a.Query(), b.Query()
+	vha, cla := qa.AvailStats(v, arr.Size, arr.Release, arr.ID)
+	vhb, clb := qb.AvailStats(v, arr.Size, arr.Release, arr.ID)
+	if math.Float64bits(vha) != math.Float64bits(vhb) || cla != clb {
+		t.Fatalf("job %d node %d: AvailStats (%v, %d) vs late-activated (%v, %d)", arr.ID, v, vha, cla, vhb, clb)
+	}
+	if x, y := qa.AvailVolume(v), qb.AvailVolume(v); math.Float64bits(x) != math.Float64bits(y) {
+		t.Fatalf("job %d node %d: AvailVolume %v vs late-activated %v", arr.ID, v, x, y)
+	}
+	fa, fb := &a.nodes[v].fsnap, &b.nodes[v].fsnap
+	if len(fa.tasks)-fa.off != len(fb.tasks)-fb.off {
+		t.Fatalf("job %d node %d: window lengths differ", arr.ID, v)
+	}
+	for i := range fa.tasks[fa.off:] {
+		ta, tb := fa.tasks[fa.off+i], fb.tasks[fb.off+i]
+		if ta.seq != tb.seq {
+			t.Fatalf("job %d node %d: rank %d holds task %d vs %d", arr.ID, v, i, ta.seq, tb.seq)
+		}
+	}
+	bits := func(f *fstat) []uint64 {
+		var out []uint64
+		for _, x := range f.sufVol[f.off:] {
+			out = append(out, math.Float64bits(x))
+		}
+		return out
+	}
+	if !slices.Equal(bits(fa), bits(fb)) || !slices.Equal(fa.sufCnt[fa.off:], fb.sufCnt[fb.off:]) {
+		t.Fatalf("job %d node %d: aggregates differ from a late-activated snapshot", arr.ID, v)
+	}
+}
+
 // benchCountLarger measures AvailCountLarger with n tasks queued on a
-// root-adjacent node. churn forces a snapshot rebuild per query (the
-// worst case: every arrival lands between membership changes); without
-// churn the query is a binary search on the clean snapshot. ps selects
-// the sorted-scratch fallback path.
+// root-adjacent node. churn forces a snapshot re-activation (full sort
+// and fold) per query, the worst case; without churn the query is a
+// binary search on the maintained snapshot. ps selects the
+// sorted-scratch fallback path.
 func benchCountLarger(b *testing.B, n int, churn, ps bool) {
 	tr := tree.FatTree(2, 1, 2)
 	var opts Options
@@ -196,7 +294,7 @@ func benchCountLarger(b *testing.B, n int, churn, ps bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if churn {
-			s.nodes[br].fsnap.invalidate()
+			s.nodes[br].fsnap.clear()
 		}
 		sink += q.AvailCountLarger(br, 3.5)
 	}

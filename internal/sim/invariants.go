@@ -12,12 +12,10 @@ import (
 // sets (when instrumented), the active-task counter and the running
 // fractional-flow sum. It reaches the live tasks through the leaf
 // assigned lists, is O(live tasks · depth) and intended for tests; it
-// returns the first inconsistency found.
+// returns the first inconsistency found. Like a query it reads
+// remaining work as computed at the shard clock and writes nothing, so
+// calling it (from an Observer, say) never changes a run.
 func (s *Sim) CheckInvariants() error {
-	// Sync every node so Remaining values are current.
-	for v := tree.NodeID(1); int(v) < s.tree.NumNodes(); v++ {
-		s.sync(v)
-	}
 	active := 0
 	var fracSum float64
 	onNode := make(map[*JobState]tree.NodeID)
@@ -30,15 +28,16 @@ func (s *Sim) CheckInvariants() error {
 				return fmt.Errorf("sim: incomplete task %d has no current node", js.ID)
 			}
 			onNode[js] = cur
-			if js.Remaining < -1e-9 || js.Remaining > js.OrigOnCur+1e-9 {
-				return fmt.Errorf("sim: task %d remaining %v outside [0,%v]", js.ID, js.Remaining, js.OrigOnCur)
+			rem := s.remainingAt(&s.nodes[cur], js)
+			if rem < -1e-9 || rem > js.OrigOnCur+1e-9 {
+				return fmt.Errorf("sim: task %d remaining %v outside [0,%v]", js.ID, rem, js.OrigOnCur)
 			}
 			// Fractional contribution.
-			rem := js.LeafWork
+			leafRem := js.LeafWork
 			if js.Hop == len(js.Path)-1 {
-				rem = js.Remaining
+				leafRem = rem
 			}
-			fracSum += js.FracWeight * rem / js.LeafWork
+			fracSum += js.FracWeight * leafRem / js.LeafWork
 			// Leaf assignment membership.
 			if js.leafIdx != i || s.tree.LeafIndex(js.Leaf) != li {
 				return fmt.Errorf("sim: task %d missing from its leaf's assigned set", js.ID)
@@ -87,8 +86,8 @@ func (s *Sim) CheckInvariants() error {
 			}
 			// Reschedule always sets running to the queue minimum, and
 			// cached keys do not move between reschedules, so the
-			// identity must still hold (PS picks by live remaining
-			// instead, which sync may have changed).
+			// identity must still hold (PS picks by remaining work
+			// instead).
 			if !s.ps && n.avail.min() != n.running {
 				return fmt.Errorf("sim: node %d running task %d but the queue minimum is task %d",
 					v, n.running.ID, n.avail.min().ID)

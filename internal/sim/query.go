@@ -5,8 +5,11 @@ import (
 )
 
 // Query is the read-only view of engine state handed to Assigners and
-// to the instrumentation (potential function, Lemma validators). All
-// volumes are synced to the current simulation time before being read.
+// to the instrumentation (potential function, Lemma validators).
+// Queries are pure: remaining work is computed at the node's shard
+// time exactly as a sync at that instant would leave it
+// (Sim.remainingAt), but nothing is written, so which queries run, how
+// often and on which nodes never changes a run.
 type Query struct {
 	s *Sim
 }
@@ -33,18 +36,19 @@ func (q *Query) Now() float64 { return q.s.now }
 func (q *Query) AvailVolumeHigher(v tree.NodeID, size, release float64, id int) float64 {
 	n := &q.s.nodes[v]
 	if q.s.ps {
-		// Processor sharing drains every available task at once, so the
-		// snapshot's stored-Remaining correction does not apply; scan.
-		q.s.sync(v)
+		// Processor sharing drains every available task at once, so no
+		// snapshot aggregate stays fixed between events; scan.
 		var sum float64
 		for _, js := range n.avail.tasks() {
 			if higherPriority(js.PrioOnCur, js.Release, js.ID, js.seq, size, release, id, maxSeq) {
-				sum += js.Remaining
+				sum += q.s.remainingAt(n, js)
 			}
 		}
 		return sum
 	}
-	return q.s.refreshFStat(n).volumeHigher(n, size, release, id)
+	f := n.snapshot()
+	h := searchTask(f.tasks[f.off:], f.keys[f.off:], size, release, id, maxSeq)
+	return q.s.volumeHigher(n, f, h, size, release, id)
 }
 
 // AvailCountLarger returns |{J_i available on v : p_{i,v} > size}| —
@@ -54,7 +58,8 @@ func (q *Query) AvailVolumeHigher(v tree.NodeID, size, release float64, id int) 
 func (q *Query) AvailCountLarger(v tree.NodeID, size float64) int {
 	n := &q.s.nodes[v]
 	if !q.s.ps {
-		return q.s.refreshFStat(n).countLarger(size)
+		f := n.snapshot()
+		return int(f.sufCnt[f.off+searchLargerPrio(f.keys[f.off:], size)])
 	}
 	// PS fallback: collect the qualifying IDs into the engine-owned
 	// scratch, sort it, and count adjacency groups — O(k log k) instead
@@ -97,26 +102,29 @@ func countDistinct(ids []int) int {
 func (q *Query) AvailVolume(v tree.NodeID) float64 {
 	n := &q.s.nodes[v]
 	if q.s.ps {
-		q.s.sync(v)
 		var sum float64
 		for _, js := range n.avail.tasks() {
-			sum += js.Remaining
+			sum += q.s.remainingAt(n, js)
 		}
 		return sum
 	}
-	return q.s.refreshFStat(n).volume(n)
+	f := n.snapshot()
+	vol := f.sufVol[f.off]
+	if n.running != nil {
+		vol += q.s.remainingAt(n, n.running)
+	}
+	return vol
 }
 
 // AvailStats returns AvailVolumeHigher and AvailCountLarger of v in
 // one call — the two node-local terms of the paper's F(j,v), answered
-// from a single snapshot refresh. The greedy assigners use this on
-// the root-adjacent node of every candidate branch.
+// from one snapshot search. The greedy assigners use this on the
+// root-adjacent node of every candidate branch.
 func (q *Query) AvailStats(v tree.NodeID, size, release float64, id int) (volHigher float64, countLarger int) {
-	n := &q.s.nodes[v]
 	if q.s.ps {
 		return q.AvailVolumeHigher(v, size, release, id), q.AvailCountLarger(v, size)
 	}
-	return q.s.refreshFStat(n).stats(n, size, release, id)
+	return q.s.availStats(&q.s.nodes[v], size, release, id)
 }
 
 // AvailCount returns the number of jobs available on v.
@@ -138,8 +146,7 @@ func (q *Query) AssignedUpstreamWork(leaf tree.NodeID) float64 {
 // on its assigned leaf (full leaf work while still upstream).
 func (q *Query) remainingOnLeaf(js *JobState) float64 {
 	if js.Hop == len(js.Path)-1 {
-		q.s.sync(js.Leaf)
-		return js.Remaining
+		return q.s.remainingAt(&q.s.nodes[js.Leaf], js)
 	}
 	return js.LeafWork
 }
@@ -206,8 +213,7 @@ func (q *Query) PendingOn(v tree.NodeID) []*JobState {
 // v, assuming v is on js's path at or after its current hop.
 func (q *Query) RemainingOn(js *JobState, v tree.NodeID) float64 {
 	if js.Hop < len(js.Path) && js.Path[js.Hop] == v {
-		q.s.sync(v)
-		return js.Remaining
+		return q.s.remainingAt(&q.s.nodes[v], js)
 	}
 	// Not yet reached: full requirement.
 	if v == js.Leaf {

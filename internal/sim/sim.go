@@ -100,7 +100,8 @@ type nodeState struct {
 
 	avail taskQueue
 	// fsnap is the node's F-statistic snapshot (see fstat.go),
-	// invalidated on every queue membership change.
+	// maintained at every queue membership change once a query has
+	// activated it.
 	fsnap   fstat
 	running *JobState
 	// finishSeq invalidates scheduled finish events; only the event
@@ -672,7 +673,7 @@ func (s *Sim) availPush(v tree.NodeID, js *JobState) {
 		s.upstreamWork[s.tree.LeafIndex(v)] -= js.LeafWork
 	}
 	if n.fsnap.active {
-		n.fsnap.insert(js)
+		n.fsnap.insert(n, js)
 	}
 	n.avail.push(js)
 }
@@ -680,7 +681,7 @@ func (s *Sim) availPush(v tree.NodeID, js *JobState) {
 func (s *Sim) availRemove(v tree.NodeID, js *JobState) {
 	n := &s.nodes[v]
 	if n.fsnap.active {
-		n.fsnap.remove(js)
+		n.fsnap.remove(n, js)
 	}
 	n.avail.remove(js)
 }
@@ -711,8 +712,8 @@ func (s *Sim) setKey(js *JobState) {
 func (s *Sim) sync(v tree.NodeID) { s.syncNode(&s.nodes[v]) }
 
 // syncNode is sync for callers that already hold the node pointer —
-// the reschedule and snapshot-refresh paths, where the duplicate
-// indexed lookup showed up in the dispatch profile. The already-synced
+// the reschedule and finish paths, where the duplicate indexed lookup
+// showed up in the dispatch profile. The already-synced
 // check lives here so it inlines into the hot callers (most calls are
 // re-syncs at an unchanged shard clock); syncNodeSlow does the work.
 func (s *Sim) syncNode(n *nodeState) {
@@ -776,6 +777,31 @@ func (s *Sim) syncNodeSlow(n *nodeState, sh *shardState) {
 	}
 }
 
+// remainingAt returns js's remaining work on node n, where js is
+// queued, at the node's shard time: the value syncNode would leave in
+// js.Remaining at that instant, computed without writing it. Queries
+// and CheckInvariants read remaining work through it so they never
+// move a sync instant.
+func (s *Sim) remainingAt(n *nodeState, js *JobState) float64 {
+	dt := s.shards[n.shard].now - n.lastSync
+	if dt <= 0 || n.speed <= 0 {
+		return js.Remaining
+	}
+	var done float64
+	switch {
+	case s.ps:
+		done = dt * n.speed / float64(n.avail.len())
+	case js == n.running:
+		done = dt * n.speed
+	default:
+		return js.Remaining
+	}
+	if done > js.Remaining {
+		done = js.Remaining
+	}
+	return js.Remaining - done
+}
+
 // reschedule re-evaluates which task node v should run, scheduling or
 // cancelling its finish event as needed. Callers must have already
 // advanced time; reschedule syncs the node itself.
@@ -802,17 +828,15 @@ func (s *Sim) rescheduleWith(v tree.NodeID, force bool) {
 		n.avail.fix(n.running)
 	}
 	best := n.avail.min()
-	if best == n.running && !force {
+	old := n.running
+	if best == old && !force {
 		return
 	}
-	if old := n.running; old != nil && old != best && n.fsnap.active {
-		// Preemption without a membership change (the policy key can
-		// drift under SRPT): the preempted task keeps its queue slot
-		// but its stored snapshot Remaining is stale now that the
-		// running-task correction stops covering it.
-		n.fsnap.markStale(old)
-	}
 	n.running = best
+	if best != old && n.fsnap.active {
+		// The snapshot counts every queued task but the running one.
+		n.fsnap.runningChanged(n, old)
+	}
 	n.finishSeq++
 	if n.leaf {
 		sh.fracRate -= n.fracContrib

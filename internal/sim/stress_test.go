@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"bytes"
 	"math"
+	"slices"
 	"testing"
 
 	"treesched/internal/rng"
@@ -165,5 +167,37 @@ func TestTinySizes(t *testing.T) {
 	}
 	if res.Stats.Completed != 50 {
 		t.Fatalf("completed %d/50", res.Stats.Completed)
+	}
+}
+
+// TestCheckInvariantsIsPure runs 30 lockstep runs twice, once with an
+// Observer that calls CheckInvariants at every event and once with a
+// no-op Observer: checking the engine must not change it, so the
+// NDJSON, stats and slice logs must be byte-identical.
+func TestCheckInvariantsIsPure(t *testing.T) {
+	tr := tree.FatTree(2, 2, 2)
+	policies := []Policy{SJF{}, FIFO{}, SRPT{}, LCFS{}, WSJF{}}
+	for i := 0; i < 30; i++ {
+		trace := shardTestTrace(t, uint64(i)+1, 200, 2)
+		run := func(observe func(*Sim)) ([]byte, Stats, []Slice) {
+			res, err := Run(tr, trace, &oblRR{}, Options{Policy: policies[i%len(policies)], RecordSlices: true, Observer: observe})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := res.WriteNDJSON(&buf); err != nil {
+				t.Fatal(err)
+			}
+			return buf.Bytes(), res.Stats, slices.Clone(res.Sim.Slices())
+		}
+		quietOut, quietStats, quietSlices := run(func(*Sim) {})
+		checkedOut, checkedStats, checkedSlices := run(func(s *Sim) {
+			if err := s.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if !bytes.Equal(checkedOut, quietOut) || checkedStats != quietStats || !slices.Equal(checkedSlices, quietSlices) {
+			t.Errorf("run %d (%s): CheckInvariants at every event changed the run", i, policies[i%len(policies)].Name())
+		}
 	}
 }
