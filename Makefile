@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test test-short test-race test-engine test-benchmark bench bench-json bench-compare bench-dispatch stream-smoke fleet-smoke serve-smoke fuzz-smoke ci experiments experiments-check examples loc clean
+.PHONY: all build vet fmt-check test test-short test-race test-benchmark bench bench-ab fuzz-smoke ci experiments experiments-check examples loc clean
 
 all: build vet test test-race
 
@@ -26,12 +26,6 @@ test-short:
 test-race:
 	$(GO) test -race -short ./...
 
-# The engine packages' full tests, without -short: test-race skips
-# TestEngineStress (120 randomized configurations under SelfCheck) and
-# the other long property tests, so this runs them.
-test-engine:
-	$(GO) test -count=1 ./internal/sim ./internal/scenario
-
 # The repository benchmark (benchmark/) is a module of its own, so the
 # root's ./... skips it: vet and test it from its directory. Its tests
 # include the correctness checks an engine change can break — the
@@ -43,40 +37,33 @@ test-benchmark:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Regenerate the persistent benchmark record (see DESIGN.md §6).
-bench-json:
-	$(GO) run ./cmd/bench -out BENCH_9.json
-
-# Rerun the kernels and fail (exit 3) if any regressed >25% vs the
-# checked-in record.
-bench-compare:
-	$(GO) run ./cmd/bench -out /tmp/BENCH_compare.json -compare BENCH_9.json
-
-# Iterate on the dispatch fast path: run only the engine/dispatch-*
-# kernels and drop a CPU profile next to the repo for
-# `go tool pprof ./dispatch.prof`.
-bench-dispatch:
-	$(GO) run ./cmd/bench -dispatch -cpuprofile dispatch.prof
-
-# Assert the constant-memory streaming property: a 1M-job bounded-
-# retention run must keep its peak heap under a fixed ceiling and flat
-# (within 2x) vs a 100k-job run. Exit 4 on failure.
-stream-smoke:
-	$(GO) run ./cmd/bench -stream-smoke
-
-# Assert fleet determinism: the same simulation key must produce a
-# byte-identical scorecard and per-tree NDJSON at Workers=1 and
-# Workers=4. Exit 5 on failure.
-fleet-smoke:
-	$(GO) run ./cmd/bench -fleet-smoke
-
-# Assert the serving-layer overload contract: under 5x overload the
-# daemon must shed with 429 + Retry-After, keep the heap bounded,
-# reopen after a quiet period, and drain byte-identically to an
-# offline replay of the accepted trace — and the warm clean path must
-# stay under the per-admitted-job malloc ceiling. Exit 6 on failure.
-serve-smoke:
-	$(GO) run ./cmd/bench -serve-smoke
+# Judge the working tree against the commit BASE on the repository
+# benchmark (benchmark/, see its README): BASE is checked out into a
+# temporary git worktree and both sides run their own
+# benchmark/run.sh on `sim-wide` and `sim-deep` at 3 seconds, in five
+# interleaved pairs (seeds 1-5, the side that runs first alternating).
+# Both result files stay in .bench_build/ab/; the exit code is
+# treebench -compare's, 1 when any metric reads worse.
+#
+#   make bench-ab BASE=main
+bench-ab:
+	@test -n "$(BASE)" || { echo "usage: make bench-ab BASE=<rev>" >&2; exit 2; }
+	@set -e; ab="$(CURDIR)/.bench_build/ab"; src="$$ab/base-src"; \
+	rm -rf "$$ab"; mkdir -p "$$ab"; git worktree prune; \
+	git worktree add --quiet --detach "$$src" "$(BASE)"; \
+	trap 'git worktree remove --force "$$src"' EXIT; \
+	for seed in 1 2 3 4 5; do \
+		order="base change"; [ $$((seed % 2)) = 1 ] || order="change base"; \
+		for side in $$order; do \
+			dir="$(CURDIR)"; [ $$side = change ] || dir="$$src"; \
+			for w in sim-wide sim-deep; do \
+				echo "bench-ab: seed $$seed $$side $$w"; \
+				(cd "$$dir" && bash benchmark/run.sh --workload $$w --seed $$seed --seconds 3 --trace 0 \
+					--out "$$ab/$$side.jsonl") >>"$$ab/runs.log"; \
+			done; \
+		done; \
+	done; \
+	.bench_build/treebench -compare "$$ab/base.jsonl" "$$ab/change.jsonl"
 
 # Short fuzz pass over every fuzz target (~10s each); corpus seeds
 # alone run on plain `go test`, this digs a little deeper.
@@ -90,14 +77,11 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzMetricsEncode -fuzztime=10s ./internal/sim
 	$(GO) test -run=^$$ -fuzz=FuzzAppend -fuzztime=10s ./internal/jsonfloat
 
-# Everything CI needs: build, vet, a gofmt check, race-clean short
-# tests, the engine packages' full tests, the repository benchmark's
-# own tests, a byte-for-byte check of EXPERIMENTS.md, a smoke run of
-# the benchmark harness (fast benchtime, throwaway output), and the
-# constant-memory streaming, fleet determinism and serving-layer
-# overload checks.
-ci: build vet fmt-check test-race test-engine test-benchmark experiments-check stream-smoke fleet-smoke serve-smoke
-	$(GO) run ./cmd/bench -quick -out /tmp/BENCH_ci.json
+# Everything CI needs: build, vet, a gofmt check, the full tests (the
+# long property, constant-memory, fleet-determinism and serving-layer
+# tests included), race-clean short tests, the repository benchmark's
+# own tests and a byte-for-byte check of EXPERIMENTS.md.
+ci: build vet fmt-check test test-race test-benchmark experiments-check
 
 # Regenerate EXPERIMENTS.md. The suite reports no wall time and is
 # byte-identical at any -parallel, so the default pool is fine.

@@ -97,6 +97,7 @@ func TestRunUnknownRegistryNames(t *testing.T) {
 		{[]string{"-topo", "star:4", "-faults", "meteor:3"}, `unknown fault plan "meteor"`},
 		{[]string{"-topo", "star:4", "-faults", "outages:2,5", "-recovery", "pray"}, `unknown faults.recovery "pray"`},
 		{[]string{"-topo", "star:4", "-recovery", "hold"}, "-recovery needs -faults"},
+		{[]string{"-topo", "star:4", "-speed", "-1"}, "scenario: speed.uniform is -1, want > 0"},
 	} {
 		code, _, errw := exec(t, append(tc.args, "-n", "20")...)
 		if code != 1 {

@@ -195,6 +195,25 @@ func TestDaemonPprofFlag(t *testing.T) {
 	}
 }
 
+// A negative setting fails at startup, naming the field, instead of
+// starting a daemon that misreads it.
+func TestDaemonRejectsNegativeSetting(t *testing.T) {
+	var out, errb bytes.Buffer
+	code := make(chan int, 1)
+	go func() { code <- run([]string{"-listen", "127.0.0.1:0", "-stall-timeout", "-1s"}, &out, &errb) }()
+	select {
+	case c := <-code:
+		if c != 1 {
+			t.Fatalf("exit code %d for -stall-timeout -1s, want 1; stderr: %s", c, errb.String())
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("daemon started with -stall-timeout -1s")
+	}
+	if want := "treeschedd: server: config.StallTimeout is -1s, want >= 0\n"; errb.String() != want {
+		t.Fatalf("stderr %q, want %q", errb.String(), want)
+	}
+}
+
 func TestDaemonFlagError(t *testing.T) {
 	var out, errb bytes.Buffer
 	if c := run([]string{"-bogus"}, &out, &errb); c != 2 {

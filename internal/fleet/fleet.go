@@ -103,8 +103,8 @@ type TreeCard struct {
 
 // Scorecard is the fleet-level summary: per-tree rows plus fleet
 // aggregates. It is pure data and marshals deterministically, so two
-// runs with the same key produce byte-identical JSON (the fleet
-// determinism smoke in cmd/bench pins this across worker counts).
+// runs with the same key produce byte-identical JSON
+// (TestWorkersInvariance pins this across worker counts).
 type Scorecard struct {
 	Trees        int        `json:"trees"`
 	Policy       string     `json:"policy"`

@@ -98,36 +98,42 @@ func TestJSQBalances(t *testing.T) {
 
 // TestWorkersInvariance: the worker count is a pure speed knob — the
 // scorecard and every tree's NDJSON are byte-identical at any value.
+// The second scenario is larger: 4,000 class-rounded jobs and longer
+// brown-outs.
 func TestWorkersInvariance(t *testing.T) {
-	const spec = "topo=fattree:2,2,2 n=300 size=uniform:1,16 load=0.9 seed=11 maxweight=5 fleet=4 fleetpolicy=jsq faults=brownouts:2,5,0.5"
-	run := func(workers int) (*Result, []byte, [][]byte) {
-		t.Helper()
-		res, err := Run(fleetScenario(t, spec), Options{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var card bytes.Buffer
-		if err := res.Scorecard.WriteJSON(&card); err != nil {
-			t.Fatal(err)
-		}
-		var nd [][]byte
-		for i := range res.Trees {
-			var b bytes.Buffer
-			if err := res.Trees[i].WriteNDJSON(&b); err != nil {
+	for _, spec := range []string{
+		"topo=fattree:2,2,2 n=300 size=uniform:1,16 load=0.9 seed=11 maxweight=5 fleet=4 fleetpolicy=jsq faults=brownouts:2,5,0.5",
+		"topo=fattree:2,2,2 n=4000 size=uniform:1,16 class=0.5 load=0.9 seed=60 fleet=4 fleetpolicy=jsq faults=brownouts:2,20,0.5",
+	} {
+		run := func(workers int) ([]byte, [][]byte) {
+			t.Helper()
+			res, err := Run(fleetScenario(t, spec), Options{Workers: workers})
+			if err != nil {
 				t.Fatal(err)
 			}
-			nd = append(nd, b.Bytes())
+			var card bytes.Buffer
+			if err := res.Scorecard.WriteJSON(&card); err != nil {
+				t.Fatal(err)
+			}
+			var nd [][]byte
+			for i := range res.Trees {
+				var b bytes.Buffer
+				if err := res.Trees[i].WriteNDJSON(&b); err != nil {
+					t.Fatal(err)
+				}
+				nd = append(nd, b.Bytes())
+			}
+			return card.Bytes(), nd
 		}
-		return res, card.Bytes(), nd
-	}
-	_, card1, nd1 := run(1)
-	_, card4, nd4 := run(4)
-	if !bytes.Equal(card1, card4) {
-		t.Fatalf("scorecard changed with worker count:\n workers=1:\n%s\n workers=4:\n%s", card1, card4)
-	}
-	for i := range nd1 {
-		if !bytes.Equal(nd1[i], nd4[i]) {
-			t.Fatalf("tree %d NDJSON changed with worker count", i)
+		card1, nd1 := run(1)
+		card4, nd4 := run(4)
+		if !bytes.Equal(card1, card4) {
+			t.Fatalf("%s: scorecard changed with worker count:\n workers=1:\n%s\n workers=4:\n%s", spec, card1, card4)
+		}
+		for i := range nd1 {
+			if !bytes.Equal(nd1[i], nd4[i]) {
+				t.Fatalf("%s: tree %d NDJSON changed with worker count", spec, i)
+			}
 		}
 	}
 }

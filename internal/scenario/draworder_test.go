@@ -174,3 +174,27 @@ func TestBuildRejectsFleet(t *testing.T) {
 		t.Fatal("Build accepted a fleet scenario (must go through the fleet layer)")
 	}
 }
+
+// BenchmarkGenerateRNG times one workload's generation (2,000 jobs with
+// sizes and weights) from each partition mode. Legacy aliases every
+// stream name to one shared state; keyed derives one stream per
+// subsystem name, so keyed/legacy is the derivation's overhead.
+func BenchmarkGenerateRNG(b *testing.B) {
+	w := Workload{N: 2000, Size: NewSpec("uniform", 1, 16), Load: 0.95, Capacity: 2, MaxWeight: 5}
+	for _, c := range []struct {
+		name string
+		mk   func() *rng.PartitionedRNG
+	}{
+		{"legacy", func() *rng.PartitionedRNG { return rng.NewLegacy(62) }},
+		{"keyed", func() *rng.PartitionedRNG { return rng.NewPartitioned(62) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := w.GenerateRNG(c.mk()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

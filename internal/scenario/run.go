@@ -56,8 +56,19 @@ func (sc *Scenario) Build() (*Instance, error) {
 	case uniform && triple:
 		return nil, fmt.Errorf("scenario: speed.uniform and the per-level speed triple are mutually exclusive")
 	case uniform:
+		if !(sp.Uniform > 0) {
+			return nil, fmt.Errorf("scenario: speed.uniform is %v, want > 0", sp.Uniform)
+		}
 		t = base.WithUniformSpeed(sp.Uniform)
 	case triple:
+		for _, f := range []struct {
+			name string
+			v    float64
+		}{{"root_adjacent", sp.RootAdjacent}, {"router", sp.Router}, {"leaf", sp.Leaf}} {
+			if !(f.v > 0) {
+				return nil, fmt.Errorf("scenario: speed.%s is %v, want > 0 (the per-level triple sets all three)", f.name, f.v)
+			}
+		}
 		t = base.WithSpeeds(sp.RootAdjacent, sp.Router, sp.Leaf)
 	}
 
@@ -272,9 +283,9 @@ func (r *Runner) Run() (*sim.Result, error) {
 
 // Replay drives the warm inject→drain cycle without collecting
 // per-job metrics. With a stateless assigner the steady-state cycle
-// performs zero allocations (pinned by TestScenarioSteadyStateAllocs
-// and the scenario/run bench kernel); it reuses Instance.Assigner, so
-// stateful assigners carry their state across calls.
+// performs zero allocations (pinned by TestScenarioSteadyStateAllocs);
+// it reuses Instance.Assigner, so stateful assigners carry their state
+// across calls.
 func (r *Runner) Replay() error {
 	r.reset()
 	if r.Instance.Scenario.Engine.Stream {

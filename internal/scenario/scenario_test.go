@@ -389,6 +389,22 @@ func TestBuildDefaultsAndErrors(t *testing.T) {
 			t.Fatalf("scenario %+v built without error", bad)
 		}
 	}
+
+	// Non-positive speeds fail naming the field; tree.WithSpeeds would
+	// panic on them.
+	for _, c := range []struct{ spec, want string }{
+		{"speed=-1", "scenario: speed.uniform is -1, want > 0"},
+		{"speeds=2,0,1", "scenario: speed.router is 0, want > 0 (the per-level triple sets all three)"},
+		{"speeds=2,-1,1", "scenario: speed.router is -1, want > 0 (the per-level triple sets all three)"},
+	} {
+		sc, err := ParseCompact("topo=fattree:2,2,2 n=10 size=uniform:1,2 load=0.5 " + c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sc.Build(); err == nil || err.Error() != c.want {
+			t.Errorf("%s: Build returned %v, want %q", c.spec, err, c.want)
+		}
+	}
 }
 
 // Runner.Run must reproduce a cold scenario.Run exactly, round after

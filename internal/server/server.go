@@ -34,15 +34,10 @@ import (
 // Config tunes the daemon. Scenario is the only required field and
 // must be a serve scenario (Engine.Serve set): topology, speeds,
 // policy and assigner come from it; the workload comes from clients.
+// The other fields keep their defaults at 0; New rejects a negative
+// one, or a NaN ShedBacklog, with an error naming the field.
 type Config struct {
 	Scenario *scenario.Scenario
-	// Instance optionally supplies Scenario's prebuilt form (the
-	// result of Scenario.Build) so New does not rebuild the topology
-	// per daemon. The daemon treats it as read-only — the engine
-	// never mutates a built tree — so one build can be shared across
-	// daemons the same way RunStream shares a tree across runs. Must
-	// have been built from this config's Scenario.
-	Instance *scenario.Instance
 	// QueueDepth bounds the admission queue (jobs accepted but not
 	// yet injected). A full queue sheds. Default 1024.
 	QueueDepth int
@@ -81,6 +76,30 @@ type Config struct {
 	FlushLines int
 	// Logf, when set, receives operational log lines.
 	Logf func(format string, args ...any)
+}
+
+// validate rejects a negative size, duration or watermark, and a NaN
+// watermark: the helpers below would read some of them as the default
+// and hand others to the guards they configure.
+func (c *Config) validate() error {
+	for _, f := range []struct {
+		name string
+		bad  bool
+		val  any
+	}{
+		{"QueueDepth", c.QueueDepth < 0, c.QueueDepth},
+		{"ShedBacklog", !(c.ShedBacklog >= 0), c.ShedBacklog},
+		{"RetryAfter", c.RetryAfter < 0, c.RetryAfter},
+		{"MaxLineBytes", c.MaxLineBytes < 0, c.MaxLineBytes},
+		{"StallTimeout", c.StallTimeout < 0, c.StallTimeout},
+		{"SubscriberBuffer", c.SubscriberBuffer < 0, c.SubscriberBuffer},
+		{"FlushLines", c.FlushLines < 0, c.FlushLines},
+	} {
+		if f.bad {
+			return fmt.Errorf("server: config.%s is %v, want >= 0", f.name, f.val)
+		}
+	}
+	return nil
 }
 
 func (c *Config) queueDepth() int {
@@ -251,15 +270,12 @@ func New(cfg Config) (*Server, error) {
 	if !cfg.Scenario.Engine.Serve {
 		return nil, fmt.Errorf("server: scenario must set engine.serve (got an offline scenario)")
 	}
-	in := cfg.Instance
-	if in == nil {
-		built, err := cfg.Scenario.Build()
-		if err != nil {
-			return nil, err
-		}
-		in = built
-	} else if in.Scenario != cfg.Scenario {
-		return nil, fmt.Errorf("server: config.Instance was built from a different scenario")
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	in, err := cfg.Scenario.Build()
+	if err != nil {
+		return nil, err
 	}
 	opts := in.Opts
 	if opts.RetainJobs == 0 {

@@ -6,8 +6,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -142,8 +145,9 @@ func TestCompletionsByteIdentical(t *testing.T) {
 }
 
 // Overload: an unstable offered load must surface as monotone shed
-// counts and 429s with Retry-After — and the accepted subset must
-// still drain cleanly and replay byte-identically offline.
+// counts and 429s with Retry-After, with the heap bounded — and the
+// accepted subset must still drain cleanly and replay byte-identically
+// offline.
 func TestOverloadShedsAndDrainsClean(t *testing.T) {
 	// Speed-1 fattree: root capacity 2. Unit jobs every 0.1 time
 	// units offer rate 10 — hopelessly unstable.
@@ -161,6 +165,9 @@ func TestOverloadShedsAndDrainsClean(t *testing.T) {
 	var accepted []workload.Job
 	sawShed := false
 	prevShed := 0
+	// Collect earlier tests' garbage so the peak is this daemon's.
+	runtime.GC()
+	var peak uint64
 	for b := 0; b < 10; b++ {
 		batch := mkBatch(b*20, 20)
 		res, err := cl.Submit(context.Background(), batch)
@@ -179,9 +186,16 @@ func TestOverloadShedsAndDrainsClean(t *testing.T) {
 			t.Fatalf("shed count went backwards: %d -> %d", prevShed, st.Shed)
 		}
 		prevShed = st.Shed
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		peak = max(peak, ms.HeapAlloc)
 	}
 	if !sawShed {
 		t.Fatal("unstable load never shed")
+	}
+	t.Logf("peak heap %d B under overload", peak)
+	if peak > 64<<20 {
+		t.Fatalf("peak heap %d B under overload exceeds the 64 MiB ceiling", peak)
 	}
 	st, err := cl.Stats(context.Background())
 	if err != nil {
@@ -281,6 +295,68 @@ func TestShedRunByteIdentical(t *testing.T) {
 	want := offlineNDJSON(t, sc, &workload.Trace{Jobs: dense})
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Fatalf("shed-run completions differ from offline replay of the accepted subset:\n daemon  %d bytes\n offline %d bytes", got.Len(), len(want))
+	}
+}
+
+// The warm clean path (NDJSON decode, batched admission, engine,
+// completion fan-out) stays under half a malloc per admitted job,
+// counted process-wide, client included, across one 2,000-job POST on
+// a stable daemon after a warm-up POST. Skipped under the race
+// detector, which makes sync.Pool drop items at random (0.58 mallocs
+// per job there).
+func TestCleanPathAllocsPerJob(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("sync.Pool drops items at random under the race detector")
+			}
+		}
+	}
+	sc := serveScenario(t, "topo=fattree:2,2,2 speed=1.5 retain=1 serve")
+	_, cl, _ := startDaemon(t, Config{Scenario: sc, QueueDepth: 8000})
+	ctx := context.Background()
+
+	// Unit jobs a full time unit apart on the speed-1.5 tree: each
+	// completes before the next arrives, so the daemon is in the same
+	// steady state throughout. Each submission waits until the engine
+	// has consumed the queue, so the count brackets the whole path.
+	submit := func(base float64, n int) {
+		t.Helper()
+		jobs := make([]workload.Job, n)
+		for i := range jobs {
+			jobs[i] = workload.Job{Release: base + float64(i), Size: 1}
+		}
+		res, err := cl.Submit(ctx, jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Accepted != n {
+			t.Fatalf("admitted %d of %d jobs", res.Accepted, n)
+		}
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			st, err := cl.Stats(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.QueueLen == 0 {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("engine queue never drained (len %d)", st.QueueLen)
+			}
+		}
+	}
+	// The warm-up grows the batch pool, the fan-out buffer and the
+	// client's connections to their steady state.
+	submit(0, 500)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	submit(500, 2000)
+	runtime.ReadMemStats(&after)
+	perJob := float64(after.Mallocs-before.Mallocs) / 2000
+	t.Logf("%.3f mallocs per admitted job", perJob)
+	if perJob > 0.5 {
+		t.Fatalf("warm clean path allocates %.2f mallocs per admitted job (ceiling 0.5)", perJob)
 	}
 }
 
@@ -473,6 +549,41 @@ func TestNewRejectsOfflineScenario(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("New accepted a nil scenario")
 	}
+}
+
+// New rejects a negative size or duration and a negative or NaN
+// watermark, naming the field; 0 keeps each default.
+func TestNewRejectsBadConfig(t *testing.T) {
+	sc := serveScenario(t, "topo=star:4 serve")
+	for _, c := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{QueueDepth: -1}, "server: config.QueueDepth is -1, want >= 0"},
+		{Config{ShedBacklog: -20}, "server: config.ShedBacklog is -20, want >= 0"},
+		{Config{ShedBacklog: math.NaN()}, "server: config.ShedBacklog is NaN, want >= 0"},
+		{Config{RetryAfter: -time.Second}, "server: config.RetryAfter is -1s, want >= 0"},
+		{Config{MaxLineBytes: -1}, "server: config.MaxLineBytes is -1, want >= 0"},
+		{Config{StallTimeout: -time.Second}, "server: config.StallTimeout is -1s, want >= 0"},
+		{Config{SubscriberBuffer: -1}, "server: config.SubscriberBuffer is -1, want >= 0"},
+		{Config{FlushLines: -64}, "server: config.FlushLines is -64, want >= 0"},
+	} {
+		c.cfg.Scenario = sc
+		srv, err := New(c.cfg)
+		if err == nil {
+			srv.Drain()
+			t.Errorf("New accepted %s", c.want)
+			continue
+		}
+		if err.Error() != c.want {
+			t.Errorf("New: got %q, want %q", err, c.want)
+		}
+	}
+	srv, err := New(Config{Scenario: sc})
+	if err != nil {
+		t.Fatalf("New with every default: %v", err)
+	}
+	srv.Drain()
 }
 
 func TestStallGuardFailsDeadSubmission(t *testing.T) {

@@ -1,7 +1,7 @@
 // Zero-allocation NDJSON encoding of JobMetrics. The serving layer's
 // completion fan-out and the NDJSON sink marshal one JobMetrics per
 // completed job; going through encoding/json costs a reflective walk
-// and a fresh []byte per job, which BENCH_7 showed dominating the
+// and a fresh []byte per job, which benchmarks showed dominating the
 // daemon's hot path. AppendJobMetrics writes the exact bytes
 // json.Marshal would produce — same field order, same float
 // formatting — into a caller-reused buffer instead; its floats go

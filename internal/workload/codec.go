@@ -1,7 +1,7 @@
 // Fast-path NDJSON codec for Job lines. The daemon's admission path
 // decodes one Job per submitted line and the client encodes one per
 // POST; both went through encoding/json's reflective walk, which
-// BENCH_7 showed as a top serving-tax component. AppendJob emits the
+// benchmarks showed as a top serving-tax component. AppendJob emits the
 // exact bytes json.Marshal produces into a caller-reused buffer, its
 // floats formatted by internal/jsonfloat, and fastParseJob decodes
 // the strict common case (flat object, plain field names,
