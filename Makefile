@@ -42,16 +42,20 @@ bench:
 # temporary git worktree and both sides run their own
 # benchmark/run.sh on `sim-wide` and `sim-deep` at 3 seconds, in five
 # interleaved pairs (seeds 1-5, the side that runs first alternating).
-# Both result files stay in .bench_build/ab/; the exit code is
-# treebench -compare's, 1 when any metric reads worse.
+# The base checkout's Go build cache is a link to the working tree's,
+# so the base builds warm instead of compiling the standard library;
+# removing the worktree removes only the link. Both result files stay
+# in .bench_build/ab/; the exit code is treebench -compare's, 1 when
+# any metric reads worse.
 #
 #   make bench-ab BASE=main
 bench-ab:
 	@test -n "$(BASE)" || { echo "usage: make bench-ab BASE=<rev>" >&2; exit 2; }
 	@set -e; ab="$(CURDIR)/.bench_build/ab"; src="$$ab/base-src"; \
-	rm -rf "$$ab"; mkdir -p "$$ab"; git worktree prune; \
+	rm -rf "$$ab"; mkdir -p "$$ab" "$(CURDIR)/.bench_build/gocache"; git worktree prune; \
 	git worktree add --quiet --detach "$$src" "$(BASE)"; \
 	trap 'git worktree remove --force "$$src"' EXIT; \
+	mkdir -p "$$src/.bench_build"; ln -s "$(CURDIR)/.bench_build/gocache" "$$src/.bench_build/gocache"; \
 	for seed in 1 2 3 4 5; do \
 		order="base change"; [ $$((seed % 2)) = 1 ] || order="change base"; \
 		for side in $$order; do \

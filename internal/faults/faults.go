@@ -119,7 +119,6 @@ type Schedule struct {
 	deathAt    []float64 // per node; +Inf when never lost
 	numNodes   int
 	events     int
-	hasDeaths  bool
 }
 
 // Compile validates the plan and builds its schedule. Overlapping
@@ -165,7 +164,6 @@ func Compile(t *tree.Tree, p *Plan) (*Schedule, error) {
 		if math.IsInf(at, 1) {
 			continue
 		}
-		s.hasDeaths = true
 		if !s.hasBoundaryAt(tree.NodeID(v), at) {
 			s.boundaries = append(s.boundaries, Boundary{At: at, Node: tree.NodeID(v)})
 		}
@@ -300,11 +298,6 @@ func (s *Schedule) Integral(v tree.NodeID, from, to float64) float64 {
 	}
 	return sum
 }
-
-// HasDeaths reports whether any node is ever permanently lost. The
-// engine's sharded mode uses this to decide whether cross-subtree
-// recovery re-dispatch is possible.
-func (s *Schedule) HasDeaths() bool { return s.hasDeaths }
 
 // DeathTime returns when node v is permanently lost, and whether it
 // ever is.

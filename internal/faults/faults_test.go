@@ -184,8 +184,8 @@ func TestDeathBoundaryInsideOutage(t *testing.T) {
 	if !found {
 		t.Fatalf("boundaries %v lack the death instant t=5", s.Boundaries())
 	}
-	if !s.HasDeaths() {
-		t.Fatal("HasDeaths = false with a leaf loss compiled")
+	if at, dead := s.DeathTime(leaf); !dead || at != 5 {
+		t.Fatalf("DeathTime = %v, %v with a leaf loss compiled at t=5", at, dead)
 	}
 	// An unmasked death keeps exactly one boundary at the instant (no
 	// duplicate from the factor change + the death emission).
@@ -204,6 +204,8 @@ func TestDeathBoundaryInsideOutage(t *testing.T) {
 	}
 }
 
+// A schedule without a leaf loss reports no death on any node (the
+// test keeps the name of the HasDeaths accessor it once covered).
 func TestHasDeathsFalseWithoutLoss(t *testing.T) {
 	tr := tree.Star(2)
 	s, err := Compile(tr, &Plan{Events: []Event{
@@ -212,8 +214,10 @@ func TestHasDeathsFalseWithoutLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.HasDeaths() {
-		t.Fatal("HasDeaths = true without any leaf loss")
+	for v := 0; v < tr.NumNodes(); v++ {
+		if at, dead := s.DeathTime(tree.NodeID(v)); dead {
+			t.Fatalf("node %d dies at %v without any leaf loss", v, at)
+		}
 	}
 }
 

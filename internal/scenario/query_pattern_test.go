@@ -152,7 +152,7 @@ func requireSameOutcome(t *testing.T, line, leg string, got, want runOutcome) {
 // — NDJSON, stats, slice log and error text stay byte-identical. One
 // leg adds 0–5 random calls of every Query method before each arrival;
 // the other makes them from an Observer at every event, against a
-// no-op Observer (both sides then run in lockstep).
+// no-op Observer.
 func TestQueryPatternInvariance(t *testing.T) {
 	topos := []string{"fattree:4,1,2", "fattree:2,2,2", "star:8", "caterpillar:4,2", "broomstick:3,3,1", "random:4,3,3"}
 	policies := []string{"sjf", "fifo", "srpt", "ps", "lcfs", "wsjf"}

@@ -9,8 +9,9 @@ import (
 	"treesched/internal/sim"
 )
 
-// TestShardedScenarioEquivalence is the property test for the sharded
-// engine's warm reuse and for repeated dispatch queries: across 100
+// TestShardedScenarioEquivalence (named for the per-root-child shards
+// the engine once had) is the property test for the one-loop engine's
+// warm reuse and for repeated dispatch queries: across 100
 // randomized scenarios (topology × policy × assigner × fault plan ×
 // engine variant × seed), a warm rerun after Reset must reproduce the
 // first run, and a run in which every query is asked twice at the same

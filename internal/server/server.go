@@ -594,14 +594,6 @@ func (s *Server) admitBatch(batch []workload.Job) batchResult {
 			stop(admitInvalid, err)
 			break
 		}
-		// Job.Validate lets a NaN size through (NaN fails no <= 0
-		// check); a NaN would poison the backlog estimator and the
-		// engine, so close the gap here.
-		if math.IsNaN(j.Size) || math.IsInf(j.Size, 0) {
-			s.rejected++
-			stop(admitInvalid, fmt.Errorf("server: job has non-finite size %v", j.Size))
-			break
-		}
 		if j.LeafSizes != nil && len(j.LeafSizes) != len(s.inst.Tree.Leaves()) {
 			s.rejected++
 			stop(admitInvalid, fmt.Errorf("server: job has %d leaf sizes for a %d-leaf tree", len(j.LeafSizes), len(s.inst.Tree.Leaves())))

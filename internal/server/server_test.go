@@ -133,6 +133,18 @@ func TestCompletionsByteIdentical(t *testing.T) {
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Fatalf("daemon completions differ from offline RunStream:\n daemon  %d bytes\n offline %d bytes", got.Len(), len(want))
 	}
+	// Lines arrive in completion order, across both root branches.
+	prev := 0.0
+	for i, line := range bytes.Split(bytes.TrimSpace(got.Bytes()), []byte("\n")) {
+		var m sim.JobMetrics
+		if err := json.Unmarshal(line, &m); err != nil {
+			t.Fatalf("line %d: %v", i, err)
+		}
+		if m.Completion < prev {
+			t.Fatalf("line %d: job %d completes at %v, after a line at %v", i, m.ID, m.Completion, prev)
+		}
+		prev = m.Completion
+	}
 
 	// Per-leaf tallies survive into the final stats view.
 	var leafJobs int

@@ -102,39 +102,13 @@ func (s *Sim) Audit() *AuditReport {
 	return s.AuditSlices(s.Slices())
 }
 
-// AuditShard verifies shard k's slice log against the tasks assigned
-// into shard k only — the per-shard view that needs no cross-shard
-// state, mirroring the engine's root decomposition. It requires
-// Options.RecordSlices, a non-PS policy, and a migration-free run: a
-// recovery migration moves work between shards, so only the whole-run
-// audit is defined then.
-func (s *Sim) AuditShard(k int) *AuditReport {
-	if !s.opts.RecordSlices || s.ps {
-		panic("sim: AuditShard requires Options.RecordSlices and a non-PS policy")
-	}
-	if len(s.migrations) > 0 {
-		panic("sim: AuditShard is undefined across recovery migrations; audit the full run")
-	}
-	slices := s.shards[k].slices
-	var tasks []*JobState
-	for _, js := range s.tasks {
-		if int(s.shardOf[js.Leaf]) == k {
-			tasks = append(tasks, js)
-		}
-	}
-	rep := &AuditReport{Slices: len(slices), Tasks: len(tasks)}
-	credits := s.auditPerNode(slices, rep)
-	s.auditPerTask(slices, credits, tasks, rep)
-	return rep
-}
-
 // AuditSlices verifies an arbitrary slice log against this engine's
 // tasks, topology, fault schedule and migration record — the log need
 // not be the engine's own (tests feed deliberately corrupted copies).
 func (s *Sim) AuditSlices(slices []Slice) *AuditReport {
 	rep := &AuditReport{Slices: len(slices), Tasks: len(s.tasks)}
 	credits := s.auditPerNode(slices, rep)
-	s.auditPerTask(slices, credits, s.tasks, rep)
+	s.auditPerTask(slices, credits, rep)
 	return rep
 }
 
@@ -232,9 +206,9 @@ type journey struct {
 	endsAt   float64
 }
 
-func (s *Sim) auditPerTask(slices []Slice, credits []float64, tasks []*JobState, rep *AuditReport) {
-	taskBySeq := make(map[int64]*JobState, len(tasks))
-	for _, js := range tasks {
+func (s *Sim) auditPerTask(slices []Slice, credits []float64, rep *AuditReport) {
+	taskBySeq := make(map[int64]*JobState, len(s.tasks))
+	for _, js := range s.tasks {
 		if js == nil {
 			continue
 		}
@@ -258,7 +232,7 @@ func (s *Sim) auditPerTask(slices []Slice, credits []float64, tasks []*JobState,
 		bySeq[sl.Seq] = append(bySeq[sl.Seq], int32(i))
 	}
 	// Iterate tasks in injection order for a deterministic report.
-	for _, js := range tasks {
+	for _, js := range s.tasks {
 		if js == nil {
 			continue
 		}

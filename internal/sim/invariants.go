@@ -9,12 +9,13 @@ import (
 
 // CheckInvariants cross-validates the engine's internal bookkeeping:
 // queue membership and back-indices, leaf assignment sets, pending
-// sets (when instrumented), the active-task counter and the running
-// fractional-flow sum. It reaches the live tasks through the leaf
-// assigned lists, is O(live tasks · depth) and intended for tests; it
-// returns the first inconsistency found. Like a query it reads
-// remaining work as computed at the shard clock and writes nothing, so
-// calling it (from an Observer, say) never changes a run.
+// sets (when instrumented), the active-task counter, the running
+// fractional-flow sum and the event heap. It reaches the live tasks
+// through the leaf assigned lists, is O(live tasks · depth + nodes)
+// and intended for tests; it returns the first inconsistency found.
+// Like a query it reads remaining work as computed at the engine clock
+// and writes nothing, so calling it (from an Observer, say) never
+// changes a run.
 func (s *Sim) CheckInvariants() error {
 	active := 0
 	var fracSum float64
@@ -56,17 +57,11 @@ func (s *Sim) CheckInvariants() error {
 			}
 		}
 	}
-	trackedActive := 0
-	var trackedFrac float64
-	for k := range s.shards {
-		trackedActive += s.shards[k].activeTasks
-		trackedFrac += s.shards[k].fracSum
+	if active != s.activeTasks {
+		return fmt.Errorf("sim: activeTasks=%d but %d incomplete tasks exist", s.activeTasks, active)
 	}
-	if active != trackedActive {
-		return fmt.Errorf("sim: activeTasks=%d but %d incomplete tasks exist", trackedActive, active)
-	}
-	if math.Abs(fracSum-trackedFrac) > 1e-6*math.Max(1, fracSum)+1e-6 {
-		return fmt.Errorf("sim: fracSum drifted: tracked %v, recomputed %v", trackedFrac, fracSum)
+	if math.Abs(fracSum-s.fracSum) > 1e-6*math.Max(1, fracSum)+1e-6 {
+		return fmt.Errorf("sim: fracSum drifted: tracked %v, recomputed %v", s.fracSum, fracSum)
 	}
 	// Queue membership: every avail task sits on that node; the
 	// running task is the queue minimum (except under processor
@@ -95,6 +90,47 @@ func (s *Sim) CheckInvariants() error {
 		}
 		if count == 0 && n.running != nil {
 			return fmt.Errorf("sim: node %d running with an empty queue", v)
+		}
+	}
+	return s.checkEvents()
+}
+
+// checkEvents verifies the event heap: heap order, every entry's
+// back-index, exactly one entry per node that runs a task at positive
+// speed (none for an idle or stalled node), and every deadline equal
+// to now + remaining/speed (× the share count under processor
+// sharing) within timeEps.
+func (s *Sim) checkEvents() error {
+	h := &s.events
+	for i, ev := range h.evs {
+		if i > 0 && eventBefore(ev, h.evs[(i-1)/2]) {
+			return fmt.Errorf("sim: event heap out of order at index %d (node %d)", i, ev.node)
+		}
+		if int(h.pos[ev.node]) != i {
+			return fmt.Errorf("sim: node %d's event sits at heap index %d but its index reads %d", ev.node, i, h.pos[ev.node])
+		}
+	}
+	for v := range s.nodes {
+		n := &s.nodes[v]
+		i := int(h.pos[v])
+		if i >= len(h.evs) || (i >= 0 && int(h.evs[i].node) != v) {
+			return fmt.Errorf("sim: node %d's heap index %d points at no entry of its own", v, i)
+		}
+		busy := n.running != nil && n.speed > 0
+		if busy != (i >= 0) {
+			return fmt.Errorf("sim: node %d has heap entry %v while busy=%v (running=%v, speed %v)",
+				v, i >= 0, busy, n.running != nil, n.speed)
+		}
+		if !busy {
+			continue
+		}
+		share := 1.0
+		if s.ps {
+			share = float64(n.avail.len())
+		}
+		want := s.now + s.remainingAt(n, n.running)*share/n.speed
+		if at := h.evs[i].at; math.Abs(at-want) > timeEps*math.Max(1, math.Abs(want)) {
+			return fmt.Errorf("sim: node %d's finish event at %v, want now + remaining/speed = %v", v, at, want)
 		}
 	}
 	return nil

@@ -6,8 +6,8 @@ import (
 
 // Query is the read-only view of engine state handed to Assigners and
 // to the instrumentation (potential function, Lemma validators).
-// Queries are pure: remaining work is computed at the node's shard
-// time exactly as a sync at that instant would leave it
+// Queries are pure: remaining work is computed at the engine clock
+// exactly as a sync at that instant would leave it
 // (Sim.remainingAt), but nothing is written, so which queries run, how
 // often and on which nodes never changes a run.
 type Query struct {

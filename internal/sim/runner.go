@@ -292,9 +292,9 @@ func RunPacketized(t *tree.Tree, trace *workload.Trace, asg Assigner, opts Optio
 // into ceil(p_j) packets that keep the job's ID and priority sizes and
 // travel to leaf independently.
 func (s *Sim) injectPackets(a *Arrival, leaf tree.NodeID) error {
-	li := s.tree.LeafIndex(leaf)
-	if li < 0 {
-		return fmt.Errorf("sim: assignment to non-leaf node %d", leaf)
+	li, err := s.leafIndex(leaf)
+	if err != nil {
+		return err
 	}
 	k := int(math.Ceil(a.Size))
 	if k < 1 {
@@ -303,7 +303,7 @@ func (s *Sim) injectPackets(a *Arrival, leaf tree.NodeID) error {
 	routerPiece := a.Size / float64(k)
 	leafPiece := a.LeafSize(li) / float64(k)
 	for p := 0; p < k; p++ {
-		js := s.newTask(&s.shards[s.shardOf[leaf]])
+		js := s.newTask()
 		js.ID = a.ID
 		js.Release = a.Release
 		js.RouterSize = routerPiece

@@ -32,10 +32,15 @@ func shardTestTrace(t *testing.T, seed uint64, n int, cap float64) *workload.Tra
 	return trace
 }
 
-// An Observer switches the engine from the shard-by-shard loop to the
-// lockstep global-order loop: every callback must see all shard clocks
-// at the engine time, time must never run backwards, and the schedule
-// must be the one the shard-by-shard loop produces.
+// The engine once kept per-root-child shards; the TestSharded* tests
+// keep their names and now pin what replaced them: one clock, one
+// event heap, one slice log and one task arena.
+
+// An Observer is a plain callback, not an execution mode: it runs at
+// every injection and node completion with the clock at that instant,
+// time never runs backwards, every callback sees a consistent engine
+// (CheckInvariants), and the schedule is the one a run without an
+// Observer produces.
 func TestShardedObserverLockstep(t *testing.T) {
 	tr := tree.FatTree(4, 1, 2)
 	trace := shardTestTrace(t, 5, 200, 4)
@@ -47,10 +52,8 @@ func TestShardedObserverLockstep(t *testing.T) {
 			t.Fatalf("callback %d: time ran backwards (%v after %v)", calls, s.Now(), last)
 		}
 		last = s.Now()
-		for k := range s.shards {
-			if s.shards[k].now != s.Now() {
-				t.Fatalf("callback %d: shard %d clock %v, engine time %v", calls, k, s.shards[k].now, s.Now())
-			}
+		if err := s.CheckInvariants(); err != nil {
+			t.Fatalf("callback %d: %v", calls, err)
 		}
 	}})
 	if err != nil {
@@ -64,39 +67,56 @@ func TestShardedObserverLockstep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(observed.Jobs, plain.Jobs) {
-		t.Fatal("per-job metrics differ between the lockstep and the shard-by-shard loop")
+	if !reflect.DeepEqual(observed.Jobs, plain.Jobs) || observed.Stats != plain.Stats {
+		t.Fatal("per-job metrics or stats differ with an Observer")
 	}
 	if !reflect.DeepEqual(observed.Sim.Slices(), plain.Sim.Slices()) {
-		t.Fatal("slice logs differ between the lockstep and the shard-by-shard loop")
+		t.Fatal("slice logs differ with an Observer")
 	}
 }
 
-// A single root-adjacent subtree (Line) degenerates to one shard.
+// A branch that receives no work costs the one engine nothing: a Line
+// run and the same run on that Line with an idle second root branch
+// beside it give identical per-job metrics, stats (FracFlow's bits
+// included: the clock stops at the same instants) and slice logs.
 func TestShardedSingleShard(t *testing.T) {
-	tr := tree.Line(3)
+	line := tree.Line(3)
+	b := tree.NewBuilder()
+	v := b.AddRouter(b.Root())
+	for i := 1; i < 3; i++ {
+		v = b.AddRouter(v)
+	}
+	leaf := b.AddLeaf(v)
+	b.AddLeaf(b.AddRouter(b.Root()))
+	twoBranch := b.MustFinalize()
+	if len(twoBranch.RootAdjacent()) != 2 || leaf != line.Leaves()[0] {
+		t.Fatalf("built %d root branches, busy leaf %d (Line's is %d)", len(twoBranch.RootAdjacent()), leaf, line.Leaves()[0])
+	}
 	trace := shardTestTrace(t, 6, 100, 1)
-	res, err := Run(tr, trace, &oblRR{}, Options{RecordSlices: true})
+	opts := Options{RecordSlices: true, Instrument: true, SelfCheck: true}
+	one, err := Run(line, trace, fixedAssigner{leaf}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := res.Sim
-	if s.NumShards() != 1 {
-		t.Fatalf("NumShards = %d, want 1", s.NumShards())
+	two, err := Run(twoBranch, trace, fixedAssigner{leaf}, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.Stats.Completed != len(trace.Jobs) {
-		t.Fatalf("completed %d of %d jobs", res.Stats.Completed, len(trace.Jobs))
+	if one.Stats.Completed != len(trace.Jobs) {
+		t.Fatalf("completed %d of %d jobs", one.Stats.Completed, len(trace.Jobs))
 	}
-	if rep := s.AuditShard(0); !rep.OK() {
-		t.Fatalf("audit of the only shard: %s", rep.Summary())
+	if !reflect.DeepEqual(one.Jobs, two.Jobs) || one.Stats != two.Stats {
+		t.Fatalf("an idle branch changed the run: stats %+v vs %+v", one.Stats, two.Stats)
 	}
-	if !reflect.DeepEqual(s.ShardSlices(0), s.Slices()) {
-		t.Fatal("the only shard's log differs from the full log")
+	if !reflect.DeepEqual(one.Sim.Slices(), two.Sim.Slices()) {
+		t.Fatal("an idle branch changed the slice log")
 	}
 }
 
-// A brown-out run audits clean as a whole and shard by shard, and the
-// shard logs partition the full log.
+// A brown-out run on a four-branch tree audits clean, and its one
+// slice log is merged per node: each node's slices appear in time
+// order, and no two consecutive ones are the same task's touching
+// intervals (those merge into one slice).
 func TestShardedAuditClean(t *testing.T) {
 	tr := tree.FatTree(4, 1, 2)
 	trace := shardTestTrace(t, 7, 200, 4)
@@ -108,25 +128,23 @@ func TestShardedAuditClean(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rep := res.Sim.Audit(); !rep.OK() {
-		t.Fatalf("audit of sharded run: %s", rep.Summary())
+		t.Fatalf("audit of a four-branch run: %s", rep.Summary())
 	}
-	s := res.Sim
-	if s.NumShards() != 4 {
-		t.Fatalf("NumShards = %d, want 4", s.NumShards())
-	}
-	total := 0
-	for k := 0; k < s.NumShards(); k++ {
-		total += len(s.ShardSlices(k))
-		if rep := s.AuditShard(k); !rep.OK() {
-			t.Fatalf("audit of shard %d: %s", k, rep.Summary())
+	last := make(map[tree.NodeID]Slice)
+	for i, sl := range res.Sim.Slices() {
+		if prev, ok := last[sl.Node]; ok {
+			if sl.From < prev.To {
+				t.Fatalf("slice %d %+v starts before node %d's previous slice %+v ends", i, sl, sl.Node, prev)
+			}
+			if sl.Seq == prev.Seq && sl.From == prev.To {
+				t.Fatalf("slice %d %+v continues node %d's previous slice %+v unmerged", i, sl, sl.Node, prev)
+			}
 		}
-	}
-	if total != len(s.Slices()) {
-		t.Fatalf("shard slices sum to %d, full log has %d", total, len(s.Slices()))
+		last[sl.Node] = sl
 	}
 }
 
-// A warm ReplayOn over eight shards allocates nothing.
+// A warm ReplayOn over an eight-branch tree allocates nothing.
 func TestShardedSteadyStateAllocs(t *testing.T) {
 	tr := tree.FatTree(8, 1, 2)
 	trace := shardTestTrace(t, 8, 300, 8)
@@ -139,9 +157,9 @@ func TestShardedSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	replay() // warm the arenas
+	replay() // warm the arena
 	if allocs := testing.AllocsPerRun(20, replay); allocs > 0 {
-		t.Fatalf("warm eight-shard replay allocates %.1f times per run, want 0", allocs)
+		t.Fatalf("warm eight-branch replay allocates %.1f times per run, want 0", allocs)
 	}
 }
 
@@ -176,15 +194,15 @@ func wantDispatchError(t *testing.T, tr *tree.Tree, trace *workload.Trace, asg A
 	}
 }
 
-// An oblivious assigner that picks a router of a four-shard tree fails
-// with the same exact text through all three drivers.
+// An oblivious assigner that picks a router of a four-branch tree
+// fails with the same exact text through all three drivers.
 func TestShardedAssignerError(t *testing.T) {
 	tr := tree.FatTree(4, 1, 2)
 	wantDispatchError(t, tr, shardTestTrace(t, 9, 20, 4), badLeaf{node: tr.RootAdjacent()[0]},
 		`sim: assigner "bad": sim: assignment to non-leaf node 1`)
 }
 
-// A querying assigner that picks a router of a four-shard tree fails
+// A querying assigner that picks a router of a four-branch tree fails
 // with the same exact text through all three drivers.
 func TestShardedQueryingAssignerError(t *testing.T) {
 	tr := tree.FatTree(4, 1, 2)

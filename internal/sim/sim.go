@@ -89,9 +89,6 @@ func (js *JobState) CurrentNode() tree.NodeID {
 
 type nodeState struct {
 	id tree.NodeID
-	// shard indexes Sim.shards at the node's root-adjacent subtree
-	// (0 for the root itself, which performs no processing).
-	shard int32
 	// speed is the node's current effective speed; baseSpeed is the
 	// tree's speed, which fault boundaries scale by their factor.
 	speed     float64
@@ -102,24 +99,18 @@ type nodeState struct {
 	// fsnap is the node's F-statistic snapshot (see fstat.go),
 	// maintained at every queue membership change once a query has
 	// activated it.
-	fsnap   fstat
-	running *JobState
-	// finishSeq invalidates scheduled finish events; only the event
-	// carrying the current value is live.
-	finishSeq uint64
-	lastSync  float64
+	fsnap    fstat
+	running  *JobState
+	lastSync float64
+	// lastSlice indexes Sim.slices at the node's latest slice (-1 when
+	// it has none), so a continuing slice merges in place.
+	lastSlice int
 
 	busyTime float64
 	workDone float64
-	// fracContrib is this leaf's current drain rate of its shard's
+	// fracContrib is this leaf's current drain rate of the engine's
 	// fractional-flow sum (0 for routers and idle leaves).
 	fracContrib float64
-}
-
-type finishEvent struct {
-	at   float64
-	node tree.NodeID
-	seq  uint64
 }
 
 // Options configures the engine.
@@ -139,10 +130,9 @@ type Options struct {
 	// SelfCheck enables internal invariant assertions (tests).
 	SelfCheck bool
 	// Observer, when set, is called after every state change (task
-	// injection and every node completion). Used by the Lemma
-	// validators to check invariants at event granularity. An Observer
-	// needs a single global event order, so the engine then steps every
-	// shard in lockstep through one time-ordered event loop.
+	// injection and every node completion), with the engine clock at
+	// the change's instant. Used by the Lemma validators to check
+	// invariants at event granularity.
 	Observer func(s *Sim)
 	// RecordSlices keeps the exact processing slices (node, job,
 	// interval) including preemption boundaries; costs memory
@@ -214,27 +204,46 @@ type Slice struct {
 // Reset, which retains all allocated capacity so that repeated
 // replicate runs approach zero allocations in steady state.
 //
-// Internally the engine is decomposed at the root's children into
-// shards: each shard owns the event heap, clock, flow-time
-// accumulators, slice log and task arena of one root-child subtree.
-// The root performs no processing and every task's path lies inside
-// one subtree, so shards share no mutable state after dispatch, and
-// one event loop steps them shard by shard between arrivals.
+// One event loop drives the engine: a single clock, one event heap
+// holding each busy node's next finish, one cursor into the fault
+// boundaries, one set of flow-time integrals, one slice log and one
+// task arena. Events run in global (time, node) order, so completions
+// happen — and reach a Sink — in completion order.
 type Sim struct {
 	tree *tree.Tree
 	opts Options
 
-	// now is the engine-level clock: the last AdvanceTo target, and
-	// after Drain the maximum shard time. Individual shards may run
-	// ahead of or behind it transiently while events are processed.
+	// now is the engine clock: the instant of the event being
+	// processed, the last AdvanceTo target, or after Drain the last
+	// event's or boundary's time.
 	now   float64
 	nodes []nodeState
 
-	// shards hold the per-subtree event machinery, one per root-child
-	// subtree in root-adjacent order; shardOf[v] indexes shards by node
-	// (0 for the root itself, which performs no processing).
-	shards  []shardState
-	shardOf []int32
+	// events holds the next finish of every node running a task at
+	// positive speed; faultIdx is the applied prefix of the fault
+	// schedule's boundaries.
+	events   eventHeap
+	faultIdx int
+
+	activeTasks int
+	// Running totals (see Stats): fracSum is Σ weight · remaining leaf
+	// fraction over active tasks and fracRate its rate of decrease from
+	// the leaves currently processing; the integrals accumulate between
+	// consecutive clock stops (every arrival, event and boundary).
+	fracSum        float64
+	fracRate       float64
+	fracIntegral   float64
+	activeIntegral float64 // ∫ activeTasks dt (integral-flow cross-check)
+	eventCount     int64
+
+	// slices is the exact processing record when RecordSlices.
+	slices []Slice
+
+	// free holds recycled JobStates (returned at completion, or by
+	// Reset); block is the tail of the current arena chunk fresh tasks
+	// are carved from.
+	free  []*JobState
+	block []JobState
 
 	// tasks lists every injected task in injection order, on engines
 	// that keep task state for introspection (keepsTasks); elsewhere
@@ -257,8 +266,6 @@ type Sim struct {
 	// scratchIDs is reused by Query.AvailCountLarger for packet
 	// de-duplication.
 	scratchIDs []int
-	// sliceCat is the reused concatenation buffer Slices() returns.
-	sliceCat []Slice
 
 	// assigned[leafIndex] lists incomplete tasks assigned to the leaf
 	// (the paper's Q_v(t) for leaves).
@@ -267,7 +274,7 @@ type Sim struct {
 	// the leaf that have not yet arrived at it — the store-and-forward
 	// backlog Query.AssignedUpstreamWork reports without scanning the
 	// leaf queue. Maintained at dispatch, leaf arrival (availPush) and
-	// migration; a leaf's entry is only touched by its owning shard.
+	// migration.
 	upstreamWork []float64
 	// pendingOn[node] lists tasks routed through node and not yet
 	// complete on it (the paper's Q_v(t)); only kept when Instrument.
@@ -291,34 +298,21 @@ type Sim struct {
 // New creates an engine for the given tree.
 func New(t *tree.Tree, opts Options) *Sim {
 	s := &Sim{tree: t}
-	s.shardOf = make([]int32, t.NumNodes())
-	s.shards = make([]shardState, len(t.RootAdjacent()))
-	for k, h := range t.RootAdjacent() {
-		s.shardOf[h] = int32(k)
-		for _, l := range t.SubtreeLeaves(h) {
-			for _, v := range t.Path(l) {
-				s.shardOf[v] = int32(k)
-			}
-		}
-	}
 	s.nodes = make([]nodeState, t.NumNodes())
 	for i := range s.nodes {
 		n := &s.nodes[i]
 		n.id = tree.NodeID(i)
-		n.shard = s.shardOf[i]
 		n.baseSpeed = t.Speed(n.id)
 		n.speed = n.baseSpeed
 		n.leaf = t.IsLeaf(n.id)
+		n.lastSlice = -1
 	}
+	s.events.reset(t.NumNodes())
 	s.assigned = make([][]*JobState, len(t.Leaves()))
 	s.upstreamWork = make([]float64, len(t.Leaves()))
 	s.applyOptions(opts)
 	return s
 }
-
-// NumShards returns the number of shards the engine is partitioned
-// into: one per root-child subtree.
-func (s *Sim) NumShards() int { return len(s.shards) }
 
 // applyOptions installs opts, building or clearing the per-node queues
 // as needed. The queue implementation depends on the options (scan for
@@ -358,17 +352,6 @@ func (s *Sim) applyOptions(opts Options) {
 		}
 		n.fsnap.clear()
 	}
-	// Partition the global boundary list by shard; filtering a
-	// (time, node)-sorted list keeps each shard's list sorted.
-	for k := range s.shards {
-		s.shards[k].bounds = s.shards[k].bounds[:0]
-	}
-	if opts.Faults != nil {
-		for _, b := range opts.Faults.Boundaries() {
-			k := s.shardOf[b.Node]
-			s.shards[k].bounds = append(s.shards[k].bounds, b)
-		}
-	}
 	if opts.Instrument && s.pendingOn == nil {
 		s.pendingOn = make([][]*JobState, len(s.nodes))
 	}
@@ -390,8 +373,8 @@ func (s *Sim) applyOptions(opts Options) {
 }
 
 // Reset returns the engine to an empty state at time zero while
-// retaining every allocated buffer (event heaps, node queues, task
-// arenas, instrumentation slices), so replaying traces on one engine
+// retaining every allocated buffer (event heap, node queues, task
+// arena, instrumentation slices), so replaying traces on one engine
 // approaches zero allocations per run. opts may differ arbitrarily
 // from the previous run's options — changing Policy, Instrument,
 // UseScanQueue, Faults, etc. is supported and the engine reconfigures
@@ -423,31 +406,25 @@ func (s *Sim) Reset(opts Options) {
 	for i := range s.nodes {
 		n := &s.nodes[i]
 		n.running = nil
-		n.finishSeq = 0
 		n.lastSync = 0
+		n.lastSlice = -1
 		n.busyTime = 0
 		n.workDone = 0
 		n.fracContrib = 0
 	}
-	for k := range s.shards {
-		sh := &s.shards[k]
-		sh.now = 0
-		sh.events = sh.events[:0]
-		sh.faultIdx = 0
-		sh.activeTasks = 0
-		sh.fracSum, sh.fracRate = 0, 0
-		sh.fracIntegral, sh.activeIntegral = 0, 0
-		sh.eventCount = 0
-		sh.slices = sh.slices[:0]
-		sh.mergeFloor = 0
-	}
+	s.events.reset(len(s.nodes))
+	s.faultIdx = 0
+	s.activeTasks = 0
+	s.fracSum, s.fracRate = 0, 0
+	s.fracIntegral, s.activeIntegral = 0, 0
+	s.eventCount = 0
+	s.slices = s.slices[:0]
 	for i := range s.upstreamWork {
 		s.upstreamWork[i] = 0
 	}
 	for i := range s.pendingOn {
 		s.pendingOn[i] = s.pendingOn[i][:0]
 	}
-	s.sliceCat = s.sliceCat[:0]
 	s.migrations = s.migrations[:0]
 	s.applyOptions(opts)
 }
@@ -456,16 +433,15 @@ func (s *Sim) Reset(opts Options) {
 // allocation amortizes over this many injections.
 const taskBlockSize = 512
 
-// newTask returns a zeroed JobState from the shard's freelist or
-// arena.
+// newTask returns a zeroed JobState from the freelist or the arena.
 // Instrumentation buffers of recycled tasks are kept (emptied) when
 // the engine is instrumented so inject can refill them in place; in
 // uninstrumented mode they are dropped to nil, which downstream code
 // (e.g. trace rendering) uses to detect the absence of hop timings.
-func (s *Sim) newTask(sh *shardState) *JobState {
-	if n := len(sh.free); n > 0 {
-		js := sh.free[n-1]
-		sh.free = sh.free[:n-1]
+func (s *Sim) newTask() *JobState {
+	if n := len(s.free); n > 0 {
+		js := s.free[n-1]
+		s.free = s.free[:n-1]
 		ha, hc, pi := js.HopArrive, js.HopComplete, js.pendIdx
 		*js = JobState{}
 		if s.opts.Instrument {
@@ -475,20 +451,16 @@ func (s *Sim) newTask(sh *shardState) *JobState {
 		}
 		return js
 	}
-	if len(sh.block) == 0 {
-		sh.block = make([]JobState, taskBlockSize)
+	if len(s.block) == 0 {
+		s.block = make([]JobState, taskBlockSize)
 	}
-	js := &sh.block[0]
-	sh.block = sh.block[1:]
+	js := &s.block[0]
+	s.block = s.block[1:]
 	return js
 }
 
-// recycle returns js to the freelist of its leaf's shard, the shard
-// that completes it.
-func (s *Sim) recycle(js *JobState) {
-	sh := &s.shards[s.shardOf[js.Leaf]]
-	sh.free = append(sh.free, js)
-}
+// recycle returns js to the freelist.
+func (s *Sim) recycle(js *JobState) { s.free = append(s.free, js) }
 
 // keepsTasks reports whether task state outlives completion: only the
 // readers of Instrument's hop records and of the slice log (the Lemma
@@ -529,8 +501,9 @@ func (s *Sim) Tree() *tree.Tree { return s.tree }
 // task completes and may then describe a later task: read the
 // completion from Records() instead.
 func (s *Sim) Inject(a *Arrival, leaf tree.NodeID) (*JobState, error) {
-	if s.tree.LeafIndex(leaf) < 0 {
-		return nil, fmt.Errorf("sim: assignment to non-leaf node %d", leaf)
+	li, err := s.leafIndex(leaf)
+	if err != nil {
+		return nil, err
 	}
 	if a.Release > s.now+timeEps {
 		return nil, fmt.Errorf("sim: injecting job %d at t=%v before its release %v", a.ID, s.now, a.Release)
@@ -545,17 +518,27 @@ func (s *Sim) Inject(a *Arrival, leaf tree.NodeID) (*JobState, error) {
 	if w <= 0 {
 		w = 1
 	}
-	js := s.newTask(&s.shards[s.shardOf[leaf]])
+	js := s.newTask()
 	js.ID = a.ID
 	js.Release = a.Release
 	js.RouterSize = a.Size
-	js.LeafWork = a.LeafSize(s.tree.LeafIndex(leaf))
+	js.LeafWork = a.LeafSize(li)
 	js.FracWeight = 1
 	js.Weight = w
 	js.Leaf = leaf
 	js.leafSizes = a.LeafSizes
 	s.claimSeq(js)
 	return js, s.inject(js, a.Origin)
+}
+
+// leafIndex returns the leaf index of the node an assigner chose, or
+// an error when the node is not a leaf of the tree — checked before
+// anything indexes by it.
+func (s *Sim) leafIndex(v tree.NodeID) (int, error) {
+	if v < 0 || int(v) >= len(s.nodes) || !s.nodes[v].leaf {
+		return -1, fmt.Errorf("sim: assignment to non-leaf node %d", v)
+	}
+	return s.tree.LeafIndex(v), nil
 }
 
 func (s *Sim) inject(js *JobState, origin tree.NodeID) error {
@@ -565,10 +548,7 @@ func (s *Sim) inject(js *JobState, origin tree.NodeID) error {
 	// Under redispatch recovery a fault-oblivious assigner may still
 	// target an already-dead leaf; the dispatcher redirects the arrival
 	// to a survivor (no Migration is recorded — the task never started
-	// its original journey). Cross-shard state is read here, which is
-	// sound: redirect requires deaths, and deaths switch the engine to
-	// the global-order loop with every shard advanced to the injection
-	// instant.
+	// its original journey).
 	if s.opts.Faults != nil && s.opts.Recovery == RecoverRedispatch {
 		if at, dead := s.opts.Faults.DeathTime(js.Leaf); dead && at <= s.now {
 			if to := s.pickSurvivor(js); to != tree.None {
@@ -601,9 +581,6 @@ func (s *Sim) inject(js *JobState, origin tree.NodeID) error {
 			full = s.tree.Path(js.Leaf)[len(s.tree.Path(js.Leaf))-1:]
 		}
 	}
-	// Stats (activeTasks, fracSum) are charged to the leaf's shard,
-	// which holds every node of the task's path.
-	sh := &s.shards[s.shardOf[js.Leaf]]
 	if js.PrioRouter == 0 {
 		js.PrioRouter = js.RouterSize
 	}
@@ -613,9 +590,9 @@ func (s *Sim) inject(js *JobState, origin tree.NodeID) error {
 	if s.keepsTasks() {
 		s.tasks = append(s.tasks, js)
 	}
-	sh.activeTasks++
-	sh.fracSum += js.FracWeight
-	s.startJourney(js, full, sh.now)
+	s.activeTasks++
+	s.fracSum += js.FracWeight
+	s.startJourney(js, full, s.now)
 	if s.opts.Observer != nil {
 		s.opts.Observer(s)
 	}
@@ -707,7 +684,7 @@ func (s *Sim) setKey(js *JobState) {
 }
 
 // sync brings the node's running task's Remaining and the node's
-// accounting up to the node's shard time. Under processor sharing the
+// accounting up to the engine clock. Under processor sharing the
 // elapsed work is split equally across all available tasks.
 func (s *Sim) sync(v tree.NodeID) { s.syncNode(&s.nodes[v]) }
 
@@ -715,17 +692,16 @@ func (s *Sim) sync(v tree.NodeID) { s.syncNode(&s.nodes[v]) }
 // the reschedule and finish paths, where the duplicate indexed lookup
 // showed up in the dispatch profile. The already-synced
 // check lives here so it inlines into the hot callers (most calls are
-// re-syncs at an unchanged shard clock); syncNodeSlow does the work.
+// re-syncs at an unchanged clock); syncNodeSlow does the work.
 func (s *Sim) syncNode(n *nodeState) {
-	sh := &s.shards[n.shard]
-	if n.lastSync >= sh.now {
+	if n.lastSync >= s.now {
 		return
 	}
-	s.syncNodeSlow(n, sh)
+	s.syncNodeSlow(n)
 }
 
-func (s *Sim) syncNodeSlow(n *nodeState, sh *shardState) {
-	now := sh.now
+func (s *Sim) syncNodeSlow(n *nodeState) {
+	now := s.now
 	from := n.lastSync
 	dt := now - from
 	n.lastSync = now
@@ -764,26 +740,25 @@ func (s *Sim) syncNodeSlow(n *nodeState, sh *shardState) {
 	n.busyTime += dt
 	n.workDone += done
 	if s.opts.RecordSlices {
-		// Merge with the previous slice when the same task continued —
-		// but never across a migration (mergeFloor): a re-dispatched
-		// task restarting on the same node is a new journey and the
-		// auditor checks the two legs separately.
-		if k := len(sh.slices) - 1; k >= 0 && k >= sh.mergeFloor && sh.slices[k].Node == n.id &&
-			sh.slices[k].Seq == n.running.seq && sh.slices[k].To == from {
-			sh.slices[k].To = now
+		// Extend the node's latest slice when the same task continued
+		// (migrate cuts a re-dispatched task's old slices off, so its
+		// two journeys never merge).
+		if k := n.lastSlice; k >= 0 && s.slices[k].Seq == n.running.seq && s.slices[k].To == from {
+			s.slices[k].To = now
 		} else {
-			sh.slices = append(sh.slices, Slice{Node: n.id, Job: n.running.ID, Seq: n.running.seq, From: from, To: now})
+			n.lastSlice = len(s.slices)
+			s.slices = append(s.slices, Slice{Node: n.id, Job: n.running.ID, Seq: n.running.seq, From: from, To: now})
 		}
 	}
 }
 
 // remainingAt returns js's remaining work on node n, where js is
-// queued, at the node's shard time: the value syncNode would leave in
+// queued, at the engine clock: the value syncNode would leave in
 // js.Remaining at that instant, computed without writing it. Queries
 // and CheckInvariants read remaining work through it so they never
 // move a sync instant.
 func (s *Sim) remainingAt(n *nodeState, js *JobState) float64 {
-	dt := s.shards[n.shard].now - n.lastSync
+	dt := s.now - n.lastSync
 	if dt <= 0 || n.speed <= 0 {
 		return js.Remaining
 	}
@@ -802,9 +777,9 @@ func (s *Sim) remainingAt(n *nodeState, js *JobState) float64 {
 	return js.Remaining - done
 }
 
-// reschedule re-evaluates which task node v should run, scheduling or
-// cancelling its finish event as needed. Callers must have already
-// advanced time; reschedule syncs the node itself.
+// reschedule re-evaluates which task node v should run, moving,
+// setting or clearing its finish event as needed. Callers must have
+// already advanced time; reschedule syncs the node itself.
 func (s *Sim) reschedule(v tree.NodeID) { s.rescheduleWith(v, false) }
 
 // rescheduleForce reissues the finish event even when the running
@@ -818,7 +793,6 @@ func (s *Sim) rescheduleWith(v tree.NodeID, force bool) {
 		return
 	}
 	n := &s.nodes[v]
-	sh := &s.shards[n.shard]
 	s.syncNode(n)
 	if n.running != nil && !s.staticKey {
 		// The running task's key may depend on Remaining (SRPT);
@@ -829,7 +803,10 @@ func (s *Sim) rescheduleWith(v tree.NodeID, force bool) {
 	}
 	best := n.avail.min()
 	old := n.running
-	if best == old && !force {
+	if best == old && best != nil && !force {
+		// The running task's event stands unchanged. (An idle node
+		// whose task just finished or migrated goes on, to clear the
+		// event that task left.)
 		return
 	}
 	n.running = best
@@ -837,28 +814,25 @@ func (s *Sim) rescheduleWith(v tree.NodeID, force bool) {
 		// The snapshot counts every queued task but the running one.
 		n.fsnap.runningChanged(n, old)
 	}
-	n.finishSeq++
 	if n.leaf {
-		sh.fracRate -= n.fracContrib
+		s.fracRate -= n.fracContrib
 		n.fracContrib = 0
 	}
 	if best == nil {
+		s.events.clear(v)
 		return
 	}
 	if n.leaf {
 		n.fracContrib = best.FracWeight * n.speed / best.OrigOnCur
-		sh.fracRate += n.fracContrib
+		s.fracRate += n.fracContrib
 	}
 	if n.speed <= 0 {
 		// Outage: the task stays selected but cannot finish; the next
 		// fault boundary restores the speed and reschedules.
+		s.events.clear(v)
 		return
 	}
-	sh.pushEvent(finishEvent{
-		at:   sh.now + best.Remaining/n.speed,
-		node: v,
-		seq:  n.finishSeq,
-	})
+	s.events.set(v, s.now+best.Remaining/n.speed)
 }
 
 // reschedulePS is the processor-sharing variant: all available tasks
@@ -866,7 +840,6 @@ func (s *Sim) rescheduleWith(v tree.NodeID, force bool) {
 // remaining task and its finish time scales with the share count.
 func (s *Sim) reschedulePS(v tree.NodeID) {
 	n := &s.nodes[v]
-	sh := &s.shards[n.shard]
 	s.sync(v)
 	var best *JobState
 	for _, js := range n.avail.tasks() {
@@ -879,12 +852,12 @@ func (s *Sim) reschedulePS(v tree.NodeID) {
 	// Any change to the share count moves every deadline, so always
 	// reissue the event.
 	n.running = best
-	n.finishSeq++
 	if n.leaf {
-		sh.fracRate -= n.fracContrib
+		s.fracRate -= n.fracContrib
 		n.fracContrib = 0
 	}
 	if best == nil {
+		s.events.clear(v)
 		return
 	}
 	k := float64(n.avail.len())
@@ -894,223 +867,79 @@ func (s *Sim) reschedulePS(v tree.NodeID) {
 			contrib += js.FracWeight * (n.speed / k) / js.OrigOnCur
 		}
 		n.fracContrib = contrib
-		sh.fracRate += contrib
+		s.fracRate += contrib
 	}
 	if n.speed <= 0 {
-		return // outage: no completion until a boundary restores speed
+		s.events.clear(v) // outage: no completion until a boundary restores speed
+		return
 	}
-	sh.pushEvent(finishEvent{
-		at:   sh.now + best.Remaining*k/n.speed,
-		node: v,
-		seq:  n.finishSeq,
-	})
+	s.events.set(v, s.now+best.Remaining*k/n.speed)
 }
 
-// nextEvent returns shard sh's earliest live finish event without
-// removing it, discarding stale entries.
-func (s *Sim) nextEvent(sh *shardState) (finishEvent, bool) {
-	for len(sh.events) > 0 {
-		top := sh.events[0]
-		if s.nodes[top.node].finishSeq == top.seq {
-			return top, true
-		}
-		sh.popEvent()
-	}
-	return finishEvent{}, false
-}
-
-// advanceShard moves one shard's clock forward with no events in
-// between, accumulating its flow-time integrals. The instants a shard
-// advances through (all arrival releases, plus the shard's own events
-// and boundaries, plus the common drain end time) are the quadrature
-// points of those integrals, so they fix FracFlow's bits.
-func (s *Sim) advanceShard(sh *shardState, to float64) {
-	dt := to - sh.now
+// advance moves the clock forward to the next stop with no event in
+// between, accumulating the flow-time integrals. The clock stops at
+// every arrival, every finish event and every fault boundary; those
+// instants are the quadrature points of the integrals, so they fix
+// FracFlow's and ActiveIntegral's bits.
+func (s *Sim) advance(to float64) {
+	dt := to - s.now
 	if dt <= 0 {
 		return
 	}
-	sh.activeIntegral += float64(sh.activeTasks) * dt
-	sh.fracIntegral += sh.fracSum*dt - 0.5*sh.fracRate*dt*dt
-	sh.fracSum -= sh.fracRate * dt
-	if sh.fracSum < 0 {
-		sh.fracSum = 0 // floating-point guard
+	s.activeIntegral += float64(s.activeTasks) * dt
+	s.fracIntegral += s.fracSum*dt - 0.5*s.fracRate*dt*dt
+	s.fracSum -= s.fracRate * dt
+	if s.fracSum < 0 {
+		s.fracSum = 0 // floating-point guard
 	}
-	sh.now = to
+	s.now = to
 }
 
-// advanceShardTo processes shard k's events and fault boundaries up
-// to and including target and leaves the shard clock there. At equal
+// run processes finish events and fault boundaries in time order: up
+// to and including target, or all of them when drain is set. At equal
 // instants finish events win (a task completing exactly at an outage
-// start still completes), then boundaries.
-func (s *Sim) advanceShardTo(k int, target float64) {
-	sh := &s.shards[k]
+// start still completes), then boundaries; events tie by node, and
+// boundaries keep the schedule's (time, node) order.
+func (s *Sim) run(target float64, drain bool) {
 	for {
-		// Fast path: the heap top is the earliest queued entry (live or
-		// stale), so top.at > target means no event is due and the
-		// staleness validation (a random node lookup) can wait; stale
-		// tops beyond target stay queued and are discarded whenever the
-		// clock reaches them. Querying assigners hit this on every
-		// shard at every arrival.
-		if len(sh.events) == 0 || sh.events[0].at > target {
-			if s.opts.Faults == nil {
-				break
-			}
-			if b, ok := sh.peekBoundary(); !ok || b.At > target {
-				break
-			}
-		}
-		ev, evOK := s.nextEvent(sh)
+		evs := s.events.evs
 		if s.opts.Faults != nil {
-			if b, bOK := sh.peekBoundary(); bOK && b.At <= target && (!evOK || b.At < ev.at || ev.at > target) {
-				s.advanceShard(sh, b.At)
-				s.applyBoundary(sh, b)
+			if b, ok := s.peekBoundary(); ok && (drain || b.At <= target) &&
+				(len(evs) == 0 || b.At < evs[0].at) {
+				s.advance(b.At)
+				s.applyBoundary(b)
 				continue
 			}
 		}
-		if !evOK || ev.at > target {
-			break
+		if len(evs) == 0 || (!drain && evs[0].at > target) {
+			return
 		}
-		sh.popEvent()
-		s.advanceShard(sh, ev.at)
-		s.handleFinish(ev.node)
-	}
-	s.advanceShard(sh, target)
-}
-
-// drainShard processes every remaining event and boundary of shard k,
-// with the same tie order as advanceShardTo.
-func (s *Sim) drainShard(k int) {
-	sh := &s.shards[k]
-	for {
-		ev, evOK := s.nextEvent(sh)
-		if s.opts.Faults != nil {
-			if b, bOK := sh.peekBoundary(); bOK && (!evOK || b.At < ev.at) {
-				s.advanceShard(sh, b.At)
-				s.applyBoundary(sh, b)
-				continue
-			}
-		}
-		if !evOK {
-			break
-		}
-		sh.popEvent()
-		s.advanceShard(sh, ev.at)
+		ev := evs[0]
+		s.advance(ev.at)
 		s.handleFinish(ev.node)
 	}
 }
 
 // AdvanceTo processes all events (and fault boundaries) up to and
-// including the target time and leaves every shard's clock there.
-// Violated engine invariants panic with *InternalError; Drain,
-// ReplayOn, ReplayStreamOn and RunPacketized recover those into error
-// returns.
+// including the target time and leaves the clock there. Violated
+// engine invariants panic with *InternalError; Drain, ReplayOn,
+// ReplayStreamOn and RunPacketized recover those into error returns.
 func (s *Sim) AdvanceTo(target float64) {
 	if target < s.now-timeEps {
 		panic(fmt.Sprintf("sim: AdvanceTo(%v) before now=%v", target, s.now))
 	}
-	if s.interleavedMode() {
-		s.runInterleaved(target, false)
-	} else {
-		for k := range s.shards {
-			s.advanceShardTo(k, target)
-		}
-	}
-	s.now = target
+	s.run(target, false)
+	s.advance(target)
 }
 
-// interleavedMode reports whether events must be processed in one
-// global time order rather than shard by shard: Observers watch
-// cross-shard state at event granularity, and recovery re-dispatch
-// migrates tasks across shards.
-func (s *Sim) interleavedMode() bool {
-	return s.opts.Observer != nil ||
-		(s.opts.Faults != nil && s.opts.Faults.HasDeaths() && s.opts.Recovery == RecoverRedispatch)
-}
-
-// runInterleaved processes events of all shards in one global
-// (time, node) order. With an Observer every shard's clock advances in
-// lockstep at every event so the Observer sees a globally consistent
-// snapshot; otherwise only the event's shard advances (cross-shard
-// reads during re-dispatch deliberately see raw un-synced Remaining,
-// exactly as the single-heap engine did).
-func (s *Sim) runInterleaved(target float64, drain bool) {
-	lockstep := s.opts.Observer != nil
-	for {
-		evK, evOK := -1, false
-		var ev finishEvent
-		for k := range s.shards {
-			e, ok := s.nextEvent(&s.shards[k])
-			if ok && (!evOK || e.at < ev.at || (e.at == ev.at && e.node < ev.node)) {
-				evK, ev, evOK = k, e, true
-			}
-		}
-		if s.opts.Faults != nil {
-			if bK, b, bOK := s.peekGlobalBoundary(); bOK && (drain || b.At <= target) &&
-				(!evOK || b.At < ev.at || (!drain && ev.at > target)) {
-				s.advanceInterleaved(bK, b.At, lockstep)
-				s.applyBoundary(&s.shards[bK], b)
-				continue
-			}
-		}
-		if !evOK || (!drain && ev.at > target) {
-			break
-		}
-		s.shards[evK].popEvent()
-		s.advanceInterleaved(evK, ev.at, lockstep)
-		s.handleFinish(ev.node)
-	}
-	if !drain {
-		for k := range s.shards {
-			s.advanceShard(&s.shards[k], target)
-		}
-	}
-}
-
-// advanceInterleaved advances shard k (or, in lockstep, every shard)
-// to the next global event instant and tracks the global clock, which
-// re-dispatch decisions read.
-func (s *Sim) advanceInterleaved(k int, to float64, lockstep bool) {
-	if lockstep {
-		for i := range s.shards {
-			s.advanceShard(&s.shards[i], to)
-		}
-	} else {
-		s.advanceShard(&s.shards[k], to)
-	}
-	s.now = to
-}
-
-// Drain runs the engine until no tasks remain active. It returns a
-// *StuckError when tasks can no longer progress (a permanently lost
-// leaf under RecoverHold), a *InternalError when an engine invariant
-// or — with Instrument and RecordSlices set — the schedule audit
-// fails, and nil on a clean drain.
+// Drain runs the engine until no events or fault boundaries remain.
+// It returns a *StuckError when tasks can no longer progress (a
+// permanently lost leaf under RecoverHold), a *InternalError when an
+// engine invariant or — with Instrument and RecordSlices set — the
+// schedule audit fails, and nil on a clean drain.
 func (s *Sim) Drain() (err error) {
 	defer recoverInternal(&err)
-	if s.interleavedMode() {
-		s.runInterleaved(0, true)
-	} else {
-		for k := range s.shards {
-			s.drainShard(k)
-		}
-	}
-	return s.finishDrain()
-}
-
-// finishDrain aligns every shard at the common end time (the maximum
-// shard clock, in shard-index order so the alignment is deterministic)
-// and performs the end-of-run checks.
-func (s *Sim) finishDrain() error {
-	end := s.now
-	for k := range s.shards {
-		if s.shards[k].now > end {
-			end = s.shards[k].now
-		}
-	}
-	for k := range s.shards {
-		s.advanceShard(&s.shards[k], end)
-	}
-	s.now = end
+	s.run(0, true)
 	if act := s.Active(); act != 0 {
 		dumps, _ := dumpActive(s)
 		return &StuckError{Now: s.now, Active: act, Tasks: dumps}
@@ -1130,40 +959,35 @@ func (s *Sim) finishDrain() error {
 	return nil
 }
 
-// peekGlobalBoundary returns the earliest unapplied boundary across
-// all shards in the global (time, node) order, with its shard index.
-func (s *Sim) peekGlobalBoundary() (int, faults.Boundary, bool) {
-	bK, bOK := -1, false
-	var best faults.Boundary
-	for k := range s.shards {
-		b, ok := s.shards[k].peekBoundary()
-		if ok && (!bOK || b.At < best.At || (b.At == best.At && b.Node < best.Node)) {
-			bK, best, bOK = k, b, true
-		}
+// peekBoundary returns the next unapplied fault boundary.
+func (s *Sim) peekBoundary() (faults.Boundary, bool) {
+	bs := s.opts.Faults.Boundaries()
+	if s.faultIdx >= len(bs) {
+		return faults.Boundary{}, false
 	}
-	return bK, best, bOK
+	return bs[s.faultIdx], true
 }
 
 // applyDueBoundaries applies boundaries at or before the current time
 // (Inject's guard; AdvanceTo handles them during time travel).
 func (s *Sim) applyDueBoundaries() {
 	for {
-		k, b, ok := s.peekGlobalBoundary()
+		b, ok := s.peekBoundary()
 		if !ok || b.At > s.now {
 			return
 		}
-		s.applyBoundary(&s.shards[k], b)
+		s.applyBoundary(b)
 	}
 }
 
 // applyBoundary installs node b.Node's new fault-scaled speed; the
-// shard clock must already stand at b.At (or at the injection instant
-// for boundaries applied by Inject's guard). The node is synced under
+// clock must already stand at b.At (or at the injection instant for
+// boundaries applied by Inject's guard). The node is synced under
 // the old speed first, then the finish event is reissued since its
 // deadline scales with the speed. A permanent leaf loss triggers the
 // recovery policy.
-func (s *Sim) applyBoundary(sh *shardState, b faults.Boundary) {
-	sh.faultIdx++
+func (s *Sim) applyBoundary(b faults.Boundary) {
+	s.faultIdx++
 	n := &s.nodes[b.Node]
 	s.sync(b.Node)
 	n.speed = n.baseSpeed * s.opts.Faults.FactorAt(b.Node, b.At)
@@ -1237,18 +1061,11 @@ func (js *JobState) workOnLeaf(li int) float64 {
 // migrate re-dispatches one task from its current position to leaf
 // `to`: it restarts at the root of the new leaf's path with full
 // remaining work there (partial work on the abandoned journey is
-// lost), and the move is recorded as a Migration. Migration can cross
-// shards, which is why deaths under RecoverRedispatch switch the engine
-// to the global-order loop: the destination shard's clock is brought
-// up to the migration instant here (its earlier events were already
-// processed by that loop).
+// lost), and the move is recorded as a Migration.
 func (s *Sim) migrate(js *JobState, to tree.NodeID) {
 	cur := js.CurrentNode()
 	n := &s.nodes[cur]
-	src := &s.shards[n.shard]
-	now := src.now
-	dst := &s.shards[s.shardOf[to]]
-	s.advanceShard(dst, now)
+	now := s.now
 	s.sync(cur)
 	// The fractional-flow sum returns to a full remaining fraction
 	// once the task restarts.
@@ -1256,20 +1073,14 @@ func (s *Sim) migrate(js *JobState, to tree.NodeID) {
 	if js.Hop == len(js.Path)-1 {
 		frac = js.Remaining / js.OrigOnCur
 	}
-	if src == dst {
-		src.fracSum += js.FracWeight * (1 - frac)
-	} else {
-		src.fracSum -= js.FracWeight * frac
-		dst.fracSum += js.FracWeight
-		src.activeTasks--
-		dst.activeTasks++
-	}
+	s.fracSum += js.FracWeight * (1 - frac)
 	s.availRemove(cur, js)
 	if n.running == js {
+		// The node's event stays until rescheduleForce below moves or
+		// clears it.
 		n.running = nil
-		n.finishSeq++
 		if n.leaf {
-			src.fracRate -= n.fracContrib
+			s.fracRate -= n.fracContrib
 			n.fracContrib = 0
 		}
 	}
@@ -1284,8 +1095,16 @@ func (s *Sim) migrate(js *JobState, to tree.NodeID) {
 		// task that had reached the leaf was removed at availPush.)
 		s.upstreamWork[s.tree.LeafIndex(js.Leaf)] -= js.LeafWork
 	}
-	src.mergeFloor = len(src.slices)
-	dst.mergeFloor = len(dst.slices)
+	if s.opts.RecordSlices {
+		// The abandoned journey's slices are closed: a restart on one of
+		// its nodes opens a new slice, which the auditor checks as part
+		// of the new journey.
+		for _, v := range js.Path {
+			if k := s.nodes[v].lastSlice; k >= 0 && s.slices[k].Seq == js.seq {
+				s.nodes[v].lastSlice = -1
+			}
+		}
+	}
 	s.migrations = append(s.migrations, Migration{
 		Job: js.ID, Seq: js.seq, At: now, From: js.Leaf, To: to,
 		OldPath: js.Path, OldLeafWork: js.LeafWork,
@@ -1310,8 +1129,7 @@ func (s *Sim) Migrations() []Migration { return s.migrations }
 // handleFinish completes the running task on node v.
 func (s *Sim) handleFinish(v tree.NodeID) {
 	n := &s.nodes[v]
-	sh := &s.shards[n.shard]
-	now := sh.now
+	now := s.now
 	js := n.running
 	if js == nil {
 		panic(s.internalErr("handleFinish", "finish event on idle node %d", v))
@@ -1321,13 +1139,14 @@ func (s *Sim) handleFinish(v tree.NodeID) {
 		panic(s.internalErr("handleFinish", "task %d finished on node %d with %v remaining", js.ID, v, js.Remaining))
 	}
 	js.Remaining = 0
-	sh.eventCount++
+	s.eventCount++
 
+	// The node's event stays at the heap top until reschedule(v) below
+	// moves it to the node's next task or clears it.
 	s.availRemove(v, js)
 	n.running = nil
-	n.finishSeq++
 	if n.leaf {
-		sh.fracRate -= n.fracContrib
+		s.fracRate -= n.fracContrib
 		n.fracContrib = 0
 	}
 	if s.opts.Instrument {
@@ -1340,7 +1159,7 @@ func (s *Sim) handleFinish(v tree.NodeID) {
 		// Completed on the leaf machine.
 		js.Completed = true
 		js.Completion = now
-		sh.activeTasks--
+		s.activeTasks--
 		li := s.tree.LeafIndex(js.Leaf)
 		s.assignedRemove(li, js)
 		s.complete(js, li) // may recycle js: not referenced below
@@ -1435,40 +1254,18 @@ func (s *Sim) pendRemove(v tree.NodeID, js *JobState) {
 }
 
 // Active returns the number of incomplete tasks.
-func (s *Sim) Active() int {
-	active := 0
-	for k := range s.shards {
-		active += s.shards[k].activeTasks
-	}
-	return active
-}
+func (s *Sim) Active() int { return s.activeTasks }
 
 // Slices returns the exact processing record (requires
-// Options.RecordSlices). Slices are grouped by shard (root-child
-// subtree, in root-adjacent order) and within each shard appear in the
-// order work was performed; consecutive slices of one task on one node
-// are merged. With a single root branch this is plain time order. The
-// returned slice is an engine-owned buffer reused by the next call
-// after a Reset; copy it to retain.
+// Options.RecordSlices): one log, in the order the slices opened, in
+// which a node's consecutive slices of one task are merged. Live
+// engine state, reused after a Reset: read-only for callers, copy it
+// to retain.
 func (s *Sim) Slices() []Slice {
 	if !s.opts.RecordSlices {
 		panic("sim: Slices requires Options.RecordSlices")
 	}
-	s.sliceCat = s.sliceCat[:0]
-	for k := range s.shards {
-		s.sliceCat = append(s.sliceCat, s.shards[k].slices...)
-	}
-	return s.sliceCat
-}
-
-// ShardSlices returns shard k's processing record only (requires
-// Options.RecordSlices) — the per-shard view the auditor can verify
-// independently. Live engine state: read-only for callers.
-func (s *Sim) ShardSlices(k int) []Slice {
-	if !s.opts.RecordSlices {
-		panic("sim: ShardSlices requires Options.RecordSlices")
-	}
-	return s.shards[k].slices
+	return s.slices
 }
 
 // Tasks returns all tasks ever injected, in injection order, on an
@@ -1504,16 +1301,9 @@ type Stats struct {
 	Completed      int
 }
 
-// totals sums the per-shard running totals in shard-index order, which
-// fixes the floating-point result.
+// totals returns the engine's running totals.
 func (s *Sim) totals() (fracFlow, activeIntegral float64, events int64) {
-	for k := range s.shards {
-		sh := &s.shards[k]
-		fracFlow += sh.fracIntegral
-		activeIntegral += sh.activeIntegral
-		events += sh.eventCount
-	}
-	return fracFlow, activeIntegral, events
+	return s.fracIntegral, s.activeIntegral, s.eventCount
 }
 
 // Stats computes summary statistics of the run so far, summing the
@@ -1551,13 +1341,13 @@ func (s *Sim) Stats() Stats {
 }
 
 // NodeUtilization returns per-node (busyTime, workDone) up to the
-// node's shard time.
+// engine clock.
 func (s *Sim) NodeUtilization(v tree.NodeID) (busy, work float64) {
 	// Report includes the running task's progress up to now.
 	n := &s.nodes[v]
 	busy, work = n.busyTime, n.workDone
 	if n.running != nil && n.speed > 0 {
-		dt := s.shards[n.shard].now - n.lastSync
+		dt := s.now - n.lastSync
 		done := math.Min(dt*n.speed, n.running.Remaining)
 		busy += dt
 		work += done

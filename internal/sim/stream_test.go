@@ -53,6 +53,40 @@ func TestRunStreamMatchesRunOn(t *testing.T) {
 	}
 }
 
+// TestRunStreamCompletionOrder: a Sink receives completions in
+// completion order on trees with many root branches too — the emitted
+// Completion never decreases — and each job exactly once.
+func TestRunStreamCompletionOrder(t *testing.T) {
+	for _, c := range []struct {
+		tr   *tree.Tree
+		seed uint64
+	}{
+		{tree.FatTree(4, 1, 2), 21},
+		{tree.FatTree(2, 5, 1), 22},
+		{tree.FatTree(32, 1, 32), 23},
+	} {
+		trace := shardTestTrace(t, c.seed, 5000, float64(len(c.tr.RootAdjacent())))
+		k := &recordSink{}
+		if _, err := RunStream(c.tr, workload.NewTraceSource(trace), &rrAssigner{}, Options{RetainJobs: 1, Sink: k}); err != nil {
+			t.Fatal(err)
+		}
+		if len(k.rows) != len(trace.Jobs) {
+			t.Fatalf("%d branches: %d completions emitted for %d jobs", len(c.tr.RootAdjacent()), len(k.rows), len(trace.Jobs))
+		}
+		seen := make([]bool, len(trace.Jobs))
+		for i, m := range k.rows {
+			if seen[m.ID] {
+				t.Fatalf("job %d emitted twice", m.ID)
+			}
+			seen[m.ID] = true
+			if i > 0 && m.Completion < k.rows[i-1].Completion {
+				t.Fatalf("%d branches: completion %d (job %d at %v) emitted after job %d at %v",
+					len(c.tr.RootAdjacent()), i, m.ID, m.Completion, k.rows[i-1].ID, k.rows[i-1].Completion)
+			}
+		}
+	}
+}
+
 // TestRunStreamGeneratorMatchesMaterialized streams straight from a
 // Poisson generator (no trace ever exists) and checks against the
 // materialized pipeline with the same seed.

@@ -170,9 +170,9 @@ func TestTinySizes(t *testing.T) {
 	}
 }
 
-// TestCheckInvariantsIsPure runs 30 lockstep runs twice, once with an
-// Observer that calls CheckInvariants at every event and once with a
-// no-op Observer: checking the engine must not change it, so the
+// TestCheckInvariantsIsPure runs 30 runs twice, once with an Observer
+// that calls CheckInvariants at every event and once with a no-op
+// Observer: checking the engine must not change it, so the
 // NDJSON, stats and slice logs must be byte-identical.
 func TestCheckInvariantsIsPure(t *testing.T) {
 	tr := tree.FatTree(2, 2, 2)

@@ -15,7 +15,6 @@ package workload
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 
 	"treesched/internal/jsonfloat"
@@ -57,7 +56,6 @@ func AppendJob(dst []byte, j *Job) ([]byte, error) {
 }
 
 func jobFinite(j *Job) bool {
-	finite := func(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 	if !finite(j.Release) || !finite(j.Size) || !finite(j.Weight) {
 		return false
 	}

@@ -33,12 +33,24 @@ func FuzzRoundToClass(f *testing.F) {
 	})
 }
 
-// FuzzTraceValidate: Validate never panics on arbitrary job fields.
+// FuzzTraceValidate: Validate never panics on arbitrary job fields,
+// and a job it accepts has a finite positive size and a finite weight.
 func FuzzTraceValidate(f *testing.F) {
 	f.Add(0, 0.0, 1.0, 1.0)
 	f.Add(3, -1.0, 0.0, -2.0)
+	f.Add(0, 0.0, math.NaN(), 1.0)
+	f.Add(0, 0.0, math.Inf(1), 1.0)
+	f.Add(0, 0.0, math.Inf(-1), 1.0)
+	f.Add(0, 0.0, 1.0, math.NaN())
+	f.Add(0, 0.0, 1.0, math.Inf(1))
+	f.Add(0, 0.0, 1.0, math.Inf(-1))
 	f.Fuzz(func(t *testing.T, id int, release, size, weight float64) {
 		tr := &Trace{Jobs: []Job{{ID: id, Release: release, Size: size, Weight: weight}}}
-		_ = tr.Validate() // must not panic, any error is fine
+		if tr.Validate() != nil {
+			return
+		}
+		if !(size > 0) || math.IsInf(size, 0) || math.IsNaN(weight) || math.IsInf(weight, 0) {
+			t.Fatalf("accepted a job with size %v and weight %v", size, weight)
+		}
 	})
 }

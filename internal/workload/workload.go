@@ -70,21 +70,35 @@ func AssignWeights(r *rng.Rand, tr *Trace, maxWeight int) {
 	}
 }
 
-// Validate checks that the job is well formed.
+// Validate checks that the job is well formed: finite positive sizes,
+// a finite non-negative release and a finite weight.
 func (j *Job) Validate() error {
+	if !finite(j.Size) {
+		return fmt.Errorf("workload: job %d has non-finite size %v", j.ID, j.Size)
+	}
 	if j.Size <= 0 {
 		return fmt.Errorf("workload: job %d has non-positive size %v", j.ID, j.Size)
 	}
-	if j.Release < 0 || math.IsNaN(j.Release) || math.IsInf(j.Release, 0) {
+	if j.Release < 0 || !finite(j.Release) {
 		return fmt.Errorf("workload: job %d has invalid release %v", j.ID, j.Release)
 	}
 	for li, s := range j.LeafSizes {
+		if !finite(s) {
+			return fmt.Errorf("workload: job %d has non-finite size %v on leaf index %d", j.ID, s, li)
+		}
 		if s <= 0 {
 			return fmt.Errorf("workload: job %d has non-positive size %v on leaf index %d", j.ID, s, li)
 		}
 	}
+	if !finite(j.Weight) {
+		return fmt.Errorf("workload: job %d has non-finite weight %v", j.ID, j.Weight)
+	}
 	return nil
 }
+
+// finite reports whether x is neither NaN nor ±Inf. NaN fails every
+// comparison, so a check like x <= 0 alone lets it through.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // Trace is an ordered job sequence (ascending release times).
 type Trace struct {

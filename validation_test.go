@@ -1,0 +1,93 @@
+package treesched_test
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"treesched"
+)
+
+// fixedNode assigns every job to one node, leaf or not.
+type fixedNode treesched.NodeID
+
+func (fixedNode) Name() string { return "fixed" }
+func (f fixedNode) Assign(*treesched.Query, *treesched.Arrival) treesched.NodeID {
+	return treesched.NodeID(f)
+}
+
+// Invalid client input never reaches the engine: a non-finite size,
+// leaf size or weight, or an assigner's choice of a node outside the
+// tree, fails every driver with an error that names it — no panic, no
+// silently wrong flow.
+func TestInvalidInputRejected(t *testing.T) {
+	tr := treesched.FatTree(2, 2, 2)
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name     string
+		mutate   func(j *treesched.Job)
+		asg      func() treesched.Assigner
+		unrelate bool
+		want     string
+	}{
+		{"nan size greedy", func(j *treesched.Job) { j.Size = nan }, greedy, false, "workload: job 10 has non-finite size NaN"},
+		{"nan size roundrobin", func(j *treesched.Job) { j.Size = nan }, roundRobin, false, "workload: job 10 has non-finite size NaN"},
+		{"inf size greedy", func(j *treesched.Job) { j.Size = inf }, greedy, false, "workload: job 10 has non-finite size +Inf"},
+		{"inf size roundrobin", func(j *treesched.Job) { j.Size = inf }, roundRobin, false, "workload: job 10 has non-finite size +Inf"},
+		{"nan leaf size", func(j *treesched.Job) { j.LeafSizes[3] = nan }, roundRobin, true, "workload: job 10 has non-finite size NaN on leaf index 3"},
+		{"inf leaf size", func(j *treesched.Job) { j.LeafSizes[3] = inf }, roundRobin, true, "workload: job 10 has non-finite size +Inf on leaf index 3"},
+		{"nan weight", func(j *treesched.Job) { j.Weight = nan }, roundRobin, false, "workload: job 10 has non-finite weight NaN"},
+		{"inf weight", func(j *treesched.Job) { j.Weight = inf }, roundRobin, false, "workload: job 10 has non-finite weight +Inf"},
+		{"node below the tree", func(*treesched.Job) {}, func() treesched.Assigner { return fixedNode(-1) }, false,
+			`sim: assigner "fixed": sim: assignment to non-leaf node -1`},
+		{"node past the tree", func(*treesched.Job) {}, func() treesched.Assigner { return fixedNode(tr.NumNodes()) }, false,
+			fmt.Sprintf(`sim: assigner "fixed": sim: assignment to non-leaf node %d`, tr.NumNodes())},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			trace, err := treesched.PoissonTrace(1, 40, 0.9, tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.unrelate {
+				if err := treesched.MakeUnrelated(2, trace, tr, 0.5, 2); err != nil {
+					t.Fatal(err)
+				}
+			}
+			c.mutate(&trace.Jobs[10])
+			check := func(driver string, err error) {
+				t.Helper()
+				if err == nil || err.Error() != c.want {
+					t.Errorf("%s: got error %v, want %q", driver, err, c.want)
+				}
+			}
+			_, err = treesched.Run(tr, trace, c.asg(), treesched.Options{})
+			check("Run", err)
+			_, err = treesched.RunStream(tr, treesched.NewTraceSource(trace), c.asg(), treesched.Options{})
+			check("RunStream", err)
+			_, err = treesched.RunStream(tr, treesched.NewTraceSource(trace), c.asg(), treesched.Options{RetainJobs: 1})
+			check("RunStream retain=1", err)
+			_, err = treesched.RunPacketized(tr, trace, c.asg(), treesched.Options{})
+			check("RunPacketized", err)
+		})
+	}
+}
+
+// Sim.Inject rejects a node outside the tree before indexing by it.
+func TestInjectRejectsNodeOutsideTree(t *testing.T) {
+	tr := treesched.FatTree(2, 2, 2)
+	s := treesched.NewSim(tr, treesched.Options{})
+	for _, v := range []treesched.NodeID{-1, treesched.NodeID(tr.NumNodes()), 1} {
+		_, err := s.Inject(&treesched.Arrival{ID: 0, Size: 1}, v)
+		want := fmt.Sprintf("sim: assignment to non-leaf node %d", v)
+		if err == nil || err.Error() != want {
+			t.Errorf("Inject on node %d: got %v, want %q", v, err, want)
+		}
+	}
+	if s.Active() != 0 {
+		t.Fatalf("rejected injections left %d active tasks", s.Active())
+	}
+}
+
+func greedy() treesched.Assigner     { return treesched.NewGreedyIdentical(0.5) }
+func roundRobin() treesched.Assigner { return &treesched.RoundRobin{} }
