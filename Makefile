@@ -80,6 +80,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzJobEncode -fuzztime=10s ./internal/workload
 	$(GO) test -run=^$$ -fuzz=FuzzMetricsEncode -fuzztime=10s ./internal/sim
 	$(GO) test -run=^$$ -fuzz=FuzzAppend -fuzztime=10s ./internal/jsonfloat
+	$(GO) test -run=^$$ -fuzz=FuzzRunAccepted -fuzztime=10s .
 
 # Everything CI needs: build, vet, a gofmt check, the full tests (the
 # long property, constant-memory, fleet-determinism and serving-layer

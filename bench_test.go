@@ -51,7 +51,6 @@ func BenchmarkB4EngineThroughput(b *testing.B)     { benchExperiment(b, "B4", 0.
 func BenchmarkB5GreedyAblation(b *testing.B)       { benchExperiment(b, "B5", 0.05) }
 func BenchmarkB6Packetized(b *testing.B)           { benchExperiment(b, "B6", 0.05) }
 func BenchmarkB7ShadowVsDirect(b *testing.B)       { benchExperiment(b, "B7", 0.05) }
-func BenchmarkB8QueueAblation(b *testing.B)        { benchExperiment(b, "B8", 0.02) }
 func BenchmarkLP1Bounds(b *testing.B)              { benchExperiment(b, "LP1", 1) }
 func BenchmarkD1DualFitting(b *testing.B)          { benchExperiment(b, "D1", 0.05) }
 func BenchmarkX1ArbitraryOrigins(b *testing.B)     { benchExperiment(b, "X1", 0.05) }

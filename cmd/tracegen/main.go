@@ -20,8 +20,12 @@
 //
 // The flags assemble the workload half of a scenario.Scenario;
 // -scenario loads a full scenario instead and regenerates its trace,
-// and -dump-scenario prints the assembled scenario as JSON. With no
-// topology the load is calibrated against -capacity (default 1).
+// and -dump-scenario prints the assembled scenario as JSON. A scenario
+// with a topology is built as treesched builds it, so the trace is
+// the one its runs replay: the load is calibrated against the tree's
+// root-adjacent degree, unrelated sizes get one entry per leaf, and
+// the scenario's rng mode draws them. With no topology the load is
+// calibrated against -capacity (default 1).
 package main
 
 import (
@@ -32,7 +36,6 @@ import (
 	"strconv"
 	"strings"
 
-	"treesched/internal/rng"
 	"treesched/internal/scenario"
 	"treesched/internal/workload"
 )
@@ -118,11 +121,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	// Trace-only generation has no topology to derive capacity from.
-	if sc.Workload.Capacity == 0 {
-		sc.Workload.Capacity = 1
+	// One source feeds both outputs: -stream writes it, the JSON form
+	// collects it.
+	src, err := source(sc)
+	if err != nil {
+		return fail(err)
 	}
-
 	w := stdout
 	if *out != "" {
 		f, err := os.Create(*out)
@@ -134,15 +138,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	var st workload.TraceStats
 	if *stream {
-		src, err := sc.Workload.SourceFrom(rng.New(sc.Seed))
-		if err != nil {
-			return fail(err)
-		}
 		if st, err = workload.StreamNDJSON(src, w); err != nil {
 			return fail(err)
 		}
 	} else {
-		tr, err := sc.Workload.Generate(sc.Seed)
+		tr, err := workload.Collect(src)
 		if err != nil {
 			return fail(err)
 		}
@@ -154,6 +154,29 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stderr, "tracegen: %d jobs, total work %.4g, span %.4g, mean size %.4g, max size %.4g, offered %.4g/s\n",
 		st.Jobs, st.TotalWork, st.Span, st.MeanSize, st.MaxSize, st.OfferedPerSec)
 	return 0
+}
+
+// source returns the scenario's arrival source. With a topology it is
+// the built instance's, so topology-derived defaults and the rng mode
+// are the ones a run of the scenario uses; trace-only generation has
+// no topology and calibrates the load against capacity 1 unless the
+// workload names one.
+func source(sc *scenario.Scenario) (workload.ArrivalSource, error) {
+	if sc.Topology.Name != "" {
+		in, err := sc.Build()
+		if err != nil {
+			return nil, err
+		}
+		return in.NewSource()
+	}
+	if sc.Workload.Capacity == 0 {
+		sc.Workload.Capacity = 1
+	}
+	p, err := sc.NewPartition()
+	if err != nil {
+		return nil, err
+	}
+	return sc.Workload.SourceRNG(p)
 }
 
 // parseUnrelated parses the -unrelated flag, "LEAVES:lo,hi". Its error

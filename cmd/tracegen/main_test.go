@@ -161,3 +161,45 @@ func TestParseUnrelatedErrorMessages(t *testing.T) {
 		}
 	}
 }
+
+// -scenario F writes the trace a run of F replays, Build's
+// Instance.Trace: the load calibrated against the tree's capacity,
+// the scenario's rng mode, and unrelated sizes for every leaf.
+func TestScenarioTraceMatchesBuild(t *testing.T) {
+	for _, compact := range []string{
+		"topo=fattree:2,2,2 n=5 size=uniform:1,16 load=0.9 seed=3",
+		"topo=fattree:2,2,2 n=5 size=uniform:1,16 load=0.9 seed=3 rng=keyed",
+		"topo=fattree:2,2,2 n=5 size=uniform:1,16 load=0.9 seed=3 unrelated=0.5,2",
+	} {
+		t.Run(compact, func(t *testing.T) {
+			dir := t.TempDir()
+			file, out := filepath.Join(dir, "scenario.txt"), filepath.Join(dir, "trace.json")
+			if err := os.WriteFile(file, []byte(compact), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if code, _, errw := exec(t, "-scenario", file, "-o", out); code != 0 {
+				t.Fatalf("exit %d, stderr %q", code, errw)
+			}
+			f, err := os.Open(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			got, err := workload.ReadJSON(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc, err := scenario.ParseCompact(compact)
+			if err != nil {
+				t.Fatal(err)
+			}
+			in, err := sc.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Jobs, in.Trace.Jobs) {
+				t.Fatalf("tracegen wrote\n  %+v\nBuild generates\n  %+v", got.Jobs, in.Trace.Jobs)
+			}
+		})
+	}
+}

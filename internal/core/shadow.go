@@ -73,10 +73,17 @@ func NewShadow(t *tree.Tree, cfg ShadowConfig) (*Shadow, error) {
 // Name implements sim.Assigner.
 func (sh *Shadow) Name() string { return "Shadow(" + sh.pick.Name() + ")" }
 
+// RootOnly implements sim.RootOnlyAssigner: the broomstick reduction
+// is defined for root arrivals, so the drivers refuse a job with a
+// non-root origin before Assign sees it.
+func (*Shadow) RootOnly() {}
+
 // Assign implements sim.Assigner: it advances the broomstick
 // simulation to the arrival instant, lets the greedy rule choose a
 // broomstick leaf, injects the job there, and returns the
-// corresponding leaf of the original tree.
+// corresponding leaf of the original tree. When the greedy rule finds
+// no leaf (every cost overflowed to +Inf) it returns tree.None, which
+// the driver reports as an assignment to a non-leaf node.
 func (sh *Shadow) Assign(q *sim.Query, a *sim.Arrival) tree.NodeID {
 	if a.Origin != 0 {
 		panic("core: Shadow does not support the arbitrary-origin extension")
@@ -90,7 +97,7 @@ func (sh *Shadow) Assign(q *sim.Query, a *sim.Arrival) tree.NodeID {
 	}
 	leaf := sh.pick.Assign(sh.inner.Query(), ia)
 	if _, err := sh.inner.Inject(ia, leaf); err != nil {
-		panic(fmt.Sprintf("core: shadow injection failed: %v", err))
+		return tree.None
 	}
 	return sh.bs.ToOriginal[sh.bs.Reduced.LeafIndex(leaf)]
 }

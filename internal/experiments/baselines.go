@@ -20,7 +20,6 @@ func init() {
 	register(&Experiment{ID: "B5", Title: "Greedy assignment term ablation", Paper: "Section 3.4 assignment rule", Run: runB5})
 	register(&Experiment{ID: "B6", Title: "Store-and-forward vs packetized forwarding", Paper: "Section 2 remark", Run: runB6})
 	register(&Experiment{ID: "B7", Title: "Shadow-on-broomstick vs greedy directly on T", Paper: "Section 3.7", Run: runB7})
-	register(&Experiment{ID: "B8", Title: "Queue implementation ablation (heap vs scan)", Paper: "(engineering)", Run: runB8})
 }
 
 // runB1 is the headline baseline study: congestion-aware assignment
@@ -361,35 +360,6 @@ func runB7(cfg Config) (*Output, error) {
 		}
 	}
 	tb.AddNote("identical setting: the ratio is exactly 1 — the reduction adds a constant 2 to every leaf depth and leaves F per branch unchanged, so the broomstick argmin coincides with the direct argmin decision-for-decision. Unrelated setting: leaf queues evolve differently on T', so decisions (and flows) can diverge.")
-	out.add(tb)
-	return out, nil
-}
-
-// runB8 compares the two node-queue implementations.
-func runB8(cfg Config) (*Output, error) {
-	out := &Output{}
-	t := tree.FatTree(2, 2, 2)
-	n := cfg.scaled(15000)
-	trace := poisson(cfg.rng(1500), n, classSizes(0.5), 1.05, float64(len(t.RootAdjacent())))
-	tb := table.New("B8 — queue implementation ablation (overloaded, long queues)",
-		"queue", "total flow")
-	var flows []float64
-	for _, scan := range []bool{false, true} {
-		res, err := sim.Run(t, trace, core.NewGreedyIdentical(0.5), sim.Options{UseScanQueue: scan})
-		if err != nil {
-			return nil, err
-		}
-		name := "binary heap"
-		if scan {
-			name = "linear scan"
-		}
-		tb.AddRow(name, res.Stats.TotalFlow)
-		flows = append(flows, res.Stats.TotalFlow)
-	}
-	tb.AddNote("both implementations must produce identical schedules; the flow columns agree to float precision")
-	if len(flows) == 2 && (flows[0]-flows[1] > 1e-3 || flows[1]-flows[0] > 1e-3) {
-		tb.AddNote("WARNING: queue implementations diverged!")
-	}
 	out.add(tb)
 	return out, nil
 }

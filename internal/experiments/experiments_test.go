@@ -290,7 +290,7 @@ func TestA0AllPass(t *testing.T) {
 		t.Fatal(err)
 	}
 	tb := out.Tables[0]
-	if len(tb.Rows) < 8 {
+	if len(tb.Rows) < 7 {
 		t.Fatalf("scorecard has %d rows", len(tb.Rows))
 	}
 	for _, row := range tb.Rows {

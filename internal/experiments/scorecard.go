@@ -160,29 +160,8 @@ func runA0(cfg Config) (*Output, error) {
 			pass(lb <= res.Stats.TotalFlow+1e-6))
 	}
 
-	// Engine determinism + queue-implementation agreement.
-	{
-		t := tree.FatTree(2, 2, 2)
-		trace := poisson(cfg.rng(3006), n, classSizes(eps), 1.0, 2)
-		a, err := sim.Run(t, trace, core.NewGreedyIdentical(eps), sim.Options{})
-		if err != nil {
-			return nil, err
-		}
-		b, err := sim.Run(t, trace, core.NewGreedyIdentical(eps), sim.Options{UseScanQueue: true})
-		if err != nil {
-			return nil, err
-		}
-		diff := a.Stats.TotalFlow - b.Stats.TotalFlow
-		if diff < 0 {
-			diff = -diff
-		}
-		tb.AddRow("Engine: heap and scan queues produce one schedule",
-			fmt.Sprintf("%d jobs", n),
-			fmt.Sprintf("|flow diff| = %.2g", diff),
-			pass(diff < 1e-6))
-	}
 	_ = dualObj
-	tb.AddNote("each row compresses a full experiment (L1, L2, L3, L8, D1, LP1, T1, B8); see the corresponding sections for the complete sweeps")
+	tb.AddNote("each row compresses a full experiment (L1, L2, L3, L8, D1, LP1, T1); see the corresponding sections for the complete sweeps")
 	out.add(tb)
 	return out, nil
 }

@@ -245,7 +245,6 @@ func Run(sc *scenario.Scenario, opts Options) (*Result, error) {
 			Faults:       childFaults,
 			Engine: scenario.Engine{
 				Instrument:   sc.Engine.Instrument,
-				ScanQueue:    sc.Engine.ScanQueue,
 				RecordSlices: sc.Engine.RecordSlices,
 				RetainJobs:   sc.Engine.RetainJobs,
 			},

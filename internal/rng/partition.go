@@ -44,10 +44,8 @@ func NewPartitioned(key SimulationKey) *PartitionedRNG {
 // traces reproduce bit for bit.
 func NewLegacy(seed uint64) *PartitionedRNG { return LegacyFrom(New(seed)) }
 
-// LegacyFrom wraps an existing stream in a legacy-mode partition.
-// This is how the historical GenerateFrom(r)-style entry points keep
-// their exact semantics: the wrapped r is handed back for every
-// subsystem name.
+// LegacyFrom wraps an existing stream in a legacy-mode partition:
+// the wrapped r is handed back for every subsystem name.
 func LegacyFrom(r *Rand) *PartitionedRNG { return &PartitionedRNG{shared: r} }
 
 // Legacy reports whether the partition is in legacy single-stream

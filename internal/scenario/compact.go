@@ -20,8 +20,9 @@ import (
 // Keys: name topo process n size class load cap related unrelated
 // round maxweight policy assigner eps seed rng aseed speed speeds
 // horizon faults recovery fleet fleetpolicy trees retain and the
-// flags packetized instrument scanqueue slices stream serve. The
-// removed keys shards and split fail with an error naming the removal.
+// flags packetized instrument slices stream serve. The removed keys
+// shards and split and the removed flag scanqueue fail with an error
+// naming the removal.
 // Inline fault events, like inline jobs, are JSON-only. trees= lists
 // per-tree topology specs separated by semicolons
 // (trees=fattree:2,2,2;star:8).
@@ -141,9 +142,6 @@ func (sc *Scenario) Compact() (string, error) {
 	if sc.Engine.Instrument {
 		tok = append(tok, "instrument")
 	}
-	if sc.Engine.ScanQueue {
-		tok = append(tok, "scanqueue")
-	}
 	if sc.Engine.RecordSlices {
 		tok = append(tok, "slices")
 	}
@@ -187,7 +185,7 @@ func ParseCompact(input string) (*Scenario, error) {
 			case "instrument":
 				sc.Engine.Instrument = true
 			case "scanqueue":
-				sc.Engine.ScanQueue = true
+				return nil, errRemovedKey(key)
 			case "slices":
 				sc.Engine.RecordSlices = true
 			case "stream":

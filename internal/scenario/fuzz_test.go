@@ -18,7 +18,7 @@ func FuzzCompactRoundTrip(f *testing.F) {
 		"name=kitchen-sink topo=broomstick:2,4,2 process=bursty:12 n=500 size=pareto:1,1.5,200 " +
 			"class=0.25 load=0.85 cap=3 related=4,2,1 round=0.25 maxweight=8 " +
 			"policy=srpt assigner=leastvolume eps=0.25 seed=7 aseed=9 speed=2.5 horizon=64 " +
-			"packetized instrument scanqueue slices",
+			"packetized instrument slices",
 		"topo=star:6 unrelated=0.5,2,0.2,8,16 speeds=1,2.25,2.25 assigner=shadow",
 		"process=adversarial:32 n=120 assigner=jsq",
 		"topo=line:5 load=1e-3 seed=18446744073709551615",

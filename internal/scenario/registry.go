@@ -104,19 +104,14 @@ type SizeEntry struct {
 	Build  func(args []float64) workload.SizeDist
 }
 
-// ProcessEntry is one named arrival process. Build draws from r and
-// must be the only consumer of r during generation so scenario seeds
-// stay reproducible.
+// ProcessEntry is one named arrival process. Source returns its
+// generator, which draws from r and must be the only consumer of r
+// during generation so scenario seeds stay reproducible. A
+// materialized trace is that source's jobs, collected.
 type ProcessEntry struct {
 	Name   string
 	Params []Param
-	Build  func(r *rng.Rand, cfg workload.GenConfig, args []float64) (*workload.Trace, error)
-	// Stream, when set, is the process's streaming constructor: it
-	// must draw from r in exactly Build's per-job order, so a
-	// streamed workload is bit-identical to the materialized one.
-	// Processes without it are materialized behind a TraceSource when
-	// streamed.
-	Stream func(r *rng.Rand, cfg workload.GenConfig, args []float64) (workload.ArrivalSource, error)
+	Source func(r *rng.Rand, cfg workload.GenConfig, args []float64) (workload.ArrivalSource, error)
 }
 
 // PolicyEntry is one named node scheduling policy.
@@ -304,20 +299,14 @@ func init() {
 
 	RegisterProcess(ProcessEntry{
 		Name: "poisson",
-		Build: func(r *rng.Rand, cfg workload.GenConfig, _ []float64) (*workload.Trace, error) {
-			return workload.Poisson(r, cfg)
-		},
-		Stream: func(r *rng.Rand, cfg workload.GenConfig, _ []float64) (workload.ArrivalSource, error) {
+		Source: func(r *rng.Rand, cfg workload.GenConfig, _ []float64) (workload.ArrivalSource, error) {
 			return workload.NewPoissonSource(r, cfg)
 		},
 	})
 	RegisterProcess(ProcessEntry{
 		Name:   "bursty",
 		Params: []Param{{"burst", true}},
-		Build: func(r *rng.Rand, cfg workload.GenConfig, a []float64) (*workload.Trace, error) {
-			return workload.Bursty(r, cfg, int(a[0]))
-		},
-		Stream: func(r *rng.Rand, cfg workload.GenConfig, a []float64) (workload.ArrivalSource, error) {
+		Source: func(r *rng.Rand, cfg workload.GenConfig, a []float64) (workload.ArrivalSource, error) {
 			return workload.NewBurstySource(r, cfg, int(a[0]))
 		},
 	})
@@ -325,10 +314,7 @@ func init() {
 		Name:   "adversarial",
 		Params: []Param{{"bigsize", false}},
 		// Adversarial ignores the size law and load entirely.
-		Build: func(r *rng.Rand, cfg workload.GenConfig, a []float64) (*workload.Trace, error) {
-			return workload.Adversarial(r, cfg.N, a[0]), nil
-		},
-		Stream: func(r *rng.Rand, cfg workload.GenConfig, a []float64) (workload.ArrivalSource, error) {
+		Source: func(r *rng.Rand, cfg workload.GenConfig, a []float64) (workload.ArrivalSource, error) {
 			return workload.NewAdversarialSource(cfg.N, a[0]), nil
 		},
 	})
@@ -625,47 +611,4 @@ func ParseAssigner(name string, ctx AssignerContext) (sim.Assigner, error) {
 		return nil, err
 	}
 	return e.Build(ctx)
-}
-
-// buildProcess generates a trace via the named arrival process.
-func buildProcess(s Spec, r *rng.Rand, cfg workload.GenConfig) (*workload.Trace, error) {
-	name := s.Name
-	if name == "" {
-		name = "poisson"
-	}
-	e, err := processReg.lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	if len(s.Args) != len(e.Params) {
-		return nil, fmt.Errorf("%s needs %s", name, paramNames(e.Params))
-	}
-	return e.Build(r, cfg, s.Args)
-}
-
-// buildProcessSource returns a streaming source for the named arrival
-// process. Processes without a Stream constructor (custom
-// registrations) are materialized behind a TraceSource; either way
-// the rng draws happen in the materialized order, so downstream
-// results are bit-identical.
-func buildProcessSource(s Spec, r *rng.Rand, cfg workload.GenConfig) (workload.ArrivalSource, error) {
-	name := s.Name
-	if name == "" {
-		name = "poisson"
-	}
-	e, err := processReg.lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	if len(s.Args) != len(e.Params) {
-		return nil, fmt.Errorf("%s needs %s", name, paramNames(e.Params))
-	}
-	if e.Stream == nil {
-		tr, err := e.Build(r, cfg, s.Args)
-		if err != nil {
-			return nil, err
-		}
-		return workload.NewTraceSource(tr), nil
-	}
-	return e.Stream(r, cfg, s.Args)
 }

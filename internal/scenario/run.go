@@ -135,7 +135,6 @@ func (sc *Scenario) Build() (*Instance, error) {
 		Opts: sim.Options{
 			Policy:       pol,
 			Instrument:   sc.Engine.Instrument,
-			UseScanQueue: sc.Engine.ScanQueue,
 			RecordSlices: sc.Engine.RecordSlices,
 			RetainJobs:   sc.Engine.RetainJobs,
 		},

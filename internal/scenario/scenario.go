@@ -61,21 +61,12 @@ type Workload struct {
 	Jobs []workload.Job `json:"jobs,omitempty"`
 }
 
-// Generate produces the trace. Leaves-dependent transforms require
+// Generate produces the trace under the legacy single-stream
+// discipline seeded by seed. Leaves-dependent transforms require
 // Unrelated.Leaves / len(RelatedSpeeds) to be resolved; Scenario.Build
-// fills them from the topology before calling this.
+// fills them from the topology before calling GenerateRNG.
 func (w *Workload) Generate(seed uint64) (*workload.Trace, error) {
-	return w.GenerateFrom(rng.New(seed))
-}
-
-// GenerateFrom produces the trace drawing from an existing single rng
-// stream in the legacy order (see GenerateRNG): arrival and size
-// draws interleave per job, then the unrelated transform, then
-// weights — the same order every hand-wired construction in this repo
-// used, so a Workload with the same seed reproduces those traces bit
-// for bit.
-func (w *Workload) GenerateFrom(r *rng.Rand) (*workload.Trace, error) {
-	return w.GenerateRNG(rng.LegacyFrom(r))
+	return w.GenerateRNG(rng.NewLegacy(seed))
 }
 
 // GenerateRNG produces the trace drawing from a partitioned rng: the
@@ -88,6 +79,11 @@ func (w *Workload) GenerateFrom(r *rng.Rand) (*workload.Trace, error) {
 // historical single-stream order and pre-refactor traces reproduce
 // bit for bit (pinned by TestLegacyDrawOrder and the equivalence
 // suites).
+//
+// The trace is the arrival source SourceRNG streams (the process with
+// related speeds applied per job), collected, followed by the
+// whole-trace passes in order: the unrelated transform, class
+// rounding, weights.
 func (w *Workload) GenerateRNG(p *rng.PartitionedRNG) (*workload.Trace, error) {
 	if len(w.Jobs) > 0 {
 		tr := &workload.Trace{Jobs: append([]workload.Job(nil), w.Jobs...)}
@@ -96,28 +92,13 @@ func (w *Workload) GenerateRNG(p *rng.PartitionedRNG) (*workload.Trace, error) {
 		}
 		return tr, nil
 	}
-	var size workload.SizeDist
-	if w.Size.Name != "" {
-		var err error
-		size, err = BuildSize(w.Size)
-		if err != nil {
-			return nil, err
-		}
-		if w.ClassEps > 0 {
-			size = workload.ClassRounded{Base: size, Eps: w.ClassEps}
-		}
-	}
-	tr, err := buildProcess(w.Process, p.Stream("workload"), workload.GenConfig{
-		N: w.N, Size: size, Load: w.Load, Capacity: w.Capacity,
-		SizeRand: p.Stream("sizes"),
-	})
+	src, err := w.processSource(p)
 	if err != nil {
 		return nil, err
 	}
-	if len(w.RelatedSpeeds) > 0 {
-		if err := workload.MakeRelated(tr, w.RelatedSpeeds); err != nil {
-			return nil, err
-		}
+	tr, err := workload.Collect(src)
+	if err != nil {
+		return nil, err
 	}
 	if u := w.Unrelated; u != nil {
 		if u.Leaves <= 0 {
@@ -249,8 +230,6 @@ type Engine struct {
 	Packetized bool `json:"packetized,omitempty"`
 	// Instrument records per-hop timings.
 	Instrument bool `json:"instrument,omitempty"`
-	// ScanQueue selects the linear-scan node queue.
-	ScanQueue bool `json:"scan_queue,omitempty"`
 	// RecordSlices records the execution slices (Gantt input).
 	RecordSlices bool `json:"record_slices,omitempty"`
 	// Stream runs the scenario through the streaming pipeline
@@ -394,7 +373,7 @@ func ReadJSON(r io.Reader) (*Scenario, error) {
 	sc := &Scenario{}
 	if err := dec.Decode(sc); err != nil {
 		// DisallowUnknownFields would call a removed key unknown.
-		for _, key := range []string{"shards", "split"} {
+		for _, key := range []string{"shards", "split", "scan_queue"} {
 			if err.Error() == `json: unknown field "`+key+`"` {
 				return nil, errRemovedKey(key)
 			}
@@ -405,10 +384,14 @@ func ReadJSON(r io.Reader) (*Scenario, error) {
 }
 
 // errRemovedKey rejects an engine setting that no longer exists (the
-// former worker count and sub-shard split), naming the removal rather
-// than reporting an unknown key.
+// former worker count, sub-shard split and scan-queue switch), naming
+// the removal rather than reporting an unknown key.
 func errRemovedKey(key string) error {
-	return fmt.Errorf("scenario: key %q was removed: the engine runs one sequential event loop", key)
+	why := "the engine runs one sequential event loop"
+	if key == "scanqueue" || key == "scan_queue" {
+		why = "a node queue is a heap, or a linear scan under processor sharing"
+	}
+	return fmt.Errorf("scenario: key %q was removed: %s", key, why)
 }
 
 // Load parses either a JSON document (first non-space byte '{') or a

@@ -154,7 +154,7 @@ func sampleScenarios() []*Scenario {
 			Policy: "srpt", Assigner: "leastvolume", Eps: 0.25, Seed: 42, AssignerSeed: 99,
 			Speed:   Speed{Uniform: 2.5},
 			Horizon: 64,
-			Engine:  Engine{Instrument: true, ScanQueue: true, RecordSlices: true},
+			Engine:  Engine{Instrument: true, RecordSlices: true},
 		},
 		{
 			Topology: NewSpec("fattree", 2, 2, 2),
@@ -274,16 +274,20 @@ func TestParseCompactErrors(t *testing.T) {
 	}
 }
 
-// The former worker-count and sub-shard keys fail in both scenario
-// forms with an error naming the removal, not as an unknown key.
+// The former worker-count, sub-shard and scan-queue keys fail in both
+// scenario forms with an error naming the removal, not as an unknown
+// key.
 func TestRemovedEngineKeys(t *testing.T) {
-	for _, c := range []struct{ input, key string }{
-		{"topo=star:4 n=10 shards=4", "shards"},
-		{"topo=star:4 n=10 split=2", "split"},
-		{`{"engine": {"shards": 4}}`, "shards"},
-		{`{"engine": {"stream": true, "split": 2}}`, "split"},
+	const loop, queue = "the engine runs one sequential event loop", "a node queue is a heap, or a linear scan under processor sharing"
+	for _, c := range []struct{ input, key, why string }{
+		{"topo=star:4 n=10 shards=4", "shards", loop},
+		{"topo=star:4 n=10 split=2", "split", loop},
+		{`{"engine": {"shards": 4}}`, "shards", loop},
+		{`{"engine": {"stream": true, "split": 2}}`, "split", loop},
+		{"topo=star:4 n=10 scanqueue", "scanqueue", queue},
+		{`{"engine": {"scan_queue": true}}`, "scan_queue", queue},
 	} {
-		want := `scenario: key "` + c.key + `" was removed: the engine runs one sequential event loop`
+		want := `scenario: key "` + c.key + `" was removed: ` + c.why
 		if _, err := Load([]byte(c.input)); err == nil || err.Error() != want {
 			t.Errorf("Load(%s): got %v, want %q", c.input, err, want)
 		}

@@ -1,10 +1,9 @@
 // Streaming scenario support: deciding when a workload can be
 // generated one job at a time, building the ArrivalSource, and the
-// stream-aware run paths of Instance and Runner. The invariant
-// throughout: a source draws from a fresh partition of the
-// scenario's seed in exactly the order GenerateRNG would (in legacy
-// mode, the historical single rng.New(Seed) stream), so streamed and
-// materialized runs are bit-identical.
+// stream-aware run paths of Instance and Runner. A materialized trace
+// is the same arrival source collected (GenerateRNG), so a source
+// drawn from a fresh partition of the scenario's seed yields the
+// trace's jobs bit for bit.
 package scenario
 
 import (
@@ -26,20 +25,13 @@ func (w *Workload) Streamable() bool {
 	return len(w.Jobs) == 0 && w.Unrelated == nil && w.MaxWeight == 0
 }
 
-// SourceFrom returns an ArrivalSource for the workload drawing from
-// r under the legacy single-stream discipline. Topology-derived
+// SourceRNG returns an ArrivalSource for the workload drawing from
+// p: arrivals from the "workload" stream and sizes from "sizes", the
+// jobs GenerateRNG collects (in legacy mode both names alias one
+// stream, which is exactly the historical order). Topology-derived
 // defaults (Capacity, Unrelated.Leaves) must be resolved, exactly as
-// for GenerateFrom. Non-streamable workloads materialize internally;
-// either way the rng draws and the yielded jobs match GenerateFrom
-// bit for bit.
-func (w *Workload) SourceFrom(r *rng.Rand) (workload.ArrivalSource, error) {
-	return w.SourceRNG(rng.LegacyFrom(r))
-}
-
-// SourceRNG is SourceFrom over a partition: arrivals draw from the
-// "workload" stream and sizes from "sizes", matching GenerateRNG
-// draw for draw (in legacy mode both names alias one stream, which
-// is exactly the historical order).
+// for GenerateRNG. Workloads that are not Streamable are generated
+// whole and wrapped in a TraceSource.
 func (w *Workload) SourceRNG(p *rng.PartitionedRNG) (workload.ArrivalSource, error) {
 	if !w.Streamable() {
 		tr, err := w.GenerateRNG(p)
@@ -48,31 +40,50 @@ func (w *Workload) SourceRNG(p *rng.PartitionedRNG) (workload.ArrivalSource, err
 		}
 		return workload.NewTraceSource(tr), nil
 	}
+	src, err := w.processSource(p)
+	if err != nil {
+		return nil, err
+	}
+	if w.RoundEps > 0 {
+		src = workload.NewClassRoundSource(src, w.RoundEps)
+	}
+	return src, nil
+}
+
+// processSource builds the workload's arrival process from the
+// registry, with related speeds applied per job: the part of
+// generation that GenerateRNG collects and SourceRNG streams.
+func (w *Workload) processSource(p *rng.PartitionedRNG) (workload.ArrivalSource, error) {
 	var size workload.SizeDist
 	if w.Size.Name != "" {
 		var err error
-		size, err = BuildSize(w.Size)
-		if err != nil {
+		if size, err = BuildSize(w.Size); err != nil {
 			return nil, err
 		}
 		if w.ClassEps > 0 {
 			size = workload.ClassRounded{Base: size, Eps: w.ClassEps}
 		}
 	}
-	src, err := buildProcessSource(w.Process, p.Stream("workload"), workload.GenConfig{
+	name := w.Process.Name
+	if name == "" {
+		name = "poisson"
+	}
+	e, err := processReg.lookup(name)
+	if err != nil {
+		return nil, err
+	}
+	if len(w.Process.Args) != len(e.Params) {
+		return nil, fmt.Errorf("%s needs %s", name, paramNames(e.Params))
+	}
+	src, err := e.Source(p.Stream("workload"), workload.GenConfig{
 		N: w.N, Size: size, Load: w.Load, Capacity: w.Capacity,
 		SizeRand: p.Stream("sizes"),
-	})
+	}, w.Process.Args)
 	if err != nil {
 		return nil, err
 	}
 	if len(w.RelatedSpeeds) > 0 {
-		if src, err = workload.NewRelatedSource(src, w.RelatedSpeeds); err != nil {
-			return nil, err
-		}
-	}
-	if w.RoundEps > 0 {
-		src = workload.NewClassRoundSource(src, w.RoundEps)
+		return workload.NewRelatedSource(src, w.RelatedSpeeds)
 	}
 	return src, nil
 }

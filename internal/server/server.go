@@ -594,14 +594,12 @@ func (s *Server) admitBatch(batch []workload.Job) batchResult {
 			stop(admitInvalid, err)
 			break
 		}
-		if j.LeafSizes != nil && len(j.LeafSizes) != len(s.inst.Tree.Leaves()) {
+		// The engine makes the same check per arrival; making it here
+		// too turns a bad job into a 400 instead of an engine error
+		// that would refuse every later batch.
+		if err := sim.CheckArrival(s.inst.Tree, s.inst.Assigner, j); err != nil {
 			s.rejected++
-			stop(admitInvalid, fmt.Errorf("server: job has %d leaf sizes for a %d-leaf tree", len(j.LeafSizes), len(s.inst.Tree.Leaves())))
-			break
-		}
-		if o := int(j.Origin); o < 0 || o >= s.inst.Tree.NumNodes() {
-			s.rejected++
-			stop(admitInvalid, fmt.Errorf("server: job origin %d outside the %d-node tree", o, s.inst.Tree.NumNodes()))
+			stop(admitInvalid, err)
 			break
 		}
 		if dead {

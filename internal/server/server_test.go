@@ -483,6 +483,40 @@ func TestAdmissionValidation(t *testing.T) {
 	}
 }
 
+// A non-root origin offered to shadow, which places root arrivals
+// only, is refused at admission with a 400 naming the job's origin; it
+// never reaches the engine, so the daemon keeps serving.
+func TestRootOnlyAssignerRefusesOrigin(t *testing.T) {
+	sc := serveScenario(t, "topo=fattree:2,2,2 speed=1.5 assigner=shadow serve")
+	_, cl, ts := startDaemon(t, Config{Scenario: sc})
+	resp, err := http.Post(ts.URL+"/jobs", ndjsonType, strings.NewReader(`{"Release":0,"Size":1,"Origin":1}`+"\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res AdmitResult
+	err = json.NewDecoder(resp.Body).Decode(&res)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `job 0 of the batch: sim: job 0 origin 1: assigner "Shadow(GreedyIdentical)" places root arrivals only`
+	if resp.StatusCode != http.StatusBadRequest || res.Error != want {
+		t.Fatalf("status %d error %q, want 400 and %q", resp.StatusCode, res.Error, want)
+	}
+	ctx := context.Background()
+	r, err := cl.Submit(ctx, []workload.Job{{Release: 1, Size: 1}, {Release: 2, Size: 2}})
+	if err != nil || r.Accepted != 2 {
+		t.Fatalf("submit after the refused job: %+v, %v", r, err)
+	}
+	st, err := cl.Drain(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Completed != 2 || st.Rejected != 1 {
+		t.Fatalf("after drain: completed %d rejected %d, want 2 and 1", st.Completed, st.Rejected)
+	}
+}
+
 // A mid-batch zero-size job: NaN via JSON null is covered above; this
 // pins that nothing before the bad job is lost and IDs stay dense.
 func TestDenseIDsAcrossPartialBatches(t *testing.T) {

@@ -84,7 +84,8 @@ func (e *StuckError) Error() string {
 }
 
 // InternalError reports a violated engine invariant (a bug, not a
-// user error): the failing operation, the simulation time, and a
+// user error) or a completion time past math.MaxFloat64: the failing
+// operation, the simulation time, and a
 // snapshot of the active tasks. The engine panics with *InternalError
 // at the point of detection; Drain, ReplayOn, ReplayStreamOn and
 // RunPacketized recover it into an ordinary error return.

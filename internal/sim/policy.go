@@ -132,7 +132,7 @@ func (LCFS) StaticKeyPolicy() {}
 // dense non-negative ints and seqs non-negative int64s, so the
 // subtractions cannot overflow and d's sign decides both tiers in a
 // single branch. This is the hottest comparison in the engine (every
-// heap sift calls it); see the B8 heap-vs-scan ablation benchmark.
+// heap sift calls it).
 func higherPriority(k1, k2 float64, kid int, kseq int64, l1, l2 float64, lid int, lseq int64) bool {
 	if k1 != l1 {
 		return k1 < l1
@@ -157,6 +157,16 @@ type Assigner interface {
 	// chosen leaf. It must return a leaf of q.Tree(); for jobs with a
 	// non-root Origin it must choose a leaf below the origin.
 	Assign(q *Query, j *Arrival) tree.NodeID
+}
+
+// RootOnlyAssigner marks an Assigner that places root arrivals only:
+// it does not implement the arbitrary-origin extension, so
+// CheckArrival refuses a job with a non-root Origin before Assign
+// sees it.
+type RootOnlyAssigner interface {
+	Assigner
+	// RootOnly is a marker method with no behavior.
+	RootOnly()
 }
 
 // Arrival is the assigner's view of an arriving job.

@@ -2,9 +2,10 @@ package sim
 
 // taskQueue holds the jobs available on one node and yields the
 // highest-priority (smallest-key) one. Two implementations exist: a
-// binary heap (default, O(log n) updates) and a linear-scan reference
-// used to cross-check the heap in property tests and in the queue
-// ablation benchmark (experiment B8).
+// binary heap (default, O(log n) updates) and a linear scan, which
+// processor sharing runs on (it shares work out over tasks() in the
+// scan queue's order) and which the property tests use as the heap's
+// reference.
 type taskQueue interface {
 	push(js *JobState)
 	remove(js *JobState)

@@ -60,7 +60,6 @@ func TestResetChangesOptions(t *testing.T) {
 	optSets := []Options{
 		{},
 		{Policy: PS{}},
-		{UseScanQueue: true},
 		{},
 		{Instrument: true},
 		{},

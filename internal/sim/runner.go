@@ -129,13 +129,34 @@ func (s *Sim) replay(trace *workload.Trace, asg Assigner, packets bool) error {
 	return s.Drain()
 }
 
-// arrive is the per-arrival step every driver shares: it checks j's
-// leaf-size vector against the tree, advances the engine to j's
+// CheckArrival makes the checks of j that depend on the tree t and the
+// assigner asg: a leaf-size vector, when present, has one entry per
+// leaf; the origin is a node of t; and a non-root origin goes only to
+// an assigner that places such jobs. Every driver's per-arrival step
+// calls it, and so does the daemon's admission, which refuses a bad
+// job before it can reach the engine loop.
+func CheckArrival(t *tree.Tree, asg Assigner, j *workload.Job) error {
+	if n := len(t.Leaves()); j.LeafSizes != nil && len(j.LeafSizes) != n {
+		return fmt.Errorf("sim: job %d has %d leaf sizes for a %d-leaf tree", j.ID, len(j.LeafSizes), n)
+	}
+	if j.Origin != 0 {
+		if o := int(j.Origin); o < 0 || o >= t.NumNodes() {
+			return fmt.Errorf("sim: job %d origin %d outside the %d-node tree", j.ID, o, t.NumNodes())
+		}
+		if _, rootOnly := asg.(RootOnlyAssigner); rootOnly {
+			return fmt.Errorf("sim: job %d origin %d: assigner %q places root arrivals only", j.ID, j.Origin, asg.Name())
+		}
+	}
+	return nil
+}
+
+// arrive is the per-arrival step every driver shares: it checks j
+// against the tree and the assigner, advances the engine to j's
 // release, consults the assigner, and injects the job on the chosen
 // leaf — whole, or split into unit packets for RunPacketized.
 func (s *Sim) arrive(j *workload.Job, asg Assigner, packets bool) error {
-	if n := len(s.tree.Leaves()); j.LeafSizes != nil && len(j.LeafSizes) != n {
-		return fmt.Errorf("sim: job %d has %d leaf sizes for a %d-leaf tree", j.ID, len(j.LeafSizes), n)
+	if err := CheckArrival(s.tree, asg, j); err != nil {
+		return err
 	}
 	s.AdvanceTo(j.Release)
 	// Passing a local Arrival through the Assigner interface makes it

@@ -125,8 +125,6 @@ type Options struct {
 	// a task's state the moment it completes and keeps only its
 	// JobMetrics record.
 	Instrument bool
-	// UseScanQueue selects the O(n) reference queue (experiment B8).
-	UseScanQueue bool
 	// SelfCheck enables internal invariant assertions (tests).
 	SelfCheck bool
 	// Observer, when set, is called after every state change (task
@@ -315,9 +313,9 @@ func New(t *tree.Tree, opts Options) *Sim {
 }
 
 // applyOptions installs opts, building or clearing the per-node queues
-// as needed. The queue implementation depends on the options (scan for
-// PS and UseScanQueue, heap otherwise), so a Reset that changes either
-// rebuilds the queues; otherwise they are emptied in place.
+// as needed. The queue implementation depends on the policy (scan for
+// PS, heap otherwise), so a Reset that switches to or from PS rebuilds
+// the queues; otherwise they are emptied in place.
 func (s *Sim) applyOptions(opts Options) {
 	if opts.Policy == nil {
 		opts.Policy = SJF{}
@@ -329,8 +327,7 @@ func (s *Sim) applyOptions(opts Options) {
 	_, ps := opts.Policy.(PS)
 	// Processor sharing recomputes the next completion by scanning,
 	// so the heap's cached keys would be stale.
-	scan := opts.UseScanQueue || ps
-	prevScan := s.opts.UseScanQueue || s.ps
+	prevPS := s.ps
 	s.opts = opts
 	s.ps = ps
 	_, s.staticKey = opts.Policy.(StaticKeyPolicy)
@@ -341,8 +338,8 @@ func (s *Sim) applyOptions(opts Options) {
 		// own t=0 boundaries re-apply active faults).
 		n.speed = n.baseSpeed
 		switch {
-		case n.avail == nil || scan != prevScan:
-			if scan {
+		case n.avail == nil || ps != prevPS:
+			if ps {
 				n.avail = newScanQueue()
 			} else {
 				n.avail = newHeapQueue()
@@ -377,8 +374,7 @@ func (s *Sim) applyOptions(opts Options) {
 // arena, instrumentation slices), so replaying traces on one engine
 // approaches zero allocations per run. opts may differ arbitrarily
 // from the previous run's options — changing Policy, Instrument,
-// UseScanQueue, Faults, etc. is supported and the engine reconfigures
-// itself.
+// Faults, etc. is supported and the engine reconfigures itself.
 //
 // Reset recycles every JobState the previous run still held — the
 // live tasks, and on an instrumented engine the completed ones too —
@@ -1189,6 +1185,11 @@ func (s *Sim) handleFinish(v tree.NodeID) {
 // runs the streaming hooks, and returns js to the freelist unless the
 // engine keeps task state for introspection.
 func (s *Sim) complete(js *JobState, li int) {
+	if js.Completion > math.MaxFloat64 {
+		// Sizes near math.MaxFloat64 pass Job.Validate yet sum past it
+		// along a path: report the run, not a +Inf flow.
+		panic(s.internalErr("complete", "job %d completes at %v: its work overflows the float64 clock", js.ID, js.Completion))
+	}
 	st := s.stream
 	var m *JobMetrics
 	if s.opts.RetainJobs == 0 {

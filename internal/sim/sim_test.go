@@ -309,6 +309,14 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// useScanQueues swaps every node queue of a fresh engine for the
+// linear-scan reference, so a run on it checks the heap's schedule.
+func useScanQueues(s *Sim) {
+	for i := range s.nodes {
+		s.nodes[i].avail = newScanQueue()
+	}
+}
+
 func TestHeapVsScanQueueEquivalence(t *testing.T) {
 	check := func(seed uint64) bool {
 		r := rng.New(seed)
@@ -323,7 +331,9 @@ func TestHeapVsScanQueueEquivalence(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		sc, err := Run(tr, trace, &rrAssigner{}, Options{Policy: pol, UseScanQueue: true})
+		s := New(tr, Options{Policy: pol})
+		useScanQueues(s)
+		sc, err := RunOn(s, trace, &rrAssigner{})
 		if err != nil {
 			return false
 		}

@@ -73,11 +73,11 @@ func TestEngineStress(t *testing.T) {
 		}
 		checkEvery := int64(10 + r.Intn(40))
 		var nEvents int64
+		pol, instrument, scan := policies[r.Intn(len(policies))], r.Bool(0.5), r.Bool(0.3)
 		opts := Options{
-			Policy:       policies[r.Intn(len(policies))],
-			Instrument:   r.Bool(0.5),
-			UseScanQueue: r.Bool(0.3),
-			SelfCheck:    true,
+			Policy:     pol,
+			Instrument: instrument,
+			SelfCheck:  true,
 			// With Instrument set too, Drain audits the recorded
 			// schedule, so the stress run doubles as a conformance test.
 			RecordSlices: r.Bool(0.5),
@@ -95,7 +95,11 @@ func TestEngineStress(t *testing.T) {
 		if r.Bool(0.2) && trace.Jobs[0].LeafSizes == nil {
 			res, err = RunPacketized(tr, trace, asg, opts)
 		} else {
-			res, err = Run(tr, trace, asg, opts)
+			s := New(tr, opts)
+			if scan {
+				useScanQueues(s)
+			}
+			res, err = RunOn(s, trace, asg)
 		}
 		if err != nil {
 			t.Fatalf("iter %d: %v", iter, err)

@@ -1,10 +1,9 @@
-// Streaming arrival sources: the online counterpart of the trace
-// generators. An ArrivalSource yields release-ordered jobs one at a
-// time, so a million-job run never materializes a []Job. Each
-// generator draws from the rng in exactly the per-job order of its
-// materializing twin (Poisson, Bursty, Adversarial), which makes a
-// streamed workload bit-identical to the materialized one under the
-// single-rng-stream discipline of the scenario layer.
+// Arrival sources: the one implementation of every arrival process.
+// An ArrivalSource yields release-ordered jobs one at a time, so a
+// million-job run never materializes a []Job; the trace generators
+// (Poisson, Bursty, Adversarial) are these sources' jobs, collected,
+// so a streamed workload and its materialized trace are the same jobs
+// by construction.
 package workload
 
 import (
@@ -51,8 +50,8 @@ func (s *TraceSource) Next() (Job, bool) {
 
 func (s *TraceSource) Err() error { return nil }
 
-// PoissonSource streams the exact job sequence of Poisson: per job it
-// draws one exponential interarrival then one size sample.
+// PoissonSource is the Poisson arrival process: per job it draws one
+// exponential interarrival then one size sample.
 type PoissonSource struct {
 	r    *rng.Rand
 	cfg  GenConfig
@@ -61,8 +60,7 @@ type PoissonSource struct {
 	i    int
 }
 
-// NewPoissonSource validates cfg exactly like Poisson and returns the
-// streaming generator.
+// NewPoissonSource validates cfg and returns the generator.
 func NewPoissonSource(r *rng.Rand, cfg GenConfig) (*PoissonSource, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -82,9 +80,9 @@ func (s *PoissonSource) Next() (Job, bool) {
 
 func (s *PoissonSource) Err() error { return nil }
 
-// BurstySource streams the exact job sequence of Bursty: one
-// exponential draw at each burst start, then per job a fixed jitter
-// and one size sample.
+// BurstySource is the bursty arrival process: one exponential draw
+// at each burst start, then per job a fixed jitter and one size
+// sample.
 type BurstySource struct {
 	r        *rng.Rand
 	cfg      GenConfig
@@ -95,7 +93,7 @@ type BurstySource struct {
 	i        int
 }
 
-// NewBurstySource validates like Bursty and returns the streaming
+// NewBurstySource validates cfg and burstLen and returns the
 // generator.
 func NewBurstySource(r *rng.Rand, cfg GenConfig, burstLen int) (*BurstySource, error) {
 	if err := cfg.validate(); err != nil {
@@ -127,10 +125,9 @@ func (s *BurstySource) Next() (Job, bool) {
 
 func (s *BurstySource) Err() error { return nil }
 
-// AdversarialSource streams the exact job sequence of Adversarial.
-// The pattern is deterministic (no rng draws), so only the phase
-// machine needs to match: one big job, a flood of bigSize/2 unit
-// jobs, then a bigSize/4 gap.
+// AdversarialSource is the adversarial pattern: one big job, a flood
+// of bigSize/2 unit jobs, then a bigSize/4 gap, over and over. It
+// draws no random numbers.
 type AdversarialSource struct {
 	n         int
 	big       float64
@@ -177,13 +174,8 @@ type RelatedSource struct {
 
 // NewRelatedSource validates the speeds exactly like MakeRelated.
 func NewRelatedSource(src ArrivalSource, leafSpeeds []float64) (*RelatedSource, error) {
-	if len(leafSpeeds) == 0 {
-		return nil, errors.New("workload: MakeRelated needs at least one leaf speed")
-	}
-	for _, s := range leafSpeeds {
-		if s <= 0 {
-			return nil, fmt.Errorf("workload: non-positive leaf speed %v", s)
-		}
+	if err := checkSpeeds(leafSpeeds); err != nil {
+		return nil, err
 	}
 	return &RelatedSource{src: src, speeds: leafSpeeds}, nil
 }
@@ -193,10 +185,7 @@ func (s *RelatedSource) Next() (Job, bool) {
 	if !ok {
 		return Job{}, false
 	}
-	j.LeafSizes = make([]float64, len(s.speeds))
-	for li, sp := range s.speeds {
-		j.LeafSizes[li] = j.Size / sp
-	}
+	relate(&j, s.speeds)
 	return j, true
 }
 
@@ -220,10 +209,7 @@ func (s *ClassRoundSource) Next() (Job, bool) {
 	if !ok {
 		return Job{}, false
 	}
-	j.Size = RoundToClass(j.Size, s.eps)
-	for li := range j.LeafSizes {
-		j.LeafSizes[li] = RoundToClass(j.LeafSizes[li], s.eps)
-	}
+	roundJob(&j, s.eps)
 	return j, true
 }
 
@@ -231,7 +217,7 @@ func (s *ClassRoundSource) Err() error { return s.src.Err() }
 
 // Collect drains a source into a Trace (no validation; generators
 // emit valid traces by construction and consumers validate on use).
-// Mostly for tests and fallback paths.
+// A materialized trace is its source's jobs, collected.
 func Collect(src ArrivalSource) (*Trace, error) {
 	tr := &Trace{}
 	for {
@@ -269,32 +255,12 @@ func StreamNDJSON(src ArrivalSource, w io.Writer) (TraceStats, error) {
 		if err != nil {
 			return st, fmt.Errorf("workload: encoding job %d: %w", j.ID, err)
 		}
-		st.Jobs++
-		st.TotalWork += j.Size
-		st.MeanSize += j.Size
-		if j.Size > st.MaxSize {
-			st.MaxSize = j.Size
-		}
-		st.Span = j.Release // releases are sorted: the last one is the span
-		if j.LeafSizes != nil {
-			st.Unrelated = true
-		}
-		if j.Weight > 0 && j.Weight != 1 {
-			st.Weighted = true
-		}
+		st.add(&j)
 	}
 	if err := src.Err(); err != nil {
 		return st, err
 	}
-	if st.Jobs > 0 {
-		st.MeanSize /= float64(st.Jobs)
-	}
-	if st.Jobs > 1 {
-		st.MeanInterval = st.Span / float64(st.Jobs-1)
-	}
-	if st.Span > 0 {
-		st.OfferedPerSec = st.TotalWork / st.Span
-	}
+	st.finish()
 	return st, bw.Flush()
 }
 

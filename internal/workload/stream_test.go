@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"strings"
@@ -24,9 +25,105 @@ func drain(t *testing.T, src ArrivalSource) []Job {
 	return tr.Jobs
 }
 
+// The reference implementations below are the materializing loops
+// the trace generators ran before they became collected sources, kept
+// verbatim (less the dropped Meta map) so a change in any source's
+// draw order fails the twin tests.
+
+// refPoisson is the reference for PoissonSource.
+func refPoisson(r *rng.Rand, cfg GenConfig) (*Trace, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	rate := cfg.Load * cfg.Capacity / cfg.Size.Mean()
+	tr := &Trace{}
+	t, sr := 0.0, cfg.sizeRand(r)
+	for i := 0; i < cfg.N; i++ {
+		t += r.Exp(rate)
+		tr.Jobs = append(tr.Jobs, Job{ID: i, Release: t, Size: cfg.Size.Sample(sr)})
+	}
+	return tr, nil
+}
+
+// refBursty is the reference for BurstySource.
+func refBursty(r *rng.Rand, cfg GenConfig, burstLen int) (*Trace, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	if burstLen < 1 {
+		return nil, errors.New("workload: burstLen must be >= 1")
+	}
+	rate := cfg.Load * cfg.Capacity / cfg.Size.Mean() / float64(burstLen)
+	tr := &Trace{}
+	t, id, sr := 0.0, 0, cfg.sizeRand(r)
+	for id < cfg.N {
+		t += r.Exp(rate)
+		for b := 0; b < burstLen && id < cfg.N; b++ {
+			// Distinct arrival times, per the paper's WLOG assumption.
+			t += 1e-9
+			tr.Jobs = append(tr.Jobs, Job{ID: id, Release: t, Size: cfg.Size.Sample(sr)})
+			id++
+		}
+	}
+	return tr, nil
+}
+
+// refAdversarial is the reference for AdversarialSource.
+func refAdversarial(r *rng.Rand, n int, bigSize float64) *Trace {
+	tr := &Trace{}
+	t := 0.0
+	id := 0
+	for id < n {
+		// One big job ...
+		t += 1e-9
+		tr.Jobs = append(tr.Jobs, Job{ID: id, Release: t, Size: bigSize})
+		id++
+		// ... followed by a flood of unit jobs before it can drain.
+		flood := int(bigSize / 2)
+		for f := 0; f < flood && id < n; f++ {
+			t += 1e-9
+			tr.Jobs = append(tr.Jobs, Job{ID: id, Release: t, Size: 1})
+			id++
+		}
+		t += bigSize / 4
+	}
+	return tr
+}
+
+// refMakeRelated is the reference for RelatedSource.
+func refMakeRelated(tr *Trace, leafSpeeds []float64) error {
+	if len(leafSpeeds) == 0 {
+		return errors.New("workload: MakeRelated needs at least one leaf speed")
+	}
+	for _, s := range leafSpeeds {
+		if s <= 0 {
+			return fmt.Errorf("workload: non-positive leaf speed %v", s)
+		}
+	}
+	for i := range tr.Jobs {
+		j := &tr.Jobs[i]
+		j.LeafSizes = make([]float64, len(leafSpeeds))
+		for li, s := range leafSpeeds {
+			j.LeafSizes[li] = j.Size / s
+		}
+	}
+	return nil
+}
+
+// refRoundTraceToClasses is the reference for ClassRoundSource.
+func refRoundTraceToClasses(tr *Trace, eps float64) {
+	for i := range tr.Jobs {
+		j := &tr.Jobs[i]
+		j.Size = RoundToClass(j.Size, eps)
+		for li := range j.LeafSizes {
+			j.LeafSizes[li] = RoundToClass(j.LeafSizes[li], eps)
+		}
+	}
+}
+
 func TestPoissonSourceMatchesPoisson(t *testing.T) {
 	cfg := GenConfig{N: 500, Size: ClassRounded{Base: UniformSize{1, 16}, Eps: 0.5}, Load: 0.9, Capacity: 2}
-	want, err := Poisson(rng.New(7), cfg)
+	want, err := refPoisson(rng.New(7), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +145,7 @@ func TestBurstySourceMatchesBursty(t *testing.T) {
 	// burst is truncated in both implementations.
 	for _, burst := range []int{1, 4, 7} {
 		cfg := GenConfig{N: 503, Size: BimodalSize{Small: 1, Big: 32, PBig: 0.1}, Load: 0.8, Capacity: 3}
-		want, err := Bursty(rng.New(11), cfg, burst)
+		want, err := refBursty(rng.New(11), cfg, burst)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +166,7 @@ func TestAdversarialSourceMatchesAdversarial(t *testing.T) {
 	// bigSize 1.5 exercises the flood==0 edge (int(1.5/2) == 0): the
 	// pattern degenerates to big jobs separated by big/4 gaps.
 	for _, big := range []float64{32, 5, 1.5} {
-		want := Adversarial(rng.New(1), 200, big)
+		want := refAdversarial(rng.New(1), 200, big)
 		src := NewAdversarialSource(200, big)
 		if got := drain(t, src); !reflect.DeepEqual(got, want.Jobs) {
 			t.Fatalf("bigSize=%g: streamed Adversarial jobs differ from materialized trace", big)
@@ -92,14 +189,14 @@ func TestWrappedSourcesMatchTraceTransforms(t *testing.T) {
 	cfg := GenConfig{N: 120, Size: UniformSize{1, 16}, Load: 0.9, Capacity: 2}
 	speeds := []float64{1, 2, 0.5, 4}
 
-	want, err := Poisson(rng.New(5), cfg)
+	want, err := refPoisson(rng.New(5), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := MakeRelated(want, speeds); err != nil {
+	if err := refMakeRelated(want, speeds); err != nil {
 		t.Fatal(err)
 	}
-	RoundTraceToClasses(want, 0.5)
+	refRoundTraceToClasses(want, 0.5)
 
 	base, err := NewPoissonSource(rng.New(5), cfg)
 	if err != nil {

@@ -103,8 +103,6 @@ func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 // Trace is an ordered job sequence (ascending release times).
 type Trace struct {
 	Jobs []Job
-	// Meta records how the trace was generated, for reproducibility.
-	Meta map[string]string
 }
 
 // Validate checks ordering, ID density and per-job validity.
@@ -161,7 +159,8 @@ func (tr *Trace) WriteJSON(w io.Writer) error {
 }
 
 // ReadJSON parses a trace previously written with WriteJSON and
-// validates it.
+// validates it. Keys other than Jobs are ignored, so files that still
+// carry the Meta object older versions wrote load unchanged.
 func ReadJSON(r io.Reader) (*Trace, error) {
 	var tr Trace
 	if err := json.NewDecoder(r).Decode(&tr); err != nil {
@@ -317,77 +316,35 @@ func (c *GenConfig) validate() error {
 // Poisson generates N jobs with exponential interarrival times
 // calibrated so that the offered load on a capacity-Capacity resource
 // is Load. Release times are strictly increasing (paper WLOG: all
-// arrivals distinct).
+// arrivals distinct). It is PoissonSource's jobs, collected.
 func Poisson(r *rng.Rand, cfg GenConfig) (*Trace, error) {
-	if err := cfg.validate(); err != nil {
+	src, err := NewPoissonSource(r, cfg)
+	if err != nil {
 		return nil, err
 	}
-	rate := cfg.Load * cfg.Capacity / cfg.Size.Mean()
-	tr := &Trace{Meta: map[string]string{
-		"process": "poisson",
-		"size":    cfg.Size.Name(),
-		"load":    fmt.Sprintf("%g", cfg.Load),
-	}}
-	t, sr := 0.0, cfg.sizeRand(r)
-	for i := 0; i < cfg.N; i++ {
-		t += r.Exp(rate)
-		tr.Jobs = append(tr.Jobs, Job{ID: i, Release: t, Size: cfg.Size.Sample(sr)})
-	}
-	return tr, nil
+	return Collect(src)
 }
 
 // Bursty generates jobs in bursts: burst starts form a Poisson process
 // and each burst releases BurstLen jobs back-to-back (separated by a
 // tiny jitter to keep arrival times distinct). This stresses the
-// congestion-awareness of assignment policies.
+// congestion-awareness of assignment policies. It is BurstySource's
+// jobs, collected.
 func Bursty(r *rng.Rand, cfg GenConfig, burstLen int) (*Trace, error) {
-	if err := cfg.validate(); err != nil {
+	src, err := NewBurstySource(r, cfg, burstLen)
+	if err != nil {
 		return nil, err
 	}
-	if burstLen < 1 {
-		return nil, errors.New("workload: burstLen must be >= 1")
-	}
-	rate := cfg.Load * cfg.Capacity / cfg.Size.Mean() / float64(burstLen)
-	tr := &Trace{Meta: map[string]string{
-		"process": fmt.Sprintf("bursty(%d)", burstLen),
-		"size":    cfg.Size.Name(),
-		"load":    fmt.Sprintf("%g", cfg.Load),
-	}}
-	t, id, sr := 0.0, 0, cfg.sizeRand(r)
-	for id < cfg.N {
-		t += r.Exp(rate)
-		for b := 0; b < burstLen && id < cfg.N; b++ {
-			// Distinct arrival times, per the paper's WLOG assumption.
-			t += 1e-9
-			tr.Jobs = append(tr.Jobs, Job{ID: id, Release: t, Size: cfg.Size.Sample(sr)})
-			id++
-		}
-	}
-	return tr, nil
+	return Collect(src)
 }
 
 // Adversarial generates the pattern that separates congestion-aware
 // assignment from proximity-based assignment: a steady trickle of
 // large jobs plus periodic floods of small jobs, all of which conflict
-// on the same root branch if assigned naively.
+// on the same root branch if assigned naively. The pattern draws
+// nothing from r. It is AdversarialSource's jobs, collected.
 func Adversarial(r *rng.Rand, n int, bigSize float64) *Trace {
-	tr := &Trace{Meta: map[string]string{"process": "adversarial"}}
-	t := 0.0
-	id := 0
-	for id < n {
-		// One big job ...
-		t += 1e-9
-		tr.Jobs = append(tr.Jobs, Job{ID: id, Release: t, Size: bigSize})
-		id++
-		// ... followed by a flood of unit jobs before it can drain.
-		flood := int(bigSize / 2)
-		for f := 0; f < flood && id < n; f++ {
-			t += 1e-9
-			tr.Jobs = append(tr.Jobs, Job{ID: id, Release: t, Size: 1})
-			id++
-		}
-		t += bigSize / 4
-	}
+	tr, _ := Collect(NewAdversarialSource(n, bigSize)) // the source never fails
 	return tr
 }
 
@@ -426,10 +383,6 @@ func MakeUnrelated(r *rng.Rand, tr *Trace, cfg UnrelatedConfig) error {
 			j.LeafSizes[li] = j.Size * f
 		}
 	}
-	if tr.Meta == nil {
-		tr.Meta = map[string]string{}
-	}
-	tr.Meta["endpoints"] = fmt.Sprintf("unrelated[%g,%g)", cfg.Lo, cfg.Hi)
 	return nil
 }
 
@@ -438,6 +391,18 @@ func MakeUnrelated(r *rng.Rand, tr *Trace, cfg UnrelatedConfig) error {
 // the related machines model of the paper's introduction, expressed
 // as a special case of unrelated endpoints.
 func MakeRelated(tr *Trace, leafSpeeds []float64) error {
+	if err := checkSpeeds(leafSpeeds); err != nil {
+		return err
+	}
+	for i := range tr.Jobs {
+		relate(&tr.Jobs[i], leafSpeeds)
+	}
+	return nil
+}
+
+// checkSpeeds is MakeRelated's and NewRelatedSource's check of the
+// leaf speeds: at least one, every one positive.
+func checkSpeeds(leafSpeeds []float64) error {
 	if len(leafSpeeds) == 0 {
 		return errors.New("workload: MakeRelated needs at least one leaf speed")
 	}
@@ -446,29 +411,30 @@ func MakeRelated(tr *Trace, leafSpeeds []float64) error {
 			return fmt.Errorf("workload: non-positive leaf speed %v", s)
 		}
 	}
-	for i := range tr.Jobs {
-		j := &tr.Jobs[i]
-		j.LeafSizes = make([]float64, len(leafSpeeds))
-		for li, s := range leafSpeeds {
-			j.LeafSizes[li] = j.Size / s
-		}
-	}
-	if tr.Meta == nil {
-		tr.Meta = map[string]string{}
-	}
-	tr.Meta["endpoints"] = "related"
 	return nil
+}
+
+// relate gives j the related-machine leaf sizes p_j/s_i.
+func relate(j *Job, leafSpeeds []float64) {
+	j.LeafSizes = make([]float64, len(leafSpeeds))
+	for li, s := range leafSpeeds {
+		j.LeafSizes[li] = j.Size / s
+	}
 }
 
 // RoundTraceToClasses rounds every size in the trace (router and leaf)
 // up to powers of (1+eps), in place.
 func RoundTraceToClasses(tr *Trace, eps float64) {
 	for i := range tr.Jobs {
-		j := &tr.Jobs[i]
-		j.Size = RoundToClass(j.Size, eps)
-		for li := range j.LeafSizes {
-			j.LeafSizes[li] = RoundToClass(j.LeafSizes[li], eps)
-		}
+		roundJob(&tr.Jobs[i], eps)
+	}
+}
+
+// roundJob rounds j's router and leaf sizes up to powers of (1+eps).
+func roundJob(j *Job, eps float64) {
+	j.Size = RoundToClass(j.Size, eps)
+	for li := range j.LeafSizes {
+		j.LeafSizes[li] = RoundToClass(j.LeafSizes[li], eps)
 	}
 }
 
@@ -488,31 +454,44 @@ type TraceStats struct {
 
 // Stats computes TraceStats.
 func (tr *Trace) Stats() TraceStats {
-	st := TraceStats{Jobs: len(tr.Jobs), TotalWork: tr.TotalWork(), Span: tr.Span()}
-	if st.Jobs == 0 {
-		return st
-	}
+	var st TraceStats
 	for i := range tr.Jobs {
-		j := &tr.Jobs[i]
-		st.MeanSize += j.Size
-		if j.Size > st.MaxSize {
-			st.MaxSize = j.Size
-		}
-		if j.LeafSizes != nil {
-			st.Unrelated = true
-		}
-		if j.Weight > 0 && j.Weight != 1 {
-			st.Weighted = true
-		}
+		st.add(&tr.Jobs[i])
 	}
-	st.MeanSize /= float64(st.Jobs)
+	st.finish()
+	return st
+}
+
+// add folds one job, the next in release order, into the running
+// stats; finish derives the means once every job is in. Stats and
+// StreamNDJSON share the fold, so a trace and its stream summarize
+// bit for bit alike.
+func (st *TraceStats) add(j *Job) {
+	st.Jobs++
+	st.TotalWork += j.Size
+	st.MeanSize += j.Size
+	if j.Size > st.MaxSize {
+		st.MaxSize = j.Size
+	}
+	st.Span = j.Release // releases are sorted: the last one is the span
+	if j.LeafSizes != nil {
+		st.Unrelated = true
+	}
+	if j.Weight > 0 && j.Weight != 1 {
+		st.Weighted = true
+	}
+}
+
+func (st *TraceStats) finish() {
+	if st.Jobs > 0 {
+		st.MeanSize /= float64(st.Jobs)
+	}
 	if st.Jobs > 1 {
 		st.MeanInterval = st.Span / float64(st.Jobs-1)
 	}
 	if st.Span > 0 {
 		st.OfferedPerSec = st.TotalWork / st.Span
 	}
-	return st
 }
 
 // Sorted returns a copy of the trace sorted by release time with IDs

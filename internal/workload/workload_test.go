@@ -239,6 +239,12 @@ func TestJSONRoundTrip(t *testing.T) {
 			t.Fatalf("job %d changed in round trip", i)
 		}
 	}
+	// Trace files written before the Meta map was dropped still load.
+	old := `{"Jobs":[{"ID":0,"Release":1,"Size":2}],"Meta":{"process":"poisson","endpoints":"related"}}`
+	got, err = ReadJSON(bytes.NewBufferString(old))
+	if err != nil || len(got.Jobs) != 1 || got.Jobs[0].Size != 2 {
+		t.Fatalf("trace with a Meta object: %+v, %v", got, err)
+	}
 }
 
 func TestReadJSONRejectsInvalid(t *testing.T) {

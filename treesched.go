@@ -186,14 +186,14 @@ func PoissonSource(seed uint64, n int, load float64, t *Tree) (ArrivalSource, er
 
 // PoissonTrace generates n jobs with Poisson arrivals calibrated to
 // the given load on t's root-adjacent capacity, with sizes rounded to
-// powers of 1.5 (the paper's class assumption at eps=0.5).
+// powers of 1.5 (the paper's class assumption at eps=0.5): the jobs of
+// PoissonSource, collected.
 func PoissonTrace(seed uint64, n int, load float64, t *Tree) (*Trace, error) {
-	return workload.Poisson(rng.New(seed), workload.GenConfig{
-		N:        n,
-		Size:     workload.ClassRounded{Base: workload.UniformSize{Lo: 1, Hi: 16}, Eps: 0.5},
-		Load:     load,
-		Capacity: float64(len(t.RootAdjacent())),
-	})
+	src, err := PoissonSource(seed, n, load, t)
+	if err != nil {
+		return nil, err
+	}
+	return workload.Collect(src)
 }
 
 // MakeUnrelated converts an identical trace into an unrelated-endpoint

@@ -17,9 +17,10 @@ func (f fixedNode) Assign(*treesched.Query, *treesched.Arrival) treesched.NodeID
 }
 
 // Invalid client input never reaches the engine: a non-finite size,
-// leaf size or weight, or an assigner's choice of a node outside the
-// tree, fails every driver with an error that names it — no panic, no
-// silently wrong flow.
+// leaf size or weight, an origin outside the tree or offered to an
+// assigner that places root arrivals only, or an assigner's choice of
+// a node outside the tree, fails every driver with an error that names
+// it — no panic, no silently wrong flow.
 func TestInvalidInputRejected(t *testing.T) {
 	tr := treesched.FatTree(2, 2, 2)
 	nan, inf := math.NaN(), math.Inf(1)
@@ -38,6 +39,10 @@ func TestInvalidInputRejected(t *testing.T) {
 		{"inf leaf size", func(j *treesched.Job) { j.LeafSizes[3] = inf }, roundRobin, true, "workload: job 10 has non-finite size +Inf on leaf index 3"},
 		{"nan weight", func(j *treesched.Job) { j.Weight = nan }, roundRobin, false, "workload: job 10 has non-finite weight NaN"},
 		{"inf weight", func(j *treesched.Job) { j.Weight = inf }, roundRobin, false, "workload: job 10 has non-finite weight +Inf"},
+		{"origin past the tree", func(j *treesched.Job) { j.Origin = 99 }, greedy, false, "sim: job 10 origin 99 outside the 15-node tree"},
+		{"origin below the tree", func(j *treesched.Job) { j.Origin = -1 }, roundRobin, false, "sim: job 10 origin -1 outside the 15-node tree"},
+		{"shadow origin", func(j *treesched.Job) { j.Origin = 1 }, shadow, false,
+			`sim: job 10 origin 1: assigner "Shadow(GreedyIdentical)" places root arrivals only`},
 		{"node below the tree", func(*treesched.Job) {}, func() treesched.Assigner { return fixedNode(-1) }, false,
 			`sim: assigner "fixed": sim: assignment to non-leaf node -1`},
 		{"node past the tree", func(*treesched.Job) {}, func() treesched.Assigner { return fixedNode(tr.NumNodes()) }, false,
@@ -91,3 +96,70 @@ func TestInjectRejectsNodeOutsideTree(t *testing.T) {
 
 func greedy() treesched.Assigner     { return treesched.NewGreedyIdentical(0.5) }
 func roundRobin() treesched.Assigner { return &treesched.RoundRobin{} }
+
+// shadow runs the general-tree algorithm on FatTree(2,2,2), the tree
+// both tests above use.
+func shadow() treesched.Assigner {
+	sh, err := treesched.NewShadow(treesched.FatTree(2, 2, 2), treesched.ShadowConfig{Eps: 0.5})
+	if err != nil {
+		panic(err) // a fat tree always reduces to a broomstick
+	}
+	return sh
+}
+
+// FuzzRunAccepted: a trace that Trace.Validate accepts never makes a
+// driver panic. The last job of a short trace on FatTree(2,2,2) takes
+// the fuzzed release, size, weight, origin and leaf-size count (a
+// negative count leaves the job identical). Under greedy, round-robin
+// and shadow, Run and RunStream either return an error or complete
+// every job with a finite, non-negative flow; so does RunPacketized,
+// exercised only for sizes up to 64 because it makes ⌈p_j⌉ tasks per
+// job.
+func FuzzRunAccepted(f *testing.F) {
+	f.Add(100.0, 3.0, 1.0, int32(0), int8(-1))
+	f.Add(100.0, 3.0, 1.0, int32(99), int8(-1))
+	f.Add(100.0, 3.0, 1.0, int32(-1), int8(-1))
+	f.Add(100.0, 3.0, 1.0, int32(1), int8(-1))
+	f.Add(100.0, 3.0, 2.0, int32(3), int8(8))
+	f.Add(100.0, 3.0, 1.0, int32(0), int8(3))
+	f.Add(100.0, 1.7e308, 1.0, int32(0), int8(-1))
+	tr := treesched.FatTree(2, 2, 2)
+	f.Fuzz(func(t *testing.T, release, size, weight float64, origin int32, leaves int8) {
+		trace, err := treesched.PoissonTrace(1, 8, 0.9, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j := &trace.Jobs[len(trace.Jobs)-1]
+		j.Release, j.Size, j.Weight, j.Origin = release, size, weight, origin
+		if leaves >= 0 {
+			j.LeafSizes = make([]float64, leaves)
+			for i := range j.LeafSizes {
+				j.LeafSizes[i] = size
+			}
+		}
+		if trace.Validate() != nil {
+			return
+		}
+		for _, asg := range []func() treesched.Assigner{greedy, roundRobin, shadow} {
+			check := func(driver string, res *treesched.Result, err error) {
+				t.Helper()
+				if err != nil {
+					return
+				}
+				for _, m := range res.Jobs {
+					if !(m.Flow >= 0) || math.IsInf(m.Flow, 1) {
+						t.Fatalf("%s under %s: job %d has flow %v", driver, asg().Name(), m.ID, m.Flow)
+					}
+				}
+			}
+			res, err := treesched.Run(tr, trace, asg(), treesched.Options{})
+			check("Run", res, err)
+			res, err = treesched.RunStream(tr, treesched.NewTraceSource(trace), asg(), treesched.Options{})
+			check("RunStream", res, err)
+			if size <= 64 {
+				res, err = treesched.RunPacketized(tr, trace, asg(), treesched.Options{})
+				check("RunPacketized", res, err)
+			}
+		}
+	})
+}
