@@ -85,8 +85,10 @@ fuzz-smoke:
 # Everything CI needs: build, vet, a gofmt check, the full tests (the
 # long property, constant-memory, fleet-determinism and serving-layer
 # tests included), race-clean short tests, the repository benchmark's
-# own tests and a byte-for-byte check of EXPERIMENTS.md.
-ci: build vet fmt-check test test-race test-benchmark experiments-check
+# own tests, a byte-for-byte check of EXPERIMENTS.md, and the five
+# facade example programs (about 3 s), which exit non-zero when a
+# change to the engine or Result contract breaks them.
+ci: build vet fmt-check test test-race test-benchmark experiments-check examples
 
 # Regenerate EXPERIMENTS.md. The suite reports no wall time and is
 # byte-identical at any -parallel, so the default pool is fine.
@@ -100,6 +102,7 @@ experiments-check:
 	$(GO) run ./cmd/experiments -format md -out "$$tmp" || exit 1; \
 	diff -u EXPERIMENTS.md "$$tmp" || { echo "EXPERIMENTS.md is stale: run make experiments"; exit 1; }
 
+# Run the five example programs of the public facade (examples/).
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/datacenter

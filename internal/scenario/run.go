@@ -18,6 +18,9 @@ type Instance struct {
 	Scenario *Scenario
 	Base     *tree.Tree
 	Tree     *tree.Tree
+	// Trace is the materialized workload (nil for lazily streamed and
+	// serve scenarios). Read-only: for a scenario with inline jobs it
+	// shares their backing array with Scenario.Workload.Jobs.
 	Trace    *workload.Trace
 	Assigner sim.Assigner
 	// FaultPlan is the resolved fault plan (nil without faults). Its

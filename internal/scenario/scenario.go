@@ -56,8 +56,9 @@ type Workload struct {
 	// MaxWeight > 0 draws integer job weights in [1, MaxWeight].
 	MaxWeight int `json:"max_weight,omitempty"`
 	// Jobs, when non-empty, bypasses generation entirely: the trace is
-	// exactly these jobs (JSON form only; the compact form cannot
-	// express inline jobs).
+	// exactly these jobs, shared rather than copied, so they must not
+	// change while a trace built from them is in use (JSON form only;
+	// the compact form cannot express inline jobs).
 	Jobs []workload.Job `json:"jobs,omitempty"`
 }
 
@@ -83,10 +84,12 @@ func (w *Workload) Generate(seed uint64) (*workload.Trace, error) {
 // The trace is the arrival source SourceRNG streams (the process with
 // related speeds applied per job), collected, followed by the
 // whole-trace passes in order: the unrelated transform, class
-// rounding, weights.
+// rounding, weights. Inline Jobs are validated and returned as the
+// trace itself, not a copy: no pass applies to them, and no reader
+// of a built trace writes to it.
 func (w *Workload) GenerateRNG(p *rng.PartitionedRNG) (*workload.Trace, error) {
 	if len(w.Jobs) > 0 {
-		tr := &workload.Trace{Jobs: append([]workload.Job(nil), w.Jobs...)}
+		tr := &workload.Trace{Jobs: w.Jobs}
 		if err := tr.Validate(); err != nil {
 			return nil, err
 		}

@@ -517,6 +517,53 @@ func TestRootOnlyAssignerRefusesOrigin(t *testing.T) {
 	}
 }
 
+// A size JSON can carry but the float64 clock cannot, 1.7e308, is
+// refused at admission with a 400 naming workload.MaxSize, so it never
+// reaches the engine: the daemon keeps serving, and the next job is
+// admitted and completes with a finite flow.
+func TestOversizedJobRefused(t *testing.T) {
+	sc := serveScenario(t, "topo=fattree:2,2,2 speed=1.5 serve")
+	_, cl, ts := startDaemon(t, Config{Scenario: sc})
+	lines := lineReader(t, cl)
+	resp, err := http.Post(ts.URL+"/jobs", ndjsonType, strings.NewReader(`{"Release":0,"Size":1.7e308}`+"\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res AdmitResult
+	err = json.NewDecoder(resp.Body).Decode(&res)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "job 0 of the batch: workload: job 0 has size 1.7e+308 above MaxSize 2^53"
+	if resp.StatusCode != http.StatusBadRequest || res.Error != want {
+		t.Fatalf("status %d error %q, want 400 and %q", resp.StatusCode, res.Error, want)
+	}
+	ctx := context.Background()
+	r, err := cl.Submit(ctx, []workload.Job{{Release: 1, Size: 3}})
+	if err != nil || r.Accepted != 1 {
+		t.Fatalf("submit after the refused job: %+v, %v", r, err)
+	}
+	st, err := cl.Drain(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Completed != 1 || st.Rejected != 1 {
+		t.Fatalf("after drain: completed %d rejected %d, want 1 and 1", st.Completed, st.Rejected)
+	}
+	var got []sim.JobMetrics
+	for ln := range lines {
+		var m sim.JobMetrics
+		if err := json.Unmarshal([]byte(ln), &m); err != nil {
+			t.Fatalf("completion line %q: %v", ln, err)
+		}
+		got = append(got, m)
+	}
+	if len(got) != 1 || got[0].ID != 0 || got[0].Release != 1 || !(got[0].Flow > 0) || math.IsInf(got[0].Flow, 1) {
+		t.Fatalf("completions %+v, want job 0 released at 1 with a finite positive flow", got)
+	}
+}
+
 // A mid-batch zero-size job: NaN via JSON null is covered above; this
 // pins that nothing before the bad job is lost and IDs stay dense.
 func TestDenseIDsAcrossPartialBatches(t *testing.T) {

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"io"
 	"testing"
 
 	"treesched/internal/rng"
@@ -21,16 +23,23 @@ func resetTestTrace(t *testing.T, n int) *workload.Trace {
 
 // TestResetReplayIdentical is the core Reset contract: a recycled
 // engine must reproduce a fresh engine's run bit for bit — same
-// statistics, same per-job completions.
+// statistics, same per-job completions — and every Result it returned
+// must outlive the Resets after it. A Result's Jobs is the engine's
+// own record buffer, so each round keeps its Results while the engine
+// goes on to a different trace and to a streamed full-retention run
+// with a sink; a Reset that wrote to a buffer it had handed over would
+// overwrite the kept records with a later run's.
 func TestResetReplayIdentical(t *testing.T) {
 	tr := tree.FatTree(2, 2, 2)
 	trace := resetTestTrace(t, 400)
+	other := shardTestTrace(t, 11, 250, 2)
 
-	fresh, err := Run(tr, trace, &rrAssigner{}, Options{})
-	if err != nil {
-		t.Fatal(err)
+	type kept struct {
+		leg   string
+		trace *workload.Trace
+		res   *Result
 	}
-
+	var all []kept
 	s := New(tr, Options{})
 	for round := 0; round < 3; round++ {
 		if round > 0 {
@@ -40,12 +49,33 @@ func TestResetReplayIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		if warm.Stats != fresh.Stats {
-			t.Fatalf("round %d: stats diverged: fresh %+v, warm %+v", round, fresh.Stats, warm.Stats)
+		all = append(all, kept{fmt.Sprintf("round %d", round), trace, warm})
+		s.Reset(Options{})
+		res, err := RunOn(s, other, &rrAssigner{})
+		if err != nil {
+			t.Fatalf("round %d, other trace: %v", round, err)
+		}
+		all = append(all, kept{fmt.Sprintf("round %d, other trace", round), other, res})
+		s.Reset(Options{Sink: NewNDJSONSink(io.Discard)})
+		if res, err = RunStreamOn(s, workload.NewTraceSource(other), &rrAssigner{}); err != nil {
+			t.Fatalf("round %d, streamed: %v", round, err)
+		}
+		all = append(all, kept{fmt.Sprintf("round %d, streamed", round), other, res})
+	}
+	for _, k := range all {
+		fresh, err := Run(tr, k.trace, &rrAssigner{}, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k.res.Stats != fresh.Stats {
+			t.Fatalf("%s: stats diverged: fresh %+v, warm %+v", k.leg, fresh.Stats, k.res.Stats)
+		}
+		if len(k.res.Jobs) != len(fresh.Jobs) {
+			t.Fatalf("%s: %d job records, fresh run has %d", k.leg, len(k.res.Jobs), len(fresh.Jobs))
 		}
 		for i := range fresh.Jobs {
-			if warm.Jobs[i] != fresh.Jobs[i] {
-				t.Fatalf("round %d: job %d diverged: fresh %+v, warm %+v", round, i, fresh.Jobs[i], warm.Jobs[i])
+			if k.res.Jobs[i] != fresh.Jobs[i] {
+				t.Fatalf("%s: job %d diverged: fresh %+v, warm %+v", k.leg, i, fresh.Jobs[i], k.res.Jobs[i])
 			}
 		}
 	}

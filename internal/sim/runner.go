@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"treesched/internal/tree"
 	"treesched/internal/workload"
@@ -26,6 +27,12 @@ type JobMetrics struct {
 
 // Result is a completed run of a trace through the engine.
 type Result struct {
+	// Jobs holds one record per job, indexed by job ID (under bounded
+	// retention, the retention window). When the run had one record
+	// per job — every run but a packetized one that split a job — it
+	// is the engine's own record buffer, handed over: the engine's
+	// Reset starts its next run on a new buffer, so Jobs stays valid
+	// and unchanged for as long as the caller keeps it.
 	Jobs  []JobMetrics
 	Stats Stats
 	// Sim is the drained engine, retained so callers can read
@@ -96,19 +103,22 @@ func Run(t *tree.Tree, trace *workload.Trace, asg Assigner, opts Options) (*Resu
 // RunOn replays a trace through an existing engine, which must be
 // freshly created or Reset. It is the steady-state entry point for
 // replicate sweeps: calling Reset then RunOn reuses the engine's event
-// heap, node queues and task arena, so repeated runs approach zero
-// allocations. The schedule is identical to a Run on a fresh engine.
+// heap, node queues and task arena. The schedule is identical to a
+// Run on a fresh engine. The Result takes the engine's record buffer
+// as its Jobs, so each RunOn allocates one buffer of records, which
+// outlives the next Reset; ReplayOn keeps its buffer and allocates
+// nothing.
 func RunOn(s *Sim, trace *workload.Trace, asg Assigner) (*Result, error) {
 	if err := ReplayOn(s, trace, asg); err != nil {
 		return nil, err
 	}
-	return collect(s.tree, s, len(trace.Jobs))
+	return collect(s, len(trace.Jobs))
 }
 
 // ReplayOn drives the inject→drain cycle of RunOn without collecting
-// per-job metrics (which necessarily allocate a Result). On a warmed
-// engine this is the zero-allocation path measurement loops use; the
-// engine is left drained, so Stats()/Records() remain readable.
+// a Result. On a warmed engine this is the zero-allocation path
+// measurement loops use; the engine is left drained, so
+// Stats()/Records() remain readable.
 func ReplayOn(s *Sim, trace *workload.Trace, asg Assigner) (err error) {
 	defer recoverInternal(&err)
 	return s.replay(trace, asg, false)
@@ -120,6 +130,11 @@ func ReplayOn(s *Sim, trace *workload.Trace, asg Assigner) (err error) {
 func (s *Sim) replay(trace *workload.Trace, asg Assigner, packets bool) error {
 	if err := trace.Validate(); err != nil {
 		return err
+	}
+	if s.opts.RetainJobs == 0 {
+		// One allocation of the whole buffer, sized to the trace, not
+		// a run of append growths (packets may still extend it).
+		s.records = slices.Grow(s.records, len(trace.Jobs))
 	}
 	for i := range trace.Jobs {
 		if err := s.arrive(&trace.Jobs[i], asg, packets); err != nil {
@@ -178,9 +193,13 @@ func (s *Sim) arrive(j *workload.Job, asg Assigner, packets bool) error {
 	return nil
 }
 
-// collect assembles the Result from the engine's records, walking
-// them in injection order; packets of one job fold into one entry.
-func collect(t *tree.Tree, s *Sim, n int) (*Result, error) {
+// collect assembles the Result of a run of n jobs from the engine's
+// records. With one record per job (dense IDs in injection order, as
+// every driver enforces) the record buffer itself becomes Result.Jobs,
+// its capacity clipped so a caller's append cannot reach engine
+// memory, and is marked lent for Reset. A packetized run's records
+// fold into a new slice: a job's packets are consecutive.
+func collect(s *Sim, n int) (*Result, error) {
 	if s.stream != nil {
 		if s.stream.sinkErr != nil {
 			return nil, fmt.Errorf("sim: job sink: %w", s.stream.sinkErr)
@@ -189,36 +208,33 @@ func collect(t *tree.Tree, s *Sim, n int) (*Result, error) {
 			return s.streamResult(n)
 		}
 	}
-	res := &Result{Sim: s, Jobs: make([]JobMetrics, n)}
-	found := make([]bool, n)
 	for i := range s.records {
-		r := &s.records[i]
-		if r.Weight == 0 {
+		if r := &s.records[i]; r.Weight == 0 {
 			return nil, fmt.Errorf("sim: task of job %d did not complete", r.ID)
 		}
-		m := &res.Jobs[r.ID]
-		if !found[r.ID] {
-			found[r.ID] = true
-			m.ID = r.ID
-			m.Release = r.Release
-			m.Leaf = r.Leaf
-			m.Weight = r.Weight
-		}
+	}
+	res := &Result{Sim: s}
+	if n > 0 && len(s.records) == n {
+		res.Jobs, s.lent = s.records[:n:n], true
+	} else {
 		// Packets of one job: completion is the last packet's, path
 		// work accumulates across packets.
-		if r.Completion > m.Completion {
-			m.Completion = r.Completion
+		res.Jobs = make([]JobMetrics, 0, n)
+		for i := range s.records {
+			r := &s.records[i]
+			if k := len(res.Jobs); k == 0 || res.Jobs[k-1].ID != r.ID {
+				res.Jobs = append(res.Jobs, JobMetrics{ID: r.ID, Release: r.Release, Leaf: r.Leaf, Weight: r.Weight})
+			}
+			m := &res.Jobs[len(res.Jobs)-1]
+			m.Completion = max(m.Completion, r.Completion)
+			m.Flow = m.Completion - m.Release
+			m.PathWork += r.PathWork
 		}
-		m.PathWork += r.PathWork
 	}
 	var st Stats
 	st.FracFlow, st.ActiveIntegral, st.Events = s.totals()
 	for i := range res.Jobs {
-		if !found[i] {
-			return nil, fmt.Errorf("sim: job %d never completed", i)
-		}
 		m := &res.Jobs[i]
-		m.Flow = m.Completion - m.Release
 		st.TotalFlow += m.Flow
 		st.WeightedFlow += m.Weight * m.Flow
 		if m.Flow > st.MaxFlow {
@@ -248,12 +264,14 @@ func RunStream(t *tree.Tree, src workload.ArrivalSource, asg Assigner, opts Opti
 
 // RunStreamOn is RunStream on an existing engine (freshly created or
 // Reset), the steady-state entry point for repeated streaming runs.
+// Under full retention the Result takes the engine's record buffer,
+// as in RunOn.
 func RunStreamOn(s *Sim, src workload.ArrivalSource, asg Assigner) (*Result, error) {
 	n, err := ReplayStreamOn(s, src, asg)
 	if err != nil {
 		return nil, err
 	}
-	return collect(s.tree, s, n)
+	return collect(s, n)
 }
 
 // ReplayStreamOn drives the streaming inject→drain cycle without
@@ -306,7 +324,7 @@ func RunPacketized(t *tree.Tree, trace *workload.Trace, asg Assigner, opts Optio
 	if err := s.replay(trace, asg, true); err != nil {
 		return nil, err
 	}
-	return collect(t, s, len(trace.Jobs))
+	return collect(s, len(trace.Jobs))
 }
 
 // injectPackets is Inject for RunPacketized: it splits the arrival

@@ -248,9 +248,12 @@ type Sim struct {
 	// completed tasks are recycled and live ones are reached through
 	// assigned. records[seq] is the completion record of the task
 	// injected seq-th (a slot holds only its job ID until the task
-	// completes); it stays empty under bounded retention.
+	// completes); it stays empty under bounded retention. lent marks
+	// records as handed to a Result's Jobs, so Reset must not write
+	// to it again.
 	tasks   []*JobState
 	records []JobMetrics
+	lent    bool
 	nextSeq int64
 
 	// query is the read-only view handed out by Query (one per engine
@@ -370,17 +373,21 @@ func (s *Sim) applyOptions(opts Options) {
 }
 
 // Reset returns the engine to an empty state at time zero while
-// retaining every allocated buffer (event heap, node queues, task
-// arena, instrumentation slices), so replaying traces on one engine
-// approaches zero allocations per run. opts may differ arbitrarily
-// from the previous run's options — changing Policy, Instrument,
-// Faults, etc. is supported and the engine reconfigures itself.
+// retaining every allocated buffer it still owns (event heap, node
+// queues, task arena, record slice, instrumentation slices), so
+// replaying traces on one engine approaches zero allocations per run.
+// opts may differ arbitrarily from the previous run's options —
+// changing Policy, Instrument, Faults, etc. is supported and the
+// engine reconfigures itself.
 //
 // Reset recycles every JobState the previous run still held — the
 // live tasks, and on an instrumented engine the completed ones too —
-// and empties Records(): pointers previously obtained from Tasks(),
-// Inject or a Result that references this engine become invalid.
-// Extract any metrics you need before resetting.
+// and empties Records(): pointers previously obtained from Tasks() or
+// Inject, directly or through Result.Sim, become invalid. A Result's
+// Jobs and Stats stay valid. When the last run handed its record
+// buffer to Result.Jobs (RunOn, RunStreamOn), Reset never writes to
+// that buffer again: the next run starts on a new one of the same
+// capacity.
 func (s *Sim) Reset(opts Options) {
 	// Completed tasks are already on the freelists unless the engine
 	// kept them for introspection; live ones sit in the assigned lists.
@@ -396,7 +403,11 @@ func (s *Sim) Reset(opts Options) {
 		s.assigned[i] = s.assigned[i][:0]
 	}
 	s.tasks = s.tasks[:0]
-	s.records = s.records[:0]
+	if s.lent {
+		s.records, s.lent = make([]JobMetrics, 0, cap(s.records)), false
+	} else {
+		s.records = s.records[:0]
+	}
 	s.nextSeq = 0
 	s.now = 0
 	for i := range s.nodes {
@@ -1186,8 +1197,10 @@ func (s *Sim) handleFinish(v tree.NodeID) {
 // engine keeps task state for introspection.
 func (s *Sim) complete(js *JobState, li int) {
 	if js.Completion > math.MaxFloat64 {
-		// Sizes near math.MaxFloat64 pass Job.Validate yet sum past it
-		// along a path: report the run, not a +Inf flow.
+		// Job.Validate caps sizes at workload.MaxSize, yet a slow
+		// enough node (a tiny speed or brown-out factor) still takes a
+		// finite size past the float64 clock: report the run, not a
+		// +Inf flow.
 		panic(s.internalErr("complete", "job %d completes at %v: its work overflows the float64 clock", js.ID, js.Completion))
 	}
 	st := s.stream
@@ -1281,7 +1294,9 @@ func (s *Sim) Tasks() []*JobState { return s.tasks }
 // empty under bounded retention (Options.RetainJobs > 0). The slot of
 // a task that has not completed holds only its job ID, so its Weight
 // is zero, while every completed task's Weight is positive. Live
-// engine state: read-only for callers.
+// engine state: read-only for callers. After a run with one record
+// per job, Records() is the very buffer the run's Result.Jobs holds;
+// Reset moves the engine to a new one.
 func (s *Sim) Records() []JobMetrics { return s.records }
 
 // Stats summarize an engine run.

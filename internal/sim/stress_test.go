@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"slices"
 	"testing"
@@ -136,6 +137,28 @@ func TestEmptyTrace(t *testing.T) {
 	if res.Stats.Completed != 0 || res.Stats.TotalFlow != 0 {
 		t.Fatalf("empty trace produced %+v", res.Stats)
 	}
+}
+
+// A job within workload.MaxSize still finishes past the float64 clock
+// on a slow enough node: on leaves at speed 1e-300 a MaxSize job needs
+// about 9e315 time units there. Sim.complete's guard turns that into
+// an InternalError naming the job, on the materialized and the
+// streamed driver alike, rather than a +Inf flow.
+func TestCompletionPastClockRejected(t *testing.T) {
+	tr := tree.FatTree(2, 2, 2).WithSpeeds(1, 1, 1e-300)
+	trace := &workload.Trace{Jobs: []workload.Job{{ID: 0, Release: 0, Size: workload.MaxSize}}}
+	const want = "job 0 completes at +Inf: its work overflows the float64 clock"
+	check := func(driver string, err error) {
+		t.Helper()
+		var ie *InternalError
+		if !errors.As(err, &ie) || ie.Op != "complete" || ie.Msg != want {
+			t.Errorf("%s: got %v, want an internal error in complete: %q", driver, err, want)
+		}
+	}
+	_, err := Run(tr, trace, &rrAssigner{}, Options{})
+	check("Run", err)
+	_, err = RunStream(tr, workload.NewTraceSource(trace), &rrAssigner{}, Options{RetainJobs: 1})
+	check("RunStream retain=1", err)
 }
 
 // TestSimultaneousArrivalOrdering: jobs released at the same instant

@@ -34,7 +34,8 @@ func FuzzRoundToClass(f *testing.F) {
 }
 
 // FuzzTraceValidate: Validate never panics on arbitrary job fields,
-// and a job it accepts has a finite positive size and a finite weight.
+// and a job it accepts has a positive size of at most MaxSize and a
+// finite weight.
 func FuzzTraceValidate(f *testing.F) {
 	f.Add(0, 0.0, 1.0, 1.0)
 	f.Add(3, -1.0, 0.0, -2.0)
@@ -44,12 +45,14 @@ func FuzzTraceValidate(f *testing.F) {
 	f.Add(0, 0.0, 1.0, math.NaN())
 	f.Add(0, 0.0, 1.0, math.Inf(1))
 	f.Add(0, 0.0, 1.0, math.Inf(-1))
+	f.Add(0, 0.0, float64(MaxSize), 1.0)
+	f.Add(0, 0.0, 1.7e308, 1.0)
 	f.Fuzz(func(t *testing.T, id int, release, size, weight float64) {
 		tr := &Trace{Jobs: []Job{{ID: id, Release: release, Size: size, Weight: weight}}}
 		if tr.Validate() != nil {
 			return
 		}
-		if !(size > 0) || math.IsInf(size, 0) || math.IsNaN(weight) || math.IsInf(weight, 0) {
+		if !(size > 0) || size > MaxSize || math.IsNaN(weight) || math.IsInf(weight, 0) {
 			t.Fatalf("accepted a job with size %v and weight %v", size, weight)
 		}
 	})

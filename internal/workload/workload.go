@@ -70,14 +70,22 @@ func AssignWeights(r *rng.Rand, tr *Trace, maxWeight int) {
 	}
 }
 
-// Validate checks that the job is well formed: finite positive sizes,
-// a finite non-negative release and a finite weight.
+// MaxSize is the largest job size, router or leaf, that Validate
+// accepts: 2^53, the range in which float64 holds every integer. A
+// size near math.MaxFloat64 would carry the engine clock past it.
+const MaxSize = 1 << 53
+
+// Validate checks that the job is well formed: positive sizes of at
+// most MaxSize, a finite non-negative release and a finite weight.
 func (j *Job) Validate() error {
 	if !finite(j.Size) {
 		return fmt.Errorf("workload: job %d has non-finite size %v", j.ID, j.Size)
 	}
 	if j.Size <= 0 {
 		return fmt.Errorf("workload: job %d has non-positive size %v", j.ID, j.Size)
+	}
+	if j.Size > MaxSize {
+		return fmt.Errorf("workload: job %d has size %v above MaxSize 2^53", j.ID, j.Size)
 	}
 	if j.Release < 0 || !finite(j.Release) {
 		return fmt.Errorf("workload: job %d has invalid release %v", j.ID, j.Release)
@@ -88,6 +96,9 @@ func (j *Job) Validate() error {
 		}
 		if s <= 0 {
 			return fmt.Errorf("workload: job %d has non-positive size %v on leaf index %d", j.ID, s, li)
+		}
+		if s > MaxSize {
+			return fmt.Errorf("workload: job %d has size %v above MaxSize 2^53 on leaf index %d", j.ID, s, li)
 		}
 	}
 	if !finite(j.Weight) {

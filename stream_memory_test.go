@@ -3,6 +3,7 @@ package treesched_test
 import (
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"treesched"
 )
@@ -78,4 +79,62 @@ func streamPeakHeap(t *testing.T, jobs int) uint64 {
 	}
 	probe.sample()
 	return probe.peak
+}
+
+// A materialized run holds each job and each per-job record once: the
+// built trace shares the scenario's inline jobs, and a Result's Jobs is
+// the engine's record buffer, handed over rather than copied. A
+// scenario of 200,000 inline jobs in sim-deep's shape (benchmark/), run
+// cold and then warm on one ScenarioRunner with only the last Result
+// kept, may hold at most 1.25 × (sizeof Job + sizeof JobMetrics) =
+// 1.25 × (64 + 56) B per job of live heap above the heap measured
+// before the jobs existed. A Build that copies the trace and a Result
+// that copies the records would hold about 257 B per job.
+func TestMaterializedHeapOneCopyPerJob(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs 400k jobs")
+	}
+	const jobs = 200_000
+	base := liveHeap()
+	sc, err := treesched.ParseScenario([]byte("topo=fattree:2,5,1 speed=1.5 assigner=roundrobin faults=brownouts:20,50,0.5"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := treesched.PoissonTrace(3, jobs, 0.95, treesched.FatTree(2, 5, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.Seed = 3
+	sc.Workload.Jobs = tr.Jobs
+	r, err := treesched.NewScenarioRunner(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := r.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := res.Stats
+	if res, err = r.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats != cold || res.Stats.Completed != jobs {
+		t.Fatalf("warm run %+v, cold run %+v", res.Stats, cold)
+	}
+	perJob := float64(liveHeap()-base) / jobs
+	runtime.KeepAlive(r)
+	runtime.KeepAlive(res)
+	limit := 1.25 * float64(unsafe.Sizeof(treesched.Job{})+unsafe.Sizeof(treesched.JobMetrics{}))
+	t.Logf("live heap %.1f B per job (limit %.1f)", perJob, limit)
+	if perJob > limit {
+		t.Errorf("a built scenario and its last Result hold %.1f B per job, want at most %.1f", perJob, limit)
+	}
+}
+
+// liveHeap returns the heap in use after a full collection.
+func liveHeap() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
 }

@@ -208,7 +208,9 @@ func MakeUnrelated(seed uint64, tr *Trace, t *Tree, lo, hi float64) error {
 type (
 	// Options configures a simulation run.
 	Options = sim.Options
-	// Result is a completed run.
+	// Result is a completed run. Its Jobs is the engine's own record
+	// buffer, handed over; the engine's next Reset moves to a new one,
+	// so a Result stays valid for as long as the caller keeps it.
 	Result = sim.Result
 	// Stats summarizes a run.
 	Stats = sim.Stats
@@ -247,12 +249,15 @@ func AssignWeights(seed uint64, tr *Trace, maxWeight int) {
 type Sim = sim.Sim
 
 // NewSim builds an engine for t. Reuse it across runs via
-// (*Sim).Reset, which retains all allocated capacity.
+// (*Sim).Reset, which retains all allocated capacity except a records
+// buffer the last Result took.
 func NewSim(t *Tree, opts Options) *Sim { return sim.New(t, opts) }
 
 // RunOn simulates a trace on an existing engine (freshly built or
-// recycled with Reset). Equivalent to Run but allocation-free in the
-// steady state.
+// recycled with Reset). Equivalent to Run, reusing the engine's
+// queues, event heap and task arena; the Result takes the engine's
+// records buffer, so beyond the Result itself each call allocates
+// that one buffer.
 func RunOn(s *Sim, tr *Trace, asg Assigner) (*Result, error) {
 	return sim.RunOn(s, tr, asg)
 }

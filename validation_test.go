@@ -17,7 +17,8 @@ func (f fixedNode) Assign(*treesched.Query, *treesched.Arrival) treesched.NodeID
 }
 
 // Invalid client input never reaches the engine: a non-finite size,
-// leaf size or weight, an origin outside the tree or offered to an
+// leaf size or weight, a size or leaf size above workload.MaxSize
+// (2^53), an origin outside the tree or offered to an
 // assigner that places root arrivals only, or an assigner's choice of
 // a node outside the tree, fails every driver with an error that names
 // it — no panic, no silently wrong flow.
@@ -37,6 +38,11 @@ func TestInvalidInputRejected(t *testing.T) {
 		{"inf size roundrobin", func(j *treesched.Job) { j.Size = inf }, roundRobin, false, "workload: job 10 has non-finite size +Inf"},
 		{"nan leaf size", func(j *treesched.Job) { j.LeafSizes[3] = nan }, roundRobin, true, "workload: job 10 has non-finite size NaN on leaf index 3"},
 		{"inf leaf size", func(j *treesched.Job) { j.LeafSizes[3] = inf }, roundRobin, true, "workload: job 10 has non-finite size +Inf on leaf index 3"},
+		{"huge size greedy", func(j *treesched.Job) { j.Size = 1.7e308 }, greedy, false, "workload: job 10 has size 1.7e+308 above MaxSize 2^53"},
+		{"huge size roundrobin", func(j *treesched.Job) { j.Size = 1.7e308 }, roundRobin, false, "workload: job 10 has size 1.7e+308 above MaxSize 2^53"},
+		{"size just above the bound", func(j *treesched.Job) { j.Size = math.Nextafter(1<<53, inf) }, roundRobin, false,
+			"workload: job 10 has size 9.007199254740994e+15 above MaxSize 2^53"},
+		{"huge leaf size", func(j *treesched.Job) { j.LeafSizes[3] = 1.7e308 }, roundRobin, true, "workload: job 10 has size 1.7e+308 above MaxSize 2^53 on leaf index 3"},
 		{"nan weight", func(j *treesched.Job) { j.Weight = nan }, roundRobin, false, "workload: job 10 has non-finite weight NaN"},
 		{"inf weight", func(j *treesched.Job) { j.Weight = inf }, roundRobin, false, "workload: job 10 has non-finite weight +Inf"},
 		{"origin past the tree", func(j *treesched.Job) { j.Origin = 99 }, greedy, false, "sim: job 10 origin 99 outside the 15-node tree"},
@@ -114,7 +120,8 @@ func shadow() treesched.Assigner {
 // and shadow, Run and RunStream either return an error or complete
 // every job with a finite, non-negative flow; so does RunPacketized,
 // exercised only for sizes up to 64 because it makes ⌈p_j⌉ tasks per
-// job.
+// job. The 1.7e308 seed is refused by Validate (above MaxSize); the
+// 2^53 seed is the largest size it accepts.
 func FuzzRunAccepted(f *testing.F) {
 	f.Add(100.0, 3.0, 1.0, int32(0), int8(-1))
 	f.Add(100.0, 3.0, 1.0, int32(99), int8(-1))
@@ -123,6 +130,7 @@ func FuzzRunAccepted(f *testing.F) {
 	f.Add(100.0, 3.0, 2.0, int32(3), int8(8))
 	f.Add(100.0, 3.0, 1.0, int32(0), int8(3))
 	f.Add(100.0, 1.7e308, 1.0, int32(0), int8(-1))
+	f.Add(100.0, float64(1<<53), 1.0, int32(0), int8(-1))
 	tr := treesched.FatTree(2, 2, 2)
 	f.Fuzz(func(t *testing.T, release, size, weight float64, origin int32, leaves int8) {
 		trace, err := treesched.PoissonTrace(1, 8, 0.9, tr)
