@@ -441,6 +441,29 @@ func TestRunnerMatchesColdRun(t *testing.T) {
 	}
 }
 
+// A built trace is collected into a slice sized once, whole-trace
+// passes included: it holds no spare capacity.
+func TestBuiltTraceSizedOnce(t *testing.T) {
+	for _, spec := range []string{
+		"topo=fattree:2,5,1 n=20000 size=uniform:1,16 load=0.95",
+		"topo=fattree:2,2,2 process=bursty:5 n=3001 size=uniform:1,4 load=0.8 maxweight=10",
+		"topo=fattree:2,2,2 process=adversarial:32 n=3001",
+		"topo=fattree:2,2,2 n=3001 size=uniform:1,4 load=0.8 unrelated=0.5,2 round=0.5",
+	} {
+		sc, err := ParseCompact(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in, err := sc.Build()
+		if err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
+		if jobs := in.Trace.Jobs; len(jobs) != sc.Workload.N || cap(jobs) != len(jobs) {
+			t.Errorf("%s: trace len %d cap %d, want both %d", spec, len(jobs), cap(jobs), sc.Workload.N)
+		}
+	}
+}
+
 func TestServeScenarios(t *testing.T) {
 	serve := func() *Scenario {
 		return &Scenario{Topology: NewSpec("fattree", 2, 2, 2), Engine: Engine{Serve: true}}

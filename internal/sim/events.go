@@ -1,11 +1,34 @@
 package sim
 
-import "treesched/internal/tree"
+import (
+	"math"
+	"math/bits"
+
+	"treesched/internal/tree"
+)
 
 // finishEvent is the scheduled completion of a node's running task.
+// at holds the finish time's IEEE-754 bits. A deadline is
+// now + remaining/speed with now ≥ +0, remaining ≥ +0 and the speed
+// positive and finite, so it is never negative, −0 or NaN, and its
+// bits order exactly as the times do: +Inf, a clock overflow, sorts
+// after every finite time.
 type finishEvent struct {
-	at   float64
+	at   uint64
 	node tree.NodeID
+}
+
+func (e finishEvent) time() float64 { return math.Float64frombits(e.at) }
+
+// before is 1 when a's key sorts below b's and 0 otherwise, the key
+// being the 128-bit unsigned (time bits, node). The borrow chain of
+// a − b decides it with no branch: the sift loops pay no
+// mispredictions on data-dependent float compares and tie-breaks.
+// With one entry per node the order is total.
+func before(a, b finishEvent) uint64 {
+	_, borrow := bits.Sub64(uint64(uint32(a.node)), uint64(uint32(b.node)), 0)
+	_, borrow = bits.Sub64(a.at, b.at, borrow)
+	return borrow
 }
 
 // eventHeap is the engine's event queue: a binary min-heap of finish
@@ -31,25 +54,16 @@ func (h *eventHeap) reset(n int) {
 	}
 }
 
-// eventBefore orders finish events by time, ties by node; with one
-// entry per node the order is total.
-func eventBefore(a, b finishEvent) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.node < b.node
-}
-
 // set schedules node v's finish at at, moving v's entry if it has one.
 func (h *eventHeap) set(v tree.NodeID, at float64) {
+	ev := finishEvent{at: math.Float64bits(at), node: v}
 	i := int(h.pos[v])
 	if i < 0 {
-		h.evs = append(h.evs, finishEvent{at: at, node: v})
-		h.up(len(h.evs) - 1)
+		h.evs = append(h.evs, ev)
+		h.up(len(h.evs)-1, ev)
 		return
 	}
-	h.evs[i].at = at
-	h.fix(i)
+	h.replace(i, ev)
 }
 
 // clear removes node v's entry, if any.
@@ -62,28 +76,30 @@ func (h *eventHeap) clear(v tree.NodeID) {
 	last := len(h.evs) - 1
 	moved := h.evs[last]
 	h.evs = h.evs[:last]
-	if i == last {
-		return
-	}
-	h.evs[i] = moved
-	h.fix(i)
-}
-
-// fix restores heap order after the entry at i changed.
-func (h *eventHeap) fix(i int) {
-	if !h.down(i) {
-		h.up(i)
+	if i < last {
+		h.replace(i, moved)
 	}
 }
 
-// up and down sift hole-style: the moving entry is held in a register
-// and placed once, and every entry that moves has its index rewritten.
-func (h *eventHeap) up(i int) {
+// replace puts ev in the slot at i. An entry that sorts before the
+// one it replaces is below that one's children, so it can only rise;
+// any other is above that one's parent, so it can only sink.
+func (h *eventHeap) replace(i int, ev finishEvent) {
+	if before(ev, h.evs[i]) != 0 {
+		h.up(i, ev)
+	} else {
+		h.down(i, ev)
+	}
+}
+
+// up and down sift ev hole-style from slot i: ev is held in a
+// register and placed once, and every entry that moves has its index
+// rewritten.
+func (h *eventHeap) up(i int, ev finishEvent) {
 	evs := h.evs
-	ev := evs[i]
 	for i > 0 {
 		p := (i - 1) / 2
-		if !eventBefore(ev, evs[p]) {
+		if before(ev, evs[p]) == 0 {
 			break
 		}
 		evs[i] = evs[p]
@@ -94,29 +110,24 @@ func (h *eventHeap) up(i int) {
 	h.pos[ev.node] = int32(i)
 }
 
-// down reports whether the entry at i moved.
-func (h *eventHeap) down(i int) bool {
+func (h *eventHeap) down(i int, ev finishEvent) {
 	evs := h.evs
 	n := len(evs)
-	i0 := i
-	ev := evs[i]
 	for {
 		l := 2*i + 1
 		if l >= n {
 			break
 		}
-		small, se := l, evs[l]
-		if r := l + 1; r < n && eventBefore(evs[r], se) {
-			small, se = r, evs[r]
+		if l+1 < n {
+			l += int(before(evs[l+1], evs[l]))
 		}
-		if !eventBefore(se, ev) {
+		if before(evs[l], ev) == 0 {
 			break
 		}
-		evs[i] = se
-		h.pos[se.node] = int32(i)
-		i = small
+		evs[i] = evs[l]
+		h.pos[evs[i].node] = int32(i)
+		i = l
 	}
 	evs[i] = ev
 	h.pos[ev.node] = int32(i)
-	return i > i0
 }

@@ -96,14 +96,18 @@ func (s *Sim) CheckInvariants() error {
 }
 
 // checkEvents verifies the event heap: heap order, every entry's
-// back-index, exactly one entry per node that runs a task at positive
-// speed (none for an idle or stalled node), and every deadline equal
-// to now + remaining/speed (× the share count under processor
-// sharing) within timeEps.
+// back-index, every deadline not NaN and not before now (the key's
+// precondition), exactly one entry per node that runs a task at
+// positive speed (none for an idle or stalled node), and every
+// deadline equal to now + remaining/speed (× the share count under
+// processor sharing) within timeEps.
 func (s *Sim) checkEvents() error {
 	h := &s.events
 	for i, ev := range h.evs {
-		if i > 0 && eventBefore(ev, h.evs[(i-1)/2]) {
+		if at := ev.time(); !(at >= s.now) {
+			return fmt.Errorf("sim: node %d's finish event at %v is NaN or before now=%v", ev.node, at, s.now)
+		}
+		if i > 0 && before(ev, h.evs[(i-1)/2]) != 0 {
 			return fmt.Errorf("sim: event heap out of order at index %d (node %d)", i, ev.node)
 		}
 		if int(h.pos[ev.node]) != i {
@@ -129,7 +133,7 @@ func (s *Sim) checkEvents() error {
 			share = float64(n.avail.len())
 		}
 		want := s.now + s.remainingAt(n, n.running)*share/n.speed
-		if at := h.evs[i].at; math.Abs(at-want) > timeEps*math.Max(1, math.Abs(want)) {
+		if at := h.evs[i].time(); math.Abs(at-want) > timeEps*math.Max(1, math.Abs(want)) {
 			return fmt.Errorf("sim: node %d's finish event at %v, want now + remaining/speed = %v", v, at, want)
 		}
 	}

@@ -350,6 +350,7 @@ func (s *Sim) injectPackets(a *Arrival, leaf tree.NodeID) error {
 		js.PrioRouter = a.Size
 		js.PrioLeaf = a.LeafSize(li)
 		js.FracWeight = 1 / float64(k)
+		js.Weight = a.Weight
 		js.Leaf = leaf
 		js.leafSizes = a.LeafSizes
 		s.claimSeq(js)

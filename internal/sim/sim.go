@@ -912,17 +912,17 @@ func (s *Sim) run(target float64, drain bool) {
 		evs := s.events.evs
 		if s.opts.Faults != nil {
 			if b, ok := s.peekBoundary(); ok && (drain || b.At <= target) &&
-				(len(evs) == 0 || b.At < evs[0].at) {
+				(len(evs) == 0 || b.At < evs[0].time()) {
 				s.advance(b.At)
 				s.applyBoundary(b)
 				continue
 			}
 		}
-		if len(evs) == 0 || (!drain && evs[0].at > target) {
+		if len(evs) == 0 || (!drain && evs[0].time() > target) {
 			return
 		}
 		ev := evs[0]
-		s.advance(ev.at)
+		s.advance(ev.time())
 		s.handleFinish(ev.node)
 	}
 }

@@ -65,6 +65,33 @@ func TestWeightedFlowAccounting(t *testing.T) {
 	}
 }
 
+// A packetized job keeps its weight: every packet carries it, so the
+// folded record and WeightedFlow match a whole-job run's.
+func TestPacketizedKeepsWeights(t *testing.T) {
+	tr := tree.FatTree(2, 2, 2)
+	trace := &workload.Trace{Jobs: []workload.Job{
+		{ID: 0, Release: 0, Size: 2, Weight: 5},
+		{ID: 1, Release: 0.5, Size: 1.5, Weight: 5},
+	}}
+	for _, run := range []struct {
+		name string
+		f    func(*tree.Tree, *workload.Trace, Assigner, Options) (*Result, error)
+	}{{"Run", Run}, {"RunPacketized", RunPacketized}} {
+		res, err := run.f(tr, trace, &rrAssigner{}, Options{SelfCheck: true})
+		if err != nil {
+			t.Fatalf("%s: %v", run.name, err)
+		}
+		for _, m := range res.Jobs {
+			if m.Weight != 5 {
+				t.Errorf("%s: job %d weight %v, want 5", run.name, m.ID, m.Weight)
+			}
+		}
+		if st := res.Stats; st.WeightedFlow != 5*st.TotalFlow {
+			t.Errorf("%s: WeightedFlow %v, want 5 × TotalFlow %v", run.name, st.WeightedFlow, st.TotalFlow)
+		}
+	}
+}
+
 func TestWeightedFlowDefaultsToTotal(t *testing.T) {
 	tr := tree.Star(2)
 	r := rng.New(7)

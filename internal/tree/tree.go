@@ -9,6 +9,7 @@ package tree
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // NodeID identifies a node within a Tree. IDs are dense indices into
@@ -144,11 +145,21 @@ func (b *Builder) SetSpeed(id NodeID, speed float64) {
 		b.err = fmt.Errorf("tree: SetSpeed on unknown node %d", id)
 		return
 	}
-	if speed <= 0 {
-		b.err = fmt.Errorf("tree: SetSpeed(%d) with non-positive speed %v", id, speed)
+	if err := checkSpeed(speed); err != nil {
+		b.err = fmt.Errorf("tree: SetSpeed(%d): %w", id, err)
 		return
 	}
 	b.nodes[id].Speed = speed
+}
+
+// checkSpeed rejects a speed that is not positive and finite. The
+// engine divides work by a node's speed and multiplies it by fault
+// factors, so NaN or +Inf would turn a run's times into NaN.
+func checkSpeed(speed float64) error {
+	if !(speed > 0) || math.IsInf(speed, 1) {
+		return fmt.Errorf("speed %v is not positive and finite", speed)
+	}
+	return nil
 }
 
 // SetLabel attaches a human-readable label to a node.
@@ -319,8 +330,11 @@ func (t *Tree) WithUniformSpeed(speed float64) *Tree {
 // mirrors the paper's asymmetric augmentation (root-adjacent nodes get
 // less speed than the rest in Theorems 4-6).
 func (t *Tree) WithSpeeds(rootAdjacent, router, leaf float64) *Tree {
-	if rootAdjacent <= 0 || router <= 0 || leaf <= 0 {
-		panic("tree: WithSpeeds requires positive speeds")
+	classes := [...]string{"root-adjacent", "router", "leaf"}
+	for i, sp := range [...]float64{rootAdjacent, router, leaf} {
+		if err := checkSpeed(sp); err != nil {
+			panic(fmt.Sprintf("tree: WithSpeeds: %s %v", classes[i], err))
+		}
 	}
 	nt := *t
 	nt.nodes = make([]Node, len(t.nodes))
@@ -356,8 +370,8 @@ func (t *Tree) Validate() error {
 		if n.Kind == KindLeaf && n.Depth == 1 {
 			return ErrLeafAtRoot
 		}
-		if n.Speed <= 0 {
-			return fmt.Errorf("tree: node %d has non-positive speed", n.ID)
+		if err := checkSpeed(n.Speed); err != nil {
+			return fmt.Errorf("tree: node %d: %w", n.ID, err)
 		}
 	}
 	for li, leaf := range t.leaves {

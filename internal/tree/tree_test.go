@@ -2,6 +2,8 @@ package tree
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -87,13 +89,33 @@ func TestUnknownParentRejected(t *testing.T) {
 	}
 }
 
+// A node speed must be positive and finite: the engine divides work
+// by it and scales it by fault factors, and NaN passes a `<= 0` test.
+// Every way a speed enters a tree refuses the rest, naming the node
+// and the value.
 func TestSetSpeedValidation(t *testing.T) {
-	b := NewBuilder()
-	r := b.AddRouter(b.Root())
-	b.AddLeaf(r)
-	b.SetSpeed(r, -1)
-	if _, err := b.Finalize(); err == nil {
-		t.Fatal("negative speed accepted")
+	for _, sp := range []float64{-1, 0, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		b := NewBuilder()
+		r := b.AddRouter(b.Root())
+		b.AddLeaf(r)
+		b.SetSpeed(r, sp)
+		_, err := b.Finalize()
+		want := fmt.Sprintf("tree: SetSpeed(%d): speed %v is not positive and finite", r, sp)
+		if err == nil || err.Error() != want {
+			t.Errorf("speed %v: Finalize returned %v, want %q", sp, err, want)
+		}
+	}
+}
+
+func TestValidateRejectsNonFiniteSpeed(t *testing.T) {
+	for _, sp := range []float64{0, math.NaN(), math.Inf(1)} {
+		tr := FatTree(2, 2, 2)
+		leaf := tr.Leaves()[1]
+		tr.nodes[leaf].Speed = sp
+		want := fmt.Sprintf("tree: node %d: speed %v is not positive and finite", leaf, sp)
+		if err := tr.Validate(); err == nil || err.Error() != want {
+			t.Errorf("speed %v: Validate returned %v, want %q", sp, err, want)
+		}
 	}
 }
 
@@ -168,13 +190,23 @@ func TestWithSpeeds(t *testing.T) {
 }
 
 func TestWithSpeedsPanicsOnNonPositive(t *testing.T) {
-	tr := twoLevel(t)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("non-positive speed did not panic")
-		}
-	}()
-	tr.WithSpeeds(0, 1, 1)
+	for _, c := range []struct {
+		rootAdj, router, leaf float64
+		want                  string
+	}{
+		{0, 1, 1, "tree: WithSpeeds: root-adjacent speed 0 is not positive and finite"},
+		{1, 1, math.NaN(), "tree: WithSpeeds: leaf speed NaN is not positive and finite"},
+		{1, math.Inf(1), 1, "tree: WithSpeeds: router speed +Inf is not positive and finite"},
+	} {
+		func() {
+			defer func() {
+				if got := recover(); got != c.want {
+					t.Errorf("WithSpeeds(%v, %v, %v) panicked with %v, want %q", c.rootAdj, c.router, c.leaf, got, c.want)
+				}
+			}()
+			FatTree(2, 2, 2).WithSpeeds(c.rootAdj, c.router, c.leaf)
+		}()
+	}
 }
 
 func TestFatTreeShape(t *testing.T) {

@@ -50,6 +50,8 @@ func (s *TraceSource) Next() (Job, bool) {
 
 func (s *TraceSource) Err() error { return nil }
 
+func (s *TraceSource) remaining() int { return len(s.tr.Jobs) - s.i }
+
 // PoissonSource is the Poisson arrival process: per job it draws one
 // exponential interarrival then one size sample.
 type PoissonSource struct {
@@ -79,6 +81,8 @@ func (s *PoissonSource) Next() (Job, bool) {
 }
 
 func (s *PoissonSource) Err() error { return nil }
+
+func (s *PoissonSource) remaining() int { return s.cfg.N - s.i }
 
 // BurstySource is the bursty arrival process: one exponential draw
 // at each burst start, then per job a fixed jitter and one size
@@ -125,6 +129,8 @@ func (s *BurstySource) Next() (Job, bool) {
 
 func (s *BurstySource) Err() error { return nil }
 
+func (s *BurstySource) remaining() int { return s.cfg.N - s.i }
+
 // AdversarialSource is the adversarial pattern: one big job, a flood
 // of bigSize/2 unit jobs, then a bigSize/4 gap, over and over. It
 // draws no random numbers.
@@ -164,6 +170,8 @@ func (s *AdversarialSource) Next() (Job, bool) {
 
 func (s *AdversarialSource) Err() error { return nil }
 
+func (s *AdversarialSource) remaining() int { return s.n - s.i }
+
 // RelatedSource applies MakeRelated per job: every yielded job gets
 // LeafSizes[i] = Size/leafSpeeds[i]. The transform is rng-free, so
 // wrapping preserves bit-identity with the materialized pipeline.
@@ -191,6 +199,8 @@ func (s *RelatedSource) Next() (Job, bool) {
 
 func (s *RelatedSource) Err() error { return s.src.Err() }
 
+func (s *RelatedSource) remaining() int { return remaining(s.src) }
+
 // ClassRoundSource applies RoundTraceToClasses per job: router and
 // leaf sizes are rounded up to powers of (1+eps). Rng-free.
 type ClassRoundSource struct {
@@ -215,11 +225,28 @@ func (s *ClassRoundSource) Next() (Job, bool) {
 
 func (s *ClassRoundSource) Err() error { return s.src.Err() }
 
+func (s *ClassRoundSource) remaining() int { return remaining(s.src) }
+
+// remaining returns how many jobs src has left to yield, or -1 when
+// it cannot tell (a decoder, say). The generators know their N, and
+// a per-job transform forwards its source's count.
+func remaining(src ArrivalSource) int {
+	if c, ok := src.(interface{ remaining() int }); ok {
+		return c.remaining()
+	}
+	return -1
+}
+
 // Collect drains a source into a Trace (no validation; generators
 // emit valid traces by construction and consumers validate on use).
-// A materialized trace is its source's jobs, collected.
+// A materialized trace is its source's jobs, collected. A source that
+// knows its length gets a slice sized once, so the trace holds no
+// spare capacity and generation copies no job twice.
 func Collect(src ArrivalSource) (*Trace, error) {
 	tr := &Trace{}
+	if n := remaining(src); n > 0 {
+		tr.Jobs = make([]Job, 0, n)
+	}
 	for {
 		j, ok := src.Next()
 		if !ok {
