@@ -80,6 +80,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzJobEncode -fuzztime=10s ./internal/workload
 	$(GO) test -run=^$$ -fuzz=FuzzMetricsEncode -fuzztime=10s ./internal/sim
 	$(GO) test -run=^$$ -fuzz=FuzzEventHeap -fuzztime=10s ./internal/sim
+	$(GO) test -run=^$$ -fuzz=FuzzGreedyScan -fuzztime=10s ./internal/core
 	$(GO) test -run=^$$ -fuzz=FuzzAppend -fuzztime=10s ./internal/jsonfloat
 	$(GO) test -run=^$$ -fuzz=FuzzRunAccepted -fuzztime=10s .
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -13,7 +14,7 @@ import (
 
 // classTrace builds a Poisson trace with sizes rounded to powers of
 // (1+eps), as the paper's analysis assumes.
-func classTrace(t *testing.T, seed uint64, n int, load, eps float64, branches int) *workload.Trace {
+func classTrace(t testing.TB, seed uint64, n int, load, eps float64, branches int) *workload.Trace {
 	t.Helper()
 	r := rng.New(seed)
 	tr, err := workload.Poisson(r, workload.GenConfig{
@@ -158,6 +159,43 @@ func TestShadowAssignerEndToEnd(t *testing.T) {
 	}
 	if rep.MaxRatio > 1+1e-9 {
 		t.Fatalf("Lemma 8 max ratio %v > 1", rep.MaxRatio)
+	}
+}
+
+// Shadow.Assign hands the broomstick rule and engine one reused
+// Arrival, so a streamed identical shadow run allocates nothing per
+// job; a fresh Arrival per job escaped through the Assigner interface.
+// The count is the difference between two run lengths, so setup and
+// the logarithmic growth of engine buffers cancel out.
+func TestShadowStreamAllocsPerJob(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two streamed shadow runs skipped in -short mode")
+	}
+	tr := tree.FatTree(2, 2, 2).WithUniformSpeed(1.5)
+	mallocs := func(n int) uint64 {
+		sh, err := NewShadow(tr, ShadowConfig{Eps: 0.5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		src, err := workload.NewPoissonSource(rng.New(1), workload.GenConfig{
+			N: n, Size: workload.UniformSize{Lo: 1, Hi: 16}, Load: 0.95, Capacity: 3,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := sim.RunStream(tr, src, sh, sim.Options{RetainJobs: 1}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	const lo, hi = 5_000, 25_000
+	perJob := float64(mallocs(hi)-mallocs(lo)) / (hi - lo)
+	t.Logf("%.4f allocations per job", perJob)
+	if perJob > 0.01 {
+		t.Fatalf("streamed shadow run allocates %.3f times per job, want at most 0.01", perJob)
 	}
 }
 

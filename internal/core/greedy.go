@@ -76,7 +76,13 @@ func F(q *sim.Query, a *sim.Arrival, v tree.NodeID) float64 {
 // fAt is F(j,v) for the leaves v below root-adjacent node r.
 func fAt(q *sim.Query, a *sim.Arrival, r tree.NodeID) float64 {
 	volHigher, countLarger := q.AvailStats(r, a.Size, a.Release, a.ID)
-	return volHigher + a.Size + a.Size*float64(countLarger)
+	return fOf(volHigher, countLarger, a.Size)
+}
+
+// fOf forms F from its two node-local terms (AvailStats' answers, or
+// AvailStatsBound's lower bounds) for a job of size p.
+func fOf(volHigher float64, countLarger int, p float64) float64 {
+	return volHigher + p + p*float64(countLarger)
 }
 
 // FPrime computes the paper's F'(j,v) for unrelated endpoints:
@@ -161,10 +167,13 @@ func (g *GreedyIdentical) Name() string { return "GreedyIdentical" }
 // (R(v), d_v), so the scan scores one head per run of the origin's
 // plan, in leaf order, and keeps the first strict minimum. A run's
 // floor p_j + dw·d_v·p_j is a float lower bound of its cost (F ≥ p_j,
-// and rounding is monotone) and equals the cost of an empty branch
-// root bit for bit, so the scan skips every run whose floor is not
-// below the best cost so far and prices an empty branch root at its
-// floor without a query. Since queries are pure, it picks the leaf a
+// and rounding is monotone), so the scan skips every run whose floor
+// is not below the best cost so far. It prices the rest from
+// AvailStatsBound in O(1): that price is a lower bound of the cost,
+// and is the cost bit for bit when the branch root holds at most its
+// running task (an empty root costs its floor). Only a root holding
+// more, whose bounded price is still below the best, is queried with
+// AvailStats. Since queries are pure, the scan picks the leaf a
 // straight scan of every candidate picks, float ties included.
 func (g *GreedyIdentical) Assign(q *sim.Query, a *sim.Arrival) tree.NodeID {
 	g.Cfg.validate()
@@ -176,16 +185,15 @@ func (g *GreedyIdentical) Assign(q *sim.Query, a *sim.Arrival) tree.NodeID {
 	best := tree.None
 	bestCost := math.Inf(1)
 	for _, h := range p.runs {
-		cost := dw * float64(h.depth) * a.Size
+		c := dw * float64(h.depth) * a.Size
+		cost := c
 		if !g.Cfg.DropVolumeTerm {
-			floor := a.Size + cost
-			switch {
-			case floor >= bestCost:
+			if a.Size+c >= bestCost {
 				continue
-			case q.AvailCount(h.branch) == 0:
-				cost = floor
-			default:
-				cost = fAt(q, a, h.branch) + cost
+			}
+			vh, cl, exact := q.AvailStatsBound(h.branch, a.Size, a.Release, a.ID)
+			if cost = fOf(vh, cl, a.Size) + c; !exact && cost < bestCost {
+				cost = fAt(q, a, h.branch) + c
 			}
 		}
 		if cost < bestCost {

@@ -267,3 +267,159 @@ func TestGreedyInteriorOrigins(t *testing.T) {
 		t.Fatalf("warm interior-origin replay allocates %.1f times, want 0", allocs)
 	}
 }
+
+// scanInput reads a FuzzGreedyScan input one byte at a time; bytes
+// past the end read as 0.
+type scanInput []byte
+
+func (in *scanInput) next() int {
+	if len(*in) == 0 {
+		return 0
+	}
+	x := (*in)[0]
+	*in = (*in)[1:]
+	return int(x)
+}
+
+// scanConfigs is FuzzGreedyScan's rule palette. At ε = 1e-9 the
+// distance term 6/ε²·d·p absorbs p and every small F, so whole runs of
+// candidates tie at the same cost.
+var scanConfigs = []GreedyConfig{
+	{Eps: 0.5}, {Eps: 1}, {Eps: 1e-9}, {Eps: 0.5, DropDistanceTerm: true}, {Eps: 0.5, DistanceWeight: 1},
+}
+
+// decodeScanInput builds a FuzzGreedyScan case: a tree of 2–4 branches,
+// each a chain of one to three routers ending in one or two leaves,
+// optionally with a shallower leaf on the branch root and a deep leaf
+// after it (so one branch can hold several runs); speed 1 or 1.5; a
+// rule from scanConfigs; a policy, whole or packetized; then up to 64
+// jobs, three bytes each: a release gap (one gap jumps to just below
+// the next integer time, where a unit job started on an idle branch
+// root at the previous integer time has an ulp or so of work left: the
+// floor tie of TestGreedyFloorTieAheadOfEmptyRoot), a size and an
+// origin (a quarter of jobs start at a random non-root node).
+func decodeScanInput(data []byte) (*tree.Tree, GreedyConfig, sim.Options, bool, *workload.Trace) {
+	in := scanInput(data)
+	b := tree.NewBuilder()
+	for i := 2 + in.next()%3; i > 0; i-- {
+		x := in.next()
+		top := b.AddRouter(b.Root())
+		v := top
+		for d := x % 3; d > 0; d-- {
+			v = b.AddRouter(v)
+		}
+		for l := 1 + x/3%2; l > 0; l-- {
+			b.AddLeaf(v)
+		}
+		if x/6%2 == 1 && v != top {
+			b.AddLeaf(top)
+			if x/12%2 == 1 {
+				b.AddLeaf(v)
+			}
+		}
+	}
+	tr := b.MustFinalize()
+	if in.next()%2 == 1 {
+		tr = tr.WithUniformSpeed(1.5)
+	}
+	cfg := scanConfigs[in.next()%len(scanConfigs)]
+	p := in.next()
+	pol := scanPolicies[p%len(scanPolicies)]
+	opts := sim.Options{Policy: pol.policy, RecordSlices: pol.name != "ps"}
+	packetized := p/len(scanPolicies)%2 == 1
+
+	gaps := [...]float64{0, 0, 0.25, 1, 3, 1e-9, -1, 0.5}
+	sizes := [...]float64{1, 1, 2, 4, 16, 0.5, 3, 1.5}
+	trace := &workload.Trace{}
+	rel := 0.0
+	for id := 0; id < 64 && len(in) > 0; id++ {
+		g, s, o := in.next(), in.next(), in.next()
+		if gap := gaps[g%len(gaps)]; gap < 0 {
+			rel = math.Nextafter(math.Floor(rel)+1, 0)
+		} else {
+			rel += gap
+		}
+		j := workload.Job{ID: id, Release: rel, Size: sizes[s%len(sizes)]}
+		if o%4 == 3 {
+			j.Origin = int32(1 + o/4%(tr.NumNodes()-1))
+		}
+		trace.Jobs = append(trace.Jobs, j)
+	}
+	return tr, cfg, opts, packetized, trace
+}
+
+// FuzzGreedyScan holds GreedyIdentical's pruned, bound-priced scan to
+// the straight scan of every leaf: on any decoded tree, rule, policy
+// and trace both write the same NDJSON, stats and slice log. Its seeds
+// run under plain go test: the floor tie of
+// TestGreedyFloorTieAheadOfEmptyRoot, the ε that absorbs p, and eight
+// full-length random inputs.
+func FuzzGreedyScan(f *testing.F) {
+	// fattree:3,1,1; job 0 (size 1) runs on branch root 0 from t = 0;
+	// job 1 (size 4) arrives just before t = 1.
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 6, 3, 0, 0, 2, 0, 5, 4, 0})
+	// Four one-leaf branches at ε = 1e-9.
+	f.Add([]byte{2, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 4, 0, 0, 3, 0, 6, 4, 0, 1, 1, 0, 5, 2, 0})
+	for k := uint64(1); k <= 8; k++ {
+		r := rng.New(k)
+		data := make([]byte, 8+3*64)
+		for i := range data {
+			data[i] = byte(r.Intn(256))
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, cfg, opts, packetized, trace := decodeScanInput(data)
+		if len(trace.Jobs) == 0 {
+			return
+		}
+		requireSameOutput(t, "fuzz",
+			runFor(t, tr, trace, &GreedyIdentical{Cfg: cfg}, opts, packetized),
+			runFor(t, tr, trace, straightScan{dw: cfg.scanWeight()}, opts, packetized))
+	})
+}
+
+// BenchmarkGreedyAssign times GreedyIdentical.Assign alone on warm
+// engine states of the sim-wide shape (fattree:32,1,32 at speed 1.5,
+// load 0.95): 16 engines stopped every 1,000 arrivals of one trace,
+// each advanced to the next release and probed there with the 16
+// arrivals that follow. Queries are pure, so the timed loop never
+// moves a state, and it allocates nothing.
+func BenchmarkGreedyAssign(b *testing.B) {
+	const states, probes = 16, 16
+	tr := tree.FatTree(32, 1, 32).WithUniformSpeed(1.5)
+	trace := classTrace(b, 7, (states+1)*1000, 0.95, 0.5, 32)
+	g := NewGreedyIdentical(0.5)
+	type probe struct {
+		q *sim.Query
+		a sim.Arrival
+	}
+	var ps []probe
+	for k := 1; k <= states; k++ {
+		s := sim.New(tr, sim.Options{})
+		for _, j := range trace.Jobs[:k*1000] {
+			s.AdvanceTo(j.Release)
+			a := &sim.Arrival{ID: j.ID, Release: j.Release, Size: j.Size}
+			if _, err := s.Inject(a, g.Assign(s.Query(), a)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		next := trace.Jobs[k*1000 : k*1000+probes]
+		s.AdvanceTo(next[0].Release)
+		for _, j := range next {
+			ps = append(ps, probe{q: s.Query(), a: sim.Arrival{ID: j.ID, Release: s.Now(), Size: j.Size}})
+		}
+	}
+	for i := range ps {
+		g.Assign(ps[i].q, &ps[i].a) // activate the snapshots the scan reads
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := range b.N {
+		p := &ps[i%len(ps)]
+		assignSink = g.Assign(p.q, &p.a)
+	}
+}
+
+// assignSink keeps BenchmarkGreedyAssign's calls live.
+var assignSink tree.NodeID

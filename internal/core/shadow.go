@@ -22,6 +22,10 @@ type Shadow struct {
 	pick sim.Assigner
 	// drained records whether Finish was called.
 	drained bool
+	// arrival is the Arrival handed to the broomstick rule and engine:
+	// a local one escapes through the Assigner interface, one heap
+	// allocation per job.
+	arrival sim.Arrival
 }
 
 // ShadowConfig configures the shadow broomstick simulation.
@@ -89,7 +93,9 @@ func (sh *Shadow) Assign(q *sim.Query, a *sim.Arrival) tree.NodeID {
 		panic("core: Shadow does not support the arbitrary-origin extension")
 	}
 	sh.inner.AdvanceTo(a.Release)
-	ia := &sim.Arrival{
+	// Mapped leaf sizes stay a fresh slice: the injected task keeps it.
+	ia := &sh.arrival
+	*ia = sim.Arrival{
 		ID:        a.ID,
 		Release:   a.Release,
 		Size:      a.Size,

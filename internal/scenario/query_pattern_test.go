@@ -55,6 +55,9 @@ func (z *queryNoise) calls(q *sim.Query) {
 		q.AvailStats(node(), size(), q.Now(), id())
 	}
 	for k := times(); k > 0; k-- {
+		q.AvailStatsBound(node(), size(), q.Now(), id())
+	}
+	for k := times(); k > 0; k-- {
 		q.AvailCount(node())
 	}
 	for k := times(); k > 0; k-- {

@@ -118,13 +118,50 @@ func (q *Query) AvailVolume(v tree.NodeID) float64 {
 
 // AvailStats returns AvailVolumeHigher and AvailCountLarger of v in
 // one call — the two node-local terms of the paper's F(j,v), answered
-// from one snapshot search. The greedy assigners use this on the
-// root-adjacent node of every candidate branch.
+// from one snapshot search. The greedy assigners read it on
+// root-adjacent nodes; the identical rule only where AvailStatsBound
+// is not exact.
 func (q *Query) AvailStats(v tree.NodeID, size, release float64, id int) (volHigher float64, countLarger int) {
 	if q.s.ps {
 		return q.AvailVolumeHigher(v, size, release, id), q.AvailCountLarger(v, size)
 	}
 	return q.s.availStats(&q.s.nodes[v], size, release, id)
+}
+
+// AvailStatsBound returns lower bounds of AvailStats' two terms, read
+// from v's running task alone in O(1) and without activating v's
+// snapshot. exact reports that the bounds are AvailStats' answers bit
+// for bit: v holds no task, or (outside processor sharing) holds only
+// its running task. Processor sharing and a node with queued tasks but
+// none running give (0, 0, false).
+//
+// The bounds hold on any node. The stored volume of the snapshot's
+// qualifying prefix is a difference of a non-increasing suffix sum, so
+// it is ≥ +0, and volumeHigher adds the running task's work to it when
+// the task outranks the probe; a running task with PrioOnCur above size
+// is one of the jobs AvailCountLarger counts. Float addition and
+// multiplication are monotone on non-negative operands, so F(j,v)
+// formed from the bounds is at most F(j,v) formed from AvailStats.
+func (q *Query) AvailStatsBound(v tree.NodeID, size, release float64, id int) (volHigher float64, countLarger int, exact bool) {
+	n := &q.s.nodes[v]
+	k := n.avail.len()
+	if k == 0 {
+		return 0, 0, true
+	}
+	r := n.running
+	if q.s.ps || r == nil {
+		return 0, 0, false
+	}
+	exact = k == 1
+	switch {
+	case r.PrioOnCur > size:
+		countLarger = 1
+	case higherPriority(r.PrioOnCur, r.Release, r.ID, r.seq, size, release, id, maxSeq):
+		// As volumeHigher: the stored prefix volume (+0 here) plus the
+		// running task's work.
+		volHigher += q.s.remainingAt(n, r)
+	}
+	return volHigher, countLarger, exact
 }
 
 // AvailCount returns the number of jobs available on v.

@@ -259,7 +259,12 @@ func (c ClassRounded) Sample(r *rng.Rand) float64 {
 func (c ClassRounded) Mean() float64 { return c.Base.Mean() } // approximation; within (1+Eps)
 func (c ClassRounded) Name() string  { return fmt.Sprintf("class(%s,eps=%g)", c.Base.Name(), c.Eps) }
 
-// RoundToClass rounds size up to the nearest (1+eps)^k, k integer.
+// RoundToClass rounds size up to its class value: math.Pow(1+eps, k)
+// for the least integer k with Pow(1+eps, k) ≥ size. A class value
+// maps to itself, so rounding is idempotent. The ceiling of the log
+// ratio x is that k unless x lies within float error above the integer
+// below it, as it can for a class value; only then is that class
+// tried first, so a size off every class boundary costs one Pow.
 func RoundToClass(size, eps float64) float64 {
 	if size <= 0 {
 		panic("workload: RoundToClass of non-positive size")
@@ -267,14 +272,24 @@ func RoundToClass(size, eps float64) float64 {
 	if eps <= 0 {
 		panic("workload: RoundToClass with non-positive eps")
 	}
-	k := math.Ceil(math.Log(size) / math.Log(1+eps))
+	x := math.Log(size) / math.Log(1+eps)
+	k := math.Ceil(x)
+	if k-x >= 1-classRatioTol*(1+math.Abs(x)) {
+		k--
+	}
 	v := math.Pow(1+eps, k)
-	// Guard against floating error putting v just below size.
 	for v < size {
-		v *= 1 + eps
+		k++
+		v = math.Pow(1+eps, k)
 	}
 	return v
 }
+
+// classRatioTol is RoundToClass's relative allowance for float error in
+// the log ratio: far above the few ulps of the two logs and the
+// division, and of Pow's error mapped back through the log, for eps
+// down to about 1e-6.
+const classRatioTol = 1e-9
 
 // ClassOf returns the class index k with (1+eps)^k == size (rounded).
 func ClassOf(size, eps float64) int {

@@ -375,3 +375,35 @@ func TestTraceStats(t *testing.T) {
 		t.Fatal("empty trace stats")
 	}
 }
+
+// A class value Pow(1+eps, k) rounds to itself, bit for bit, and the
+// values either side of it round to it and to the class above: the log
+// ratio of a class value can land a hair above k, and a guard that
+// multiplies by 1+eps can return bits Pow does not. At eps 0.3, 30 of
+// the 41 class values for k = 0…40 used to move up a class.
+func TestRoundToClassKeepsClassValues(t *testing.T) {
+	if got := RoundToClass(1.6900000000000002, 0.3); got != 1.6900000000000002 {
+		t.Errorf("RoundToClass(1.6900000000000002, 0.3) = %v, want the class value itself", got)
+	}
+	if got := RoundToClass(2.1970000000000005, 0.3); got != 2.1970000000000005 {
+		t.Errorf("RoundToClass(2.1970000000000005, 0.3) = %v, want the class value itself", got)
+	}
+	for _, eps := range []float64{0.1, 0.25, 0.3, 0.5, 1} {
+		for k := -10; k <= 40; k++ {
+			c := math.Pow(1+eps, float64(k))
+			if got := RoundToClass(c, eps); got != c {
+				t.Errorf("eps %v: class value Pow(1+eps, %d) = %v rounds to %v", eps, k, c, got)
+			}
+			if got := RoundToClass(math.Nextafter(c, 0), eps); got != c {
+				t.Errorf("eps %v: just below class %d (%v) rounds to %v, want %v", eps, k, c, got, c)
+			}
+			up := math.Pow(1+eps, float64(k+1))
+			if got := RoundToClass(math.Nextafter(c, math.Inf(1)), eps); got != up {
+				t.Errorf("eps %v: just above class %d (%v) rounds to %v, want %v", eps, k, c, got, up)
+			}
+			if got := RoundToClass(RoundToClass(c*1.01, eps), eps); got != RoundToClass(c*1.01, eps) {
+				t.Errorf("eps %v: rounding %v twice gives %v, not %v", eps, c*1.01, got, RoundToClass(c*1.01, eps))
+			}
+		}
+	}
+}
