@@ -49,8 +49,7 @@ func CheckLemma1(res *sim.Result, eps float64, unrelated bool) Lemma1Report {
 		// r'_j: first available on a node not adjacent to the root.
 		rPrime := js.HopArrive[1]
 		cPrime := js.HopComplete[last]
-		dv := float64(t.Depth(js.Leaf))
-		bound := 6 / (eps * eps) * js.RouterSize * dv
+		bound := InteriorWaitBound(eps, js.RouterSize, t.Depth(js.Leaf))
 		ratio := (cPrime - rPrime) / bound
 		sum += ratio
 		if ratio > rep.MaxRatio {
@@ -119,8 +118,7 @@ func (c *Lemma2Checker) Observe(s *sim.Sim) {
 			// available on v (equal IDs compare ahead of the probe),
 			// so S's "includes J_j" clause needs no extra term.
 			vol := q.AvailVolumeHigher(v, q.PrioSizeOn(js, v), js.Release, js.ID)
-			bound := 2 / c.Eps * js.RouterSize
-			ratio := vol / bound
+			ratio := vol / MaxQueueVolumeBound(c.Eps, js.RouterSize)
 			c.Checks++
 			if ratio > c.MaxRatio {
 				c.MaxRatio = ratio
@@ -240,10 +238,11 @@ func (c *PhiDecreaseChecker) Observe(s *sim.Sim) {
 }
 
 // MaxQueueVolumeBound returns (2/ε)·p, the Lemma 2 bound for a job of
-// router size p, exposed for table rendering.
+// router size p, which Lemma2Checker checks.
 func MaxQueueVolumeBound(eps, p float64) float64 { return 2 / eps * p }
 
-// InteriorWaitBound returns (6/ε²)·p·d, the Lemma 1 bound.
+// InteriorWaitBound returns (6/ε²)·p·d, the Lemma 1 bound for a job of
+// router size p whose leaf is at depth d, which CheckLemma1 checks.
 func InteriorWaitBound(eps, p float64, d int) float64 {
 	return 6 / (eps * eps) * p * float64(d)
 }

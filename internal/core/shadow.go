@@ -121,10 +121,6 @@ func (sh *Shadow) Finish() error {
 // Broomstick returns the reduction (reduced tree + leaf maps).
 func (sh *Shadow) Broomstick() *tree.Broomstick { return sh.bs }
 
-// InnerStats returns the broomstick simulation's statistics. Call
-// Finish first for end-of-run numbers.
-func (sh *Shadow) InnerStats() sim.Stats { return sh.inner.Stats() }
-
 // InnerRecords exposes the broomstick run's per-job completion
 // records (sim.Sim.Records) for the Lemma 8 domination check. Call
 // Finish first.

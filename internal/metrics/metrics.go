@@ -1,17 +1,12 @@
 // Package metrics aggregates simulation results into the quantities
-// the experiments report: flow-time summaries, per-size-class
-// breakdowns, ℓ_k norms, node utilizations, and competitive-ratio
-// estimates against lower bounds.
+// the experiments report: flow-time summaries, node utilizations and
+// time-weighted queue lengths.
 package metrics
 
 import (
-	"math"
-	"sort"
-
 	"treesched/internal/sim"
 	"treesched/internal/stats"
 	"treesched/internal/tree"
-	"treesched/internal/workload"
 )
 
 // Flows extracts the per-job flow times of a run.
@@ -26,56 +21,6 @@ func Flows(res *sim.Result) []float64 {
 // FlowSummary summarizes the per-job flow-time distribution.
 func FlowSummary(res *sim.Result) stats.Summary {
 	return stats.Summarize(Flows(res))
-}
-
-// Stretch returns per-job flow divided by the job's congestion-free
-// path work — how much congestion inflated each job.
-func Stretch(res *sim.Result) []float64 {
-	out := make([]float64, len(res.Jobs))
-	for i := range res.Jobs {
-		out[i] = res.Jobs[i].Flow / res.Jobs[i].PathWork
-	}
-	return out
-}
-
-// ClassFlow is the flow summary of one (1+eps)^k size class.
-type ClassFlow struct {
-	Class   int
-	Size    float64
-	Summary stats.Summary
-}
-
-// PerClass groups jobs by size class and summarizes each class's flow.
-func PerClass(res *sim.Result, trace *workload.Trace, eps float64) []ClassFlow {
-	byClass := make(map[int][]float64)
-	for i := range res.Jobs {
-		k := workload.ClassOf(trace.Jobs[i].Size, eps)
-		byClass[k] = append(byClass[k], res.Jobs[i].Flow)
-	}
-	keys := make([]int, 0, len(byClass))
-	for k := range byClass {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	out := make([]ClassFlow, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, ClassFlow{
-			Class:   k,
-			Size:    math.Pow(1+eps, float64(k)),
-			Summary: stats.Summarize(byClass[k]),
-		})
-	}
-	return out
-}
-
-// CompetitiveRatio divides the achieved total flow by a lower bound on
-// OPT. Because the denominator is a lower bound, the result upper-
-// bounds the instance's true ratio. Returns +Inf for a zero bound.
-func CompetitiveRatio(res *sim.Result, lowerBound float64) float64 {
-	if lowerBound <= 0 {
-		return math.Inf(1)
-	}
-	return res.Stats.TotalFlow / lowerBound
 }
 
 // Utilization is one node's share of busy time over the makespan.

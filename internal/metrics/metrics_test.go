@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"math"
 	"testing"
 
 	"treesched/internal/rng"
@@ -39,48 +38,6 @@ func TestFlowsAndSummary(t *testing.T) {
 	s := FlowSummary(res)
 	if s.N != 100 || s.Mean <= 0 || s.Max < s.P99 {
 		t.Fatalf("bad summary %+v", s)
-	}
-}
-
-func TestStretchAtLeastOne(t *testing.T) {
-	res, _ := run(t)
-	for i, st := range Stretch(res) {
-		if st < 1-1e-9 {
-			t.Fatalf("job %d stretch %v < 1", i, st)
-		}
-	}
-}
-
-func TestPerClassPartitions(t *testing.T) {
-	res, trace := run(t)
-	classes := PerClass(res, trace, 0.5)
-	if len(classes) == 0 {
-		t.Fatal("no classes")
-	}
-	total := 0
-	for i, c := range classes {
-		total += c.Summary.N
-		if i > 0 && classes[i-1].Class >= c.Class {
-			t.Fatal("classes not ascending")
-		}
-		want := math.Pow(1.5, float64(c.Class))
-		if math.Abs(c.Size-want)/want > 1e-9 {
-			t.Fatalf("class %d size %v, want %v", c.Class, c.Size, want)
-		}
-	}
-	if total != 100 {
-		t.Fatalf("classes cover %d/100 jobs", total)
-	}
-}
-
-func TestCompetitiveRatio(t *testing.T) {
-	res, _ := run(t)
-	r := CompetitiveRatio(res, res.Stats.TotalFlow)
-	if math.Abs(r-1) > 1e-12 {
-		t.Fatalf("self ratio = %v", r)
-	}
-	if !math.IsInf(CompetitiveRatio(res, 0), 1) {
-		t.Fatal("zero bound should give +Inf")
 	}
 }
 
@@ -134,13 +91,5 @@ func TestQueueSampler(t *testing.T) {
 	hot := qs.Hottest()
 	if hot.Avg < stats[1].Avg {
 		t.Fatal("Hottest returned a cooler node")
-	}
-}
-
-func TestFlowCDFPoints(t *testing.T) {
-	res, _ := run(t)
-	pts := FlowCDFPoints(res, []float64{0, 1e12})
-	if pts[0] != 0 || pts[1] != 1 {
-		t.Fatalf("CDF endpoints = %v", pts)
 	}
 }

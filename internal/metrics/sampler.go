@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"treesched/internal/sim"
-	"treesched/internal/stats"
 	"treesched/internal/tree"
 )
 
@@ -97,10 +96,4 @@ func (qs *QueueSampler) Hottest() QueueStat {
 		}
 	}
 	return best
-}
-
-// FlowCDFPoints evaluates the empirical CDF of per-job flows at the
-// given thresholds — convenient for plotting latency profiles.
-func FlowCDFPoints(res *sim.Result, at []float64) []float64 {
-	return stats.CDF(Flows(res), at)
 }

@@ -75,6 +75,10 @@ func (sc *Scenario) Build() (*Instance, error) {
 		t = base.WithSpeeds(sp.RootAdjacent, sp.Router, sp.Leaf)
 	}
 
+	if err := sc.validate(); err != nil {
+		return nil, fmt.Errorf("scenario: %w", err)
+	}
+
 	// Resolve topology-derived workload defaults on a copy so the
 	// scenario value itself stays as written.
 	w := sc.Workload
@@ -152,6 +156,21 @@ func (sc *Scenario) Build() (*Instance, error) {
 		return nil, err
 	}
 	return in, nil
+}
+
+// validate rejects the scenario values Build would otherwise pass on
+// to a panic (a negative ε), ignore or run differently from what they
+// say (slices under processor sharing record nothing), and the
+// workload's (Workload.validate), naming each key in its compact and
+// its JSON spelling.
+func (sc *Scenario) validate() error {
+	if sc.Eps < 0 {
+		return errValue("eps", "eps", formatFloat(sc.Eps), "want > 0 (0 is the default 0.5)")
+	}
+	if sc.Engine.RecordSlices && sc.EffPolicy() == "ps" {
+		return fmt.Errorf("slices (JSON engine.record_slices) with policy=ps: processor sharing records no slices")
+	}
+	return sc.Workload.validate()
 }
 
 // applyFaults resolves the scenario's fault spec into a compiled

@@ -122,6 +122,36 @@ func (w *Workload) GenerateRNG(p *rng.PartitionedRNG) (*workload.Trace, error) {
 	return tr, nil
 }
 
+// validate rejects the workload values that generation would
+// otherwise ignore, misread or never finish with, naming each key in
+// its compact and its JSON spelling: a negative capacity (0 derives it
+// from the topology), a negative weight bound, and a class or round ε
+// that is negative or below workload.MinClassEps (0 turns either off).
+func (w *Workload) validate() error {
+	for _, e := range []struct {
+		compact, json string
+		v             float64
+	}{{"class", "class_eps", w.ClassEps}, {"round", "round_eps", w.RoundEps}} {
+		if e.v != 0 && !(e.v >= workload.MinClassEps) {
+			return errValue(e.compact, "workload."+e.json, formatFloat(e.v),
+				fmt.Sprintf("want 0 (off) or at least %v", workload.MinClassEps))
+		}
+	}
+	if w.Capacity < 0 {
+		return errValue("cap", "workload.capacity", formatFloat(w.Capacity), "want >= 0 (0 derives it from the topology)")
+	}
+	if w.MaxWeight < 0 {
+		return errValue("maxweight", "workload.max_weight", fmt.Sprint(w.MaxWeight), "want >= 0 (0 leaves every weight 1)")
+	}
+	return nil
+}
+
+// errValue rejects the value v of one scenario key, naming the key in
+// its compact and its JSON spelling.
+func errValue(compact, json, v, want string) error {
+	return fmt.Errorf("%s=%s (JSON %s): %s", compact, v, json, want)
+}
+
 // Heterogeneous reports whether the workload carries per-leaf sizes
 // (unrelated or related machines) — what the old cli -unrelated flag
 // signaled. The auto "greedy" assigner and the lemma checkers key off

@@ -2,9 +2,12 @@ package scenario
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"treesched/internal/faults"
 	"treesched/internal/rng"
@@ -408,6 +411,83 @@ func TestBuildDefaultsAndErrors(t *testing.T) {
 		if _, err := sc.Build(); err == nil || err.Error() != c.want {
 			t.Errorf("%s: Build returned %v, want %q", c.spec, err, c.want)
 		}
+	}
+}
+
+// Build refuses each value that would otherwise reach a panic (a
+// negative eps under greedy), never finish (a class ε with 1+ε == 1),
+// run differently from what it says (a negative capacity as capacity
+// 1, slices under processor sharing as no slices) or be dropped
+// silently (negative class, round and maxweight), naming the key in
+// the compact and the JSON spelling. Each Build runs under a deadline.
+func TestBuildRejectsBadValues(t *testing.T) {
+	build := func(sc *Scenario) error {
+		done := make(chan error, 1)
+		go func() {
+			defer func() {
+				if r := recover(); r != nil {
+					done <- fmt.Errorf("panic: %v", r)
+				}
+			}()
+			_, err := sc.Build()
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			return err
+		case <-time.After(2 * time.Second):
+			return errors.New("Build did not return within 2s")
+		}
+	}
+	const classWant = "want 0 (off) or at least 1e-06"
+	for _, c := range []struct{ line, want string }{
+		{"eps=-1", "scenario: eps=-1 (JSON eps): want > 0 (0 is the default 0.5)"},
+		{"eps=-1 assigner=shadow", "scenario: eps=-1 (JSON eps): want > 0 (0 is the default 0.5)"},
+		{"class=1e-17", "scenario: class=1e-17 (JSON workload.class_eps): " + classWant},
+		{"class=-1", "scenario: class=-1 (JSON workload.class_eps): " + classWant},
+		{"round=-0.5", "scenario: round=-0.5 (JSON workload.round_eps): " + classWant},
+		{"round=1e-17 stream", "scenario: round=1e-17 (JSON workload.round_eps): " + classWant},
+		{"maxweight=-3", "scenario: maxweight=-3 (JSON workload.max_weight): want >= 0 (0 leaves every weight 1)"},
+		{"cap=-1", "scenario: cap=-1 (JSON workload.capacity): want >= 0 (0 derives it from the topology)"},
+		{"policy=ps slices", "scenario: slices (JSON engine.record_slices) with policy=ps: processor sharing records no slices"},
+	} {
+		sc, err := ParseCompact("topo=fattree:2,2,2 n=10 size=uniform:1,16 load=0.9 seed=1 " + c.line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := build(sc); err == nil || err.Error() != c.want {
+			t.Errorf("%s: Build returned %v, want %q", c.line, err, c.want)
+		}
+	}
+	sc, err := ReadJSON(strings.NewReader(`{"topology": "star:4", "workload": {"n": 10, "size": "uniform:1,16",` +
+		` "load": 0.9, "class_eps": 1e-17}, "seed": 1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err, want := build(sc), "scenario: class=1e-17 (JSON workload.class_eps): "+classWant; err == nil || err.Error() != want {
+		t.Errorf("JSON class_eps 1e-17: Build returned %v, want %q", err, want)
+	}
+}
+
+// A generated scenario with class-rounded sizes puts two finish events
+// at one instant: job 15's leaf work ends at 101.93077957255329, when
+// job 20 leaves the router above for the same leaf. Children finish
+// first, so job 15 completes then; with parents first, job 20 would
+// preempt it with no work left, job 15 would complete at
+// 109.52452957255329, and the audit would find a [completion]
+// violation.
+func TestSameInstantFinishAuditsClean(t *testing.T) {
+	sc, err := ParseCompact("topo=random:4,3,3 n=100 size=uniform:1,16 load=0.73 policy=sjf assigner=greedy-unrelated " +
+		"seed=5441 round=0.5 unrelated=0.5,2 maxweight=4 instrument slices")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := res.Jobs[15].Completion; c != 101.93077957255329 {
+		t.Fatalf("job 15 completes at %v, want 101.93077957255329", c)
 	}
 }
 

@@ -54,6 +54,9 @@ func (w *Workload) SourceRNG(p *rng.PartitionedRNG) (workload.ArrivalSource, err
 // registry, with related speeds applied per job: the part of
 // generation that GenerateRNG collects and SourceRNG streams.
 func (w *Workload) processSource(p *rng.PartitionedRNG) (workload.ArrivalSource, error) {
+	if err := w.validate(); err != nil {
+		return nil, err
+	}
 	var size workload.SizeDist
 	if w.Size.Name != "" {
 		var err error

@@ -98,9 +98,6 @@ func (e *BacklogEstimator) Backlog() float64 { return e.backlog }
 // Capacity returns the drain rate the estimator was built with.
 func (e *BacklogEstimator) Capacity() float64 { return e.cap }
 
-// Offered returns the cumulative offered work.
-func (e *BacklogEstimator) Offered() float64 { return e.offered }
-
 // Now returns the release frontier the estimate is advanced to.
 func (e *BacklogEstimator) Now() float64 { return e.now }
 

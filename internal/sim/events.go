@@ -21,22 +21,28 @@ type finishEvent struct {
 func (e finishEvent) time() float64 { return math.Float64frombits(e.at) }
 
 // before is 1 when a's key sorts below b's and 0 otherwise, the key
-// being the 128-bit unsigned (time bits, node). The borrow chain of
-// a − b decides it with no branch: the sift loops pay no
+// being the 128-bit unsigned (time bits, descending node). The borrow
+// chain of a − b decides it with no branch: the sift loops pay no
 // mispredictions on data-dependent float compares and tie-breaks.
 // With one entry per node the order is total.
+//
+// Equal times finish children first. tree.Builder numbers every child
+// above its parent, so the higher node of a tie is never an ancestor
+// of the lower: a task whose work on node w ends at t completes there
+// before a parent's finish at the same t pushes a new task onto w, and
+// the new task cannot preempt a task with no work left.
 func before(a, b finishEvent) uint64 {
-	_, borrow := bits.Sub64(uint64(uint32(a.node)), uint64(uint32(b.node)), 0)
+	_, borrow := bits.Sub64(uint64(uint32(b.node)), uint64(uint32(a.node)), 0)
 	_, borrow = bits.Sub64(a.at, b.at, borrow)
 	return borrow
 }
 
 // eventHeap is the engine's event queue: a binary min-heap of finish
-// events ordered by time, ties by node, holding one entry for each
-// node that runs a task at positive speed and none for any other.
-// pos[v] is node v's entry's index in evs (-1 when it has none), so a
-// reschedule moves the entry in place, a finish followed by the
-// node's next task is one sift, and no entry ever goes stale.
+// events ordered by time, ties by descending node, holding one entry
+// for each node that runs a task at positive speed and none for any
+// other. pos[v] is node v's entry's index in evs (-1 when it has
+// none), so a reschedule moves the entry in place, a finish followed
+// by the node's next task is one sift, and no entry ever goes stale.
 type eventHeap struct {
 	evs []finishEvent
 	pos []int32

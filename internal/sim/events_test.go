@@ -36,14 +36,14 @@ func eventOps(ops ...[3]int) []byte {
 // operations decoded from the input (its first 256, so each run stays
 // cheap enough to minimize), on up to 2,000 nodes, and checks it after
 // every operation against a reference map from node to finish time:
-// the top is the map's least (time, node) found by a scan, every entry
-// sits in heap order under that float order and is indexed by pos,
-// and a removed node's pos reads -1 (every node's, at the end).
+// the top is the map's least (time, descending node) found by a scan,
+// every entry sits in heap order under that order and is indexed by
+// pos, and a removed node's pos reads -1 (every node's, at the end).
 func FuzzEventHeap(f *testing.F) {
 	const set, clr, pop = 0, 2, 3
-	// Equal times on two nodes, the higher node set first: the top
-	// must be the lower node.
-	f.Add(uint16(8), eventOps([3]int{set, 5, 3}, [3]int{set, 3, 3}, [3]int{pop, 0, 0}, [3]int{pop, 0, 0}))
+	// Equal times on two nodes, the lower node set first: the top
+	// must be the higher node (children finish first).
+	f.Add(uint16(8), eventOps([3]int{set, 3, 3}, [3]int{set, 5, 3}, [3]int{pop, 0, 0}, [3]int{pop, 0, 0}))
 	// Last-ulp neighbours, +Inf, a reschedule later and earlier, and a
 	// clear from the middle.
 	f.Add(uint16(6), eventOps([3]int{set, 0, 4}, [3]int{set, 1, 3}, [3]int{set, 2, 5}, [3]int{set, 3, 11},
@@ -100,10 +100,10 @@ func FuzzEventHeap(f *testing.F) {
 }
 
 // checkHeap compares h with ref, the finish time of every node with
-// an entry, ordering entries by float time, ties by node.
+// an entry, ordering entries by float time, ties by descending node.
 func checkHeap(h *eventHeap, ref map[tree.NodeID]float64) error {
 	less := func(a, b finishEvent) bool {
-		return a.time() < b.time() || (a.time() == b.time() && a.node < b.node)
+		return a.time() < b.time() || (a.time() == b.time() && a.node > b.node)
 	}
 	if len(h.evs) != len(ref) {
 		return fmt.Errorf("heap holds %d entries, want %d", len(h.evs), len(ref))

@@ -79,11 +79,13 @@ func (s *Sim) CheckInvariants() error {
 			if onNode[n.running] != v {
 				return fmt.Errorf("sim: node %d running a task that is elsewhere", v)
 			}
-			// Reschedule always sets running to the queue minimum, and
-			// cached keys do not move between reschedules, so the
-			// identity must still hold (PS picks by remaining work
-			// instead).
-			if !s.ps && n.avail.min() != n.running {
+			// Reschedule sets running to the queue minimum, and cached
+			// keys do not move between reschedules, so the identity
+			// must still hold (PS picks by remaining work instead) —
+			// but for a task with no work left, which keeps the node
+			// until its finish event, due at this instant, completes
+			// it (rescheduleWith).
+			if !s.ps && n.avail.min() != n.running && n.running.Remaining != 0 {
 				return fmt.Errorf("sim: node %d running task %d but the queue minimum is task %d",
 					v, n.running.ID, n.avail.min().ID)
 			}

@@ -107,7 +107,9 @@ func Run(t *tree.Tree, trace *workload.Trace, asg Assigner, opts Options) (*Resu
 // Run on a fresh engine. The Result takes the engine's record buffer
 // as its Jobs, so each RunOn allocates one buffer of records, which
 // outlives the next Reset; ReplayOn keeps its buffer and allocates
-// nothing.
+// nothing. Each job is validated as the run reaches it, so a bad job
+// fails the run with the error every driver gives for it, after the
+// jobs before it were injected.
 func RunOn(s *Sim, trace *workload.Trace, asg Assigner) (*Result, error) {
 	if err := ReplayOn(s, trace, asg); err != nil {
 		return nil, err
@@ -118,26 +120,33 @@ func RunOn(s *Sim, trace *workload.Trace, asg Assigner) (*Result, error) {
 // ReplayOn drives the inject→drain cycle of RunOn without collecting
 // a Result. On a warmed engine this is the zero-allocation path
 // measurement loops use; the engine is left drained, so
-// Stats()/Records() remain readable.
+// Stats()/Records() remain readable. Like RunOn it validates each job
+// as it reaches it (Job.ValidateAt, then CheckArrival), so the first
+// bad job decides the error.
 func ReplayOn(s *Sim, trace *workload.Trace, asg Assigner) (err error) {
 	defer recoverInternal(&err)
 	return s.replay(trace, asg, false)
 }
 
 // replay is the materialized-trace driver of ReplayOn and
-// RunPacketized: it validates the whole trace up front, runs every
-// job through the per-arrival step, and drains.
+// RunPacketized: it runs every job through the per-arrival step,
+// making Trace.Validate's checks of each job as it reaches it, as the
+// streaming driver does, so every driver reports a trace's first bad
+// job; then it drains.
 func (s *Sim) replay(trace *workload.Trace, asg Assigner, packets bool) error {
-	if err := trace.Validate(); err != nil {
-		return err
-	}
 	if s.opts.RetainJobs == 0 {
 		// One allocation of the whole buffer, sized to the trace, not
 		// a run of append growths (packets may still extend it).
 		s.records = slices.Grow(s.records, len(trace.Jobs))
 	}
+	prev := 0.0
 	for i := range trace.Jobs {
-		if err := s.arrive(&trace.Jobs[i], asg, packets); err != nil {
+		j := &trace.Jobs[i]
+		if err := j.ValidateAt(i, prev); err != nil {
+			return err
+		}
+		prev = j.Release
+		if err := s.arrive(j, asg, packets); err != nil {
 			return err
 		}
 	}
@@ -276,8 +285,8 @@ func RunStreamOn(s *Sim, src workload.ArrivalSource, asg Assigner) (*Result, err
 
 // ReplayStreamOn drives the streaming inject→drain cycle without
 // collecting a Result, returning the number of jobs drawn from the
-// source. There is no Trace to validate up front, so each job gets
-// Trace.Validate's checks as it is drawn (Job.ValidateAt).
+// source. Each job gets Trace.Validate's checks as it is drawn
+// (Job.ValidateAt), as in the materialized drivers.
 func ReplayStreamOn(s *Sim, src workload.ArrivalSource, asg Assigner) (n int, err error) {
 	defer recoverInternal(&err)
 	prev := 0.0

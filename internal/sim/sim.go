@@ -205,8 +205,9 @@ type Slice struct {
 // One event loop drives the engine: a single clock, one event heap
 // holding each busy node's next finish, one cursor into the fault
 // boundaries, one set of flow-time integrals, one slice log and one
-// task arena. Events run in global (time, node) order, so completions
-// happen — and reach a Sink — in completion order.
+// task arena. Events run in global time order, equal times children
+// first (descending node), so completions happen — and reach a Sink —
+// in completion order.
 type Sim struct {
 	tree *tree.Tree
 	opts Options
@@ -784,6 +785,12 @@ func (s *Sim) remainingAt(n *nodeState, js *JobState) float64 {
 	return js.Remaining - done
 }
 
+// residueTol bounds the float residue of a finished task's work,
+// relative to its size on the node: syncs subtract elapsed work
+// rounded, so a task whose exact work ends at t can hold a few ulps at
+// t with its finish event an ulp later. No real work is this small.
+const residueTol = 0x1p-40
+
 // reschedule re-evaluates which task node v should run, moving,
 // setting or clearing its finish event as needed. Callers must have
 // already advanced time; reschedule syncs the node itself.
@@ -814,6 +821,16 @@ func (s *Sim) rescheduleWith(v tree.NodeID, force bool) {
 		// The running task's event stands unchanged. (An idle node
 		// whose task just finished or migrated goes on, to clear the
 		// event that task left.)
+		return
+	}
+	if old != nil && best != old && n.speed > 0 && old.Remaining <= old.OrigOnCur*residueTol {
+		// old's work is done but for float residue (its finish event
+		// lies an ulp or so past the clock): it finishes at this
+		// instant, as exact arithmetic has it, instead of being
+		// preempted with nothing left to do. Its event comes due now;
+		// handleFinish then hands the node to best.
+		old.Remaining = 0
+		s.events.set(v, s.now)
 		return
 	}
 	n.running = best
@@ -905,8 +922,9 @@ func (s *Sim) advance(to float64) {
 // run processes finish events and fault boundaries in time order: up
 // to and including target, or all of them when drain is set. At equal
 // instants finish events win (a task completing exactly at an outage
-// start still completes), then boundaries; events tie by node, and
-// boundaries keep the schedule's (time, node) order.
+// start still completes), then boundaries; events tie by descending
+// node (children first, see before), and boundaries keep the
+// schedule's (time, node) order.
 func (s *Sim) run(target float64, drain bool) {
 	for {
 		evs := s.events.evs

@@ -60,6 +60,52 @@ func TestSingleJobLine(t *testing.T) {
 	approx(t, res.Stats.ActiveIntegral, res.Stats.TotalFlow, 1e-6, "active integral")
 }
 
+// A task whose work on a node ends at t completes there at t, even
+// when a parent's finish at the same t pushes a higher-priority task
+// onto that node: equal-time finish events run children first. This
+// is experiment LP1's line(2) instance. J0's leaf work ends at 6, the
+// instant J2 leaves the router above; with parents first, J2 would
+// preempt J0 with no work left and J0 would complete at 7 (total flow
+// 18 instead of 17).
+func TestFinishedTaskNotPreemptedAtItsFinish(t *testing.T) {
+	tr := tree.Line(2)
+	trace := &workload.Trace{Jobs: []workload.Job{
+		{ID: 0, Release: 0, Size: 2},
+		{ID: 1, Release: 1, Size: 2},
+		{ID: 2, Release: 4, Size: 1},
+	}}
+	res, err := Run(tr, trace, fixedAssigner{tr.Leaves()[0]}, Options{Policy: SJF{}, SelfCheck: true, Instrument: true, RecordSlices: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := res.Jobs[0].Completion; c != 6 {
+		t.Fatalf("J0 completes at %v, want 6 (its leaf work ends there)", c)
+	}
+	if f := res.Stats.TotalFlow; f != 17 {
+		t.Fatalf("total flow %v, want 17", f)
+	}
+}
+
+// At speed 2.5 the sizes' exact finish times are not floats: J0's leaf
+// work ends at 3.6, but the rounded syncs leave it 8.9e-16 of work and
+// a finish event an ulp after the instant J2 reaches the leaf. A task
+// within float residue of done finishes at the instant; preempted by
+// J2 under LCFS, J0 would complete at 5.2 with no work of its ending
+// there, and the audit would fail.
+func TestResidueFinishNotPreempted(t *testing.T) {
+	tr := tree.Star(1).WithUniformSpeed(2.5)
+	trace := &workload.Trace{Jobs: []workload.Job{
+		{ID: 0, Release: 0, Size: 4},
+		{ID: 1, Release: 0, Size: 4},
+		{ID: 2, Release: 2, Size: 1},
+	}}
+	res, err := Run(tr, trace, fixedAssigner{tr.Leaves()[0]}, Options{Policy: LCFS{}, SelfCheck: true, Instrument: true, RecordSlices: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	approx(t, res.Jobs[0].Completion, 3.6, 1e-12, "J0 completion")
+}
+
 // Two jobs on a star; SJF preempts the big job on the relay.
 func TestSJFPreemption(t *testing.T) {
 	tr := tree.Star(2)

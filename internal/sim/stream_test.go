@@ -259,6 +259,63 @@ func TestInjectStreamValidates(t *testing.T) {
 	}
 }
 
+// TestDriversReportFirstBadJob: every driver checks each job as it
+// reaches it, so a trace with two bad jobs fails with the first one's
+// error, whichever driver runs it. A driver that validated the whole
+// trace up front would report job 2's NaN size before job 1's bad
+// origin, which only the per-arrival check sees.
+func TestDriversReportFirstBadJob(t *testing.T) {
+	tr := tree.FatTree(2, 2, 2)
+	trace := func(bad1, bad2 func(*workload.Job)) *workload.Trace {
+		jobs := []workload.Job{{ID: 0, Release: 0, Size: 1}, {ID: 1, Release: 1, Size: 2}, {ID: 2, Release: 2, Size: 3}}
+		bad1(&jobs[1])
+		bad2(&jobs[2])
+		return &workload.Trace{Jobs: jobs}
+	}
+	origin := func(j *workload.Job) { j.Origin = 99 }
+	nan := func(j *workload.Job) { j.Size = math.NaN() }
+	leafSizes := func(j *workload.Job) { j.LeafSizes = []float64{1, 2, 3} }
+	early := func(j *workload.Job) { j.Release = 0.5 }
+	id := func(j *workload.Job) { j.ID = 5 }
+	cases := []struct {
+		name  string
+		trace *workload.Trace
+		want  string
+	}{
+		{"origin, then NaN size", trace(origin, nan), "sim: job 1 origin 99 outside the 15-node tree"},
+		{"NaN size, then origin", trace(nan, origin), "workload: job 1 has non-finite size NaN"},
+		{"leaf sizes, then unsorted", trace(leafSizes, early), "sim: job 1 has 3 leaf sizes for a 8-leaf tree"},
+		{"sparse ID, then leaf sizes", trace(id, leafSizes), "workload: job at position 1 has ID 5 (IDs must be dense)"},
+	}
+	drivers := []struct {
+		name string
+		run  func(*workload.Trace) error
+	}{
+		{"Run", func(tc *workload.Trace) error { _, err := Run(tr, tc, &rrAssigner{}, Options{}); return err }},
+		{"RunOn", func(tc *workload.Trace) error { _, err := RunOn(New(tr, Options{}), tc, &rrAssigner{}); return err }},
+		{"ReplayOn", func(tc *workload.Trace) error { return ReplayOn(New(tr, Options{}), tc, &rrAssigner{}) }},
+		{"RunPacketized", func(tc *workload.Trace) error {
+			_, err := RunPacketized(tr, tc, &rrAssigner{}, Options{})
+			return err
+		}},
+		{"RunStream", func(tc *workload.Trace) error {
+			_, err := RunStream(tr, workload.NewTraceSource(tc), &rrAssigner{}, Options{RetainJobs: 1})
+			return err
+		}},
+		{"ReplayStreamOn", func(tc *workload.Trace) error {
+			_, err := ReplayStreamOn(New(tr, Options{}), workload.NewTraceSource(tc), &rrAssigner{})
+			return err
+		}},
+	}
+	for _, c := range cases {
+		for _, d := range drivers {
+			if err := d.run(c.trace); err == nil || err.Error() != c.want {
+				t.Errorf("%s: %s returned %v, want %q", c.name, d.name, err, c.want)
+			}
+		}
+	}
+}
+
 // TestRunPacketizedRejectsStreaming: packetized runs refuse the
 // streaming hooks (they would count packets, not jobs).
 func TestRunPacketizedRejectsStreaming(t *testing.T) {

