@@ -31,7 +31,6 @@ func benchExperiment(b *testing.B, id string, scale float64) {
 	}
 }
 
-func BenchmarkA0Scorecard(b *testing.B)            { benchExperiment(b, "A0", 0.05) }
 func BenchmarkF1Render(b *testing.B)               { benchExperiment(b, "F1", 0.05) }
 func BenchmarkF2Reduction(b *testing.B)            { benchExperiment(b, "F2", 0.05) }
 func BenchmarkT1IdenticalCompetitive(b *testing.B) { benchExperiment(b, "T1", 0.05) }

@@ -9,7 +9,11 @@
 //
 // With no -run it executes everything in ID order. -out writes a
 // Markdown report (paper-vs-measured); -csv additionally dumps every
-// table as CSV into the given directory. Experiments are
+// table as CSV into the given directory. Every report opens with A0,
+// the scorecard of the claims the experiments that ran decided; A0 is
+// rendered from them, not run, so -list and -run do not offer it.
+// Claims are stated at scale 1: a smaller -scale may fail some, as
+// the scorecard and the claim's table note show. Experiments are
 // deterministic for a given seed and report no wall time, so the
 // output is byte-identical at any -parallel; `make experiments-check`
 // relies on that to diff a regenerated report against EXPERIMENTS.md.

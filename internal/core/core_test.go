@@ -461,6 +461,22 @@ func TestBoundHelpers(t *testing.T) {
 	}
 }
 
+// A wrapper that embeds sim.Assigner hides the shadow's RootOnly
+// marker, so a non-root origin reaches Shadow.Assign: the run must
+// fail with the driver's assignment error, not panic.
+func TestShadowNonRootOriginBehindWrapperFails(t *testing.T) {
+	tr := tree.FatTree(2, 2, 2)
+	sh, err := NewShadow(tr, ShadowConfig{Eps: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrapped := struct{ sim.Assigner }{sh}
+	trace := &workload.Trace{Jobs: []workload.Job{{ID: 0, Release: 0, Size: 2, Origin: 1}}}
+	if _, err := sim.Run(tr, trace, wrapped, sim.Options{}); err == nil {
+		t.Fatal("a non-root origin behind a wrapper ran without error")
+	}
+}
+
 func TestShadowRejectsBadConfig(t *testing.T) {
 	if _, err := NewShadow(tree.Star(2), ShadowConfig{Eps: 0}); err == nil {
 		t.Fatal("accepted eps=0")

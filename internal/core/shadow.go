@@ -85,12 +85,14 @@ func (*Shadow) RootOnly() {}
 // Assign implements sim.Assigner: it advances the broomstick
 // simulation to the arrival instant, lets the greedy rule choose a
 // broomstick leaf, injects the job there, and returns the
-// corresponding leaf of the original tree. When the greedy rule finds
-// no leaf (every cost overflowed to +Inf) it returns tree.None, which
-// the driver reports as an assignment to a non-leaf node.
+// corresponding leaf of the original tree. It returns tree.None, which
+// the driver reports as an assignment to a non-leaf node, for a
+// non-root origin (a wrapper that hides the RootOnly marker lets one
+// through) and when the greedy rule finds no leaf (every cost
+// overflowed to +Inf).
 func (sh *Shadow) Assign(q *sim.Query, a *sim.Arrival) tree.NodeID {
 	if a.Origin != 0 {
-		panic("core: Shadow does not support the arbitrary-origin extension")
+		return tree.None
 	}
 	sh.inner.AdvanceTo(a.Release)
 	// Mapped leaf sizes stay a fresh slice: the injected task keeps it.

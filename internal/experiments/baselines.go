@@ -1,9 +1,11 @@
 package experiments
 
 import (
-	"fmt"
+	"math"
+	"sort"
 
 	"treesched/internal/core"
+	"treesched/internal/metrics"
 	"treesched/internal/plot"
 	"treesched/internal/scenario"
 	"treesched/internal/sim"
@@ -72,7 +74,14 @@ func runB1(cfg Config) (*Output, error) {
 		v := vals[ai*cols : (ai+1)*cols]
 		tb.AddRow(v[0].label, v[0].flow, v[1].flow, v[2].flow, v[3].flow)
 	}
-	tb.AddNote("ClosestLeaf funnels every job into one branch (all leaves tie on depth, ties break by ID) — the failure mode Section 3.1 warns about; congestion-aware rules stay flat as load rises")
+	// Rows 0 and 1 are the greedy rule and ClosestLeaf.
+	collapse := math.Inf(1)
+	for ci := 0; ci < cols; ci++ {
+		collapse = min(collapse, vals[cols+ci].flow/vals[ci].flow)
+	}
+	tb.AddNote("ClosestLeaf funnels every job into one branch (all leaves tie on depth, ties break by ID) — the failure mode Section 3.1 warns about")
+	out.claim(tb, collapse >= 2, "ClosestLeaf's average flow is at least twice the greedy rule's at every load and on the adversarial trace",
+		"smallest ClosestLeaf/greedy %.4g", collapse)
 	out.add(tb)
 	return out, nil
 }
@@ -84,7 +93,10 @@ func runB2(cfg Config) (*Output, error) {
 	n := cfg.scaled(2500)
 	tb := table.New("B2 — node policy comparison (LeastVolume assigner, Pareto sizes, load 0.9)",
 		"policy", "avg flow", "p99 flow", "max flow")
-	for _, pol := range []string{"sjf", "srpt", "fifo", "lcfs", "ps"} {
+	policies := []string{"sjf", "srpt", "fifo", "lcfs", "ps"}
+	avg := make([]float64, len(policies))
+	maxFlow := make([]float64, len(policies))
+	for i, pol := range policies {
 		sc := &scenario.Scenario{
 			Topology: scenario.NewSpec("fattree", 2, 2, 2),
 			Workload: scenario.Workload{N: n, Size: scenario.NewSpec("pareto", 1, 1.5, 200), Load: 0.9},
@@ -100,34 +112,28 @@ func runB2(cfg Config) (*Output, error) {
 		if err != nil {
 			return nil, err
 		}
-		tb.AddRow(in.Opts.Policy.Name(), res.AvgFlow(), quantileFlow(res, 0.99), res.Stats.MaxFlow)
+		avg[i], maxFlow[i] = res.AvgFlow(), res.Stats.MaxFlow
+		tb.AddRow(in.Opts.Policy.Name(), avg[i], quantileFlow(res, 0.99), maxFlow[i])
 	}
-	tb.AddNote("SJF/SRPT dominate on average flow, exactly why the paper builds on SJF; FIFO trades average for tail; PS (fair-queueing routers, the deployed default) sits in between — the cost of not using size information")
+	const sjf, srpt, fifo, lcfs, ps = 0, 1, 2, 3, 4
+	sizeAware := max(avg[sjf], avg[srpt])
+	tb.AddNote("SJF's average is why the paper builds on it; PS models fair-queueing routers, the deployed default, and its gap to SJF is the cost of not using size information")
+	out.claim(tb, sizeAware < min(avg[fifo], avg[lcfs], avg[ps]), "SJF and SRPT have the lowest average flow",
+		"SJF %.4g, SRPT %.4g; FIFO %.4g, LCFS %.4g, PS %.4g", avg[sjf], avg[srpt], avg[fifo], avg[lcfs], avg[ps])
+	out.claim(tb, maxFlow[fifo] < min(maxFlow[sjf], maxFlow[srpt], maxFlow[lcfs], maxFlow[ps]), "FIFO trades average for tail: it has the lowest max flow",
+		"FIFO %.4g; next %.4g", maxFlow[fifo], min(maxFlow[sjf], maxFlow[srpt], maxFlow[lcfs], maxFlow[ps]))
+	out.claim(tb, sizeAware < avg[ps] && avg[ps] < avg[fifo], "PS's average flow lies between SJF/SRPT's and FIFO's",
+		"%.4g < %.4g < %.4g", sizeAware, avg[ps], avg[fifo])
 	out.add(tb)
 	return out, nil
 }
 
+// quantileFlow is the flow at rank q*(n-1) of the sorted flows, with
+// no interpolation.
 func quantileFlow(res *sim.Result, q float64) float64 {
-	flows := make([]float64, len(res.Jobs))
-	for i := range res.Jobs {
-		flows[i] = res.Jobs[i].Flow
-	}
-	// inline to avoid a metrics import cycle risk; small helper
-	return quantile(flows, q)
-}
-
-func quantile(data []float64, q float64) float64 {
-	cp := append([]float64(nil), data...)
-	for i := 1; i < len(cp); i++ {
-		for j := i; j > 0 && cp[j] < cp[j-1]; j-- {
-			cp[j], cp[j-1] = cp[j-1], cp[j]
-		}
-	}
-	if len(cp) == 0 {
-		return 0
-	}
-	idx := int(q * float64(len(cp)-1))
-	return cp[idx]
+	flows := metrics.Flows(res)
+	sort.Float64s(flows)
+	return flows[int(q*float64(len(flows)-1))]
 }
 
 // runB3 sweeps node speed: how much augmentation the greedy algorithm
@@ -176,7 +182,20 @@ func runB3(cfg Config) (*Output, error) {
 		yi = append(yi, flows[i][0])
 		yu = append(yu, flows[i][1])
 	}
-	tb.AddNote("the identical curve flattens quickly past (1+eps); the unrelated curve needs roughly twice the speed before flattening — the Theorem 1 vs Theorem 2 gap")
+	// Different speeds shift assignment decisions, so a step up of
+	// at most 2% still counts as flat.
+	riseI, riseU, above := 0.0, 0.0, 0.0
+	for i := 1; i < len(speeds); i++ {
+		riseI, riseU = max(riseI, yi[i]/yi[i-1]-1), max(riseU, yu[i]/yu[i-1]-1)
+		if speeds[i] >= 1.5 {
+			above = max(above, yu[i]/yi[i])
+		}
+	}
+	tb.AddNote("Theorem 1 asks for speed 1+eps and Theorem 2 for 2+eps; the unrelated curve does not show that gap (DESIGN §7)")
+	out.claim(tb, riseI <= 0.02 && riseU <= 0.02, "average flow does not rise with speed, within 2%, on both curves",
+		"largest step up %.2g%% identical, %.2g%% unrelated", 100*riseI, 100*riseU)
+	out.claim(tb, above <= 1, "finding: from speed 1.5 up the unrelated curve sits at or below the identical one",
+		"largest unrelated/identical %.4g", above)
 	out.add(tb)
 	chart := &plot.Chart{
 		Title:  "avg flow vs node speed (log scale)",
@@ -201,6 +220,7 @@ func runB3(cfg Config) (*Output, error) {
 func runB4(cfg Config) (*Output, error) {
 	out := &Output{}
 	tb := table.New("B4 — cold vs warm replay (Sim.Reset)", "jobs", "tree nodes", "events", "total flow")
+	same := 0
 	for _, sz := range []struct{ n, arity, depth, lpr int }{
 		{cfg.scaled(5000), 2, 2, 2},
 		{cfg.scaled(20000), 2, 3, 2},
@@ -219,12 +239,14 @@ func runB4(cfg Config) (*Output, error) {
 		if err != nil {
 			return nil, err
 		}
-		if warm.Stats != res.Stats {
-			return nil, fmt.Errorf("B4: warm Reset replay diverged from cold run")
+		if warm.Stats == res.Stats {
+			same++
 		}
 		tb.AddRow(sz.n, t.NumNodes(), res.Stats.Events, res.Stats.TotalFlow)
 	}
-	tb.AddNote("each row replays the trace on a fresh engine and again on the same engine after Sim.Reset; identical event counts and flow statistics are asserted")
+	tb.AddNote("each row replays the trace on a fresh engine and again on the same engine after Sim.Reset")
+	out.claim(tb, same == len(tb.Rows), "the warm replay reproduces the cold run's events and statistics in every row",
+		"%d of %d rows identical", same, len(tb.Rows))
 	out.add(tb)
 	return out, nil
 }
@@ -284,7 +306,16 @@ func runB5(cfg Config) (*Output, error) {
 	for vi, v := range variants {
 		tb.AddRow(v.name, vals[vi*len(loads)], vals[vi*len(loads)+1])
 	}
-	tb.AddNote("REPRODUCTION FINDING: the volume term is load-bearing (dropping it is catastrophic), but the paper's 6/eps^2 distance coefficient — an artifact of the analysis — overweights proximity in practice: weight 1 (plain path work) beats the full constant, and even dropping the distance term entirely wins at moderate load")
+	// flow(v, l) is variant v's average flow at load index l.
+	flow := func(v, l int) float64 { return vals[v*len(loads)+l] }
+	const full, weight1, noDist, noVol = 0, 1, 2, 3
+	tb.AddNote("REPRODUCTION FINDING (DESIGN §7): the paper's 6/eps^2 distance coefficient, an artifact of the analysis, overweights proximity in practice")
+	out.claim(tb, flow(noVol, 0) >= 2*flow(full, 0) && flow(noVol, 1) >= 2*flow(full, 1), "the volume term is load-bearing: dropping it at least doubles the full greedy's average flow, at both loads",
+		"%.4gx at load 0.7, %.4gx at load 1.0", flow(noVol, 0)/flow(full, 0), flow(noVol, 1)/flow(full, 1))
+	out.claim(tb, flow(weight1, 0) < flow(full, 0) && flow(weight1, 1) < flow(full, 1), "distance weight 1 (plain path work) beats the full 6/eps^2 constant, at both loads",
+		"%.4g against %.4g at load 0.7, %.4g against %.4g at load 1.0", flow(weight1, 0), flow(full, 0), flow(weight1, 1), flow(full, 1))
+	out.claim(tb, flow(noDist, 0) < min(flow(full, 0), flow(weight1, 0), flow(noVol, 0)), "dropping the distance term entirely wins at moderate load, 0.7",
+		"%.4g; next %.4g", flow(noDist, 0), min(flow(full, 0), flow(weight1, 0), flow(noVol, 0)))
 	out.add(tb)
 	return out, nil
 }
@@ -296,7 +327,9 @@ func runB6(cfg Config) (*Output, error) {
 	n := cfg.scaled(400)
 	tb := table.New("B6 — store-and-forward vs packetized forwarding",
 		"topology", "store-and-forward avg flow", "packetized avg flow", "ratio")
-	for _, tc := range []struct {
+	var ratio [2]float64
+	var depth [2]int
+	for i, tc := range []struct {
 		name string
 		t    *tree.Tree
 	}{
@@ -312,9 +345,14 @@ func runB6(cfg Config) (*Output, error) {
 		if err != nil {
 			return nil, err
 		}
-		tb.AddRow(tc.name, sf.AvgFlow(), pk.AvgFlow(), sf.AvgFlow()/pk.AvgFlow())
+		ratio[i], depth[i] = sf.AvgFlow()/pk.AvgFlow(), tc.t.Depth(tc.t.Leaves()[0])
+		tb.AddRow(tc.name, sf.AvgFlow(), pk.AvgFlow(), ratio[i])
 	}
-	tb.AddNote("packetized pipelining removes the per-hop serialization; the gap grows with path depth, matching the paper's remark that splitting jobs negates interior congestion")
+	tb.AddNote("packetized pipelining removes the per-hop serialization, the paper's remark that splitting jobs negates interior congestion")
+	out.claim(tb, min(ratio[0], ratio[1]) >= 1-1e-9, "packetized forwarding is never slower than store-and-forward",
+		"smallest ratio %.4g", min(ratio[0], ratio[1]))
+	out.claim(tb, ratio[0] > ratio[1], "the gap grows with path depth",
+		"%.4g at leaf depth %d, %.4g at leaf depth %d", ratio[0], depth[0], ratio[1], depth[1])
 	out.add(tb)
 	return out, nil
 }
@@ -326,6 +364,7 @@ func runB7(cfg Config) (*Output, error) {
 	n := cfg.scaled(800)
 	tb := table.New("B7 — shadow-on-broomstick vs direct greedy on T",
 		"setting", "instance", "direct avg flow", "shadow avg flow", "shadow/direct")
+	var exact [2]int // instances whose ratio is exactly 1, by setting
 	for _, unrel := range []bool{false, true} {
 		setting := "identical"
 		if unrel {
@@ -357,9 +396,16 @@ func runB7(cfg Config) (*Output, error) {
 				return nil, err
 			}
 			tb.AddRow(setting, k, direct.AvgFlow(), shadow.AvgFlow(), shadow.AvgFlow()/direct.AvgFlow())
+			if shadow.AvgFlow() == direct.AvgFlow() {
+				exact[boolU(unrel)]++
+			}
 		}
 	}
-	tb.AddNote("identical setting: the ratio is exactly 1 — the reduction adds a constant 2 to every leaf depth and leaves F per branch unchanged, so the broomstick argmin coincides with the direct argmin decision-for-decision. Unrelated setting: leaf queues evolve differently on T', so decisions (and flows) can diverge.")
+	tb.AddNote("the reduction adds a constant 2 to every leaf depth and leaves F per branch unchanged, so in the identical setting the broomstick argmin coincides with the direct argmin decision for decision; with unrelated endpoints leaf queues evolve differently on T'")
+	out.claim(tb, exact[0] == 4, "identical setting: shadow/direct is exactly 1 on every instance",
+		"%d of 4 instances", exact[0])
+	out.claim(tb, exact[1] < 4, "unrelated setting: decisions, and flows, diverge",
+		"%d of 4 instances off 1", 4-exact[1])
 	out.add(tb)
 	return out, nil
 }

@@ -3,7 +3,9 @@
 // and baseline study. The paper (Im & Moseley, SPAA 2015) is a theory
 // paper with no empirical section, so each experiment empirically
 // validates the *shape* of one claim — bounded ratios, who wins,
-// where constants bite — rather than matching testbed numbers.
+// where constants bite — rather than matching testbed numbers. An
+// experiment decides each conclusion it publishes as a Claim computed
+// from its own rows, and Scorecard lists a run's claims as A0.
 package experiments
 
 import (
@@ -64,14 +66,47 @@ type TextBlock struct {
 	Body  string
 }
 
+// Claim is one conclusion an experiment decides from the rows it
+// built: what is asserted, whether the rows bear it out, and the
+// numbers that decide it. The table that backs a claim carries it as
+// a note, A0 lists every claim of a run, and the claim tests require
+// them to hold.
+type Claim struct {
+	Statement string
+	Holds     bool
+	Numbers   string
+}
+
+// Verdict is PASS when the claim holds and FAIL when it does not.
+func (c Claim) Verdict() string {
+	if c.Holds {
+		return "PASS"
+	}
+	return "FAIL"
+}
+
+// String renders the claim as its table note.
+func (c Claim) String() string {
+	return c.Verdict() + " — " + c.Statement + " (" + c.Numbers + ")"
+}
+
 // Output is everything an experiment produced.
 type Output struct {
 	Tables []*table.Table
 	Texts  []TextBlock
+	Claims []Claim
 }
 
 func (o *Output) add(t *table.Table)         { o.Tables = append(o.Tables, t) }
 func (o *Output) addText(title, body string) { o.Texts = append(o.Texts, TextBlock{title, body}) }
+
+// claim records a conclusion decided from tb's rows and renders it as
+// a note of tb, so no note states a fact its table does not back.
+func (o *Output) claim(tb *table.Table, holds bool, statement, numbers string, args ...interface{}) {
+	c := Claim{Statement: statement, Holds: holds, Numbers: fmt.Sprintf(numbers, args...)}
+	o.Claims = append(o.Claims, c)
+	tb.AddNote("%s", c)
+}
 
 // Experiment is one entry of the reproduction index.
 type Experiment struct {
@@ -104,6 +139,16 @@ func ByID(id string) (*Experiment, error) {
 		}
 	}
 	return nil, fmt.Errorf("experiments: unknown experiment %q", id)
+}
+
+// falling reports whether xs strictly decreases.
+func falling(xs ...float64) bool {
+	for i := 1; i < len(xs); i++ {
+		if !(xs[i] < xs[i-1]) {
+			return false
+		}
+	}
+	return true
 }
 
 // classSizes is the standard class-rounded size distribution used

@@ -1,41 +1,42 @@
 package experiments
 
-import (
-	"strconv"
-	"strings"
-	"testing"
-)
+import "testing"
 
 var quick = Config{Seed: 1, Scale: 0.05}
 
 // Every registered experiment must run, produce at least one artifact,
-// and have well-formed tables.
+// and have well-formed tables, and so must the A0 scorecard rendered
+// from their claims.
 func TestAllExperimentsRun(t *testing.T) {
 	exps := All()
 	if len(exps) < 18 {
 		t.Fatalf("registry has %d experiments, want >= 18", len(exps))
 	}
-	for _, e := range exps {
-		e := e
-		t.Run(e.ID, func(t *testing.T) {
-			out, err := e.Run(quick)
-			if err != nil {
-				t.Fatalf("%s failed: %v", e.ID, err)
+	results := RunAll(exps, quick, 0)
+	a0 := Scorecard(results)
+	if a0 == nil {
+		t.Fatal("no experiment decided a claim")
+	}
+	for _, rr := range append([]RunResult{*a0}, results...) {
+		rr := rr
+		t.Run(rr.Exp.ID, func(t *testing.T) {
+			if rr.Err != nil {
+				t.Fatalf("%s failed: %v", rr.Exp.ID, rr.Err)
 			}
-			if len(out.Tables)+len(out.Texts) == 0 {
-				t.Fatalf("%s produced no artifacts", e.ID)
+			if len(rr.Output.Tables)+len(rr.Output.Texts) == 0 {
+				t.Fatalf("%s produced no artifacts", rr.Exp.ID)
 			}
-			for _, tb := range out.Tables {
+			for _, tb := range rr.Output.Tables {
 				if len(tb.Headers) == 0 {
-					t.Fatalf("%s: table %q has no headers", e.ID, tb.Title)
+					t.Fatalf("%s: table %q has no headers", rr.Exp.ID, tb.Title)
 				}
 				for _, row := range tb.Rows {
 					if len(row) != len(tb.Headers) {
-						t.Fatalf("%s: table %q row width %d != headers %d", e.ID, tb.Title, len(row), len(tb.Headers))
+						t.Fatalf("%s: table %q row width %d != headers %d", rr.Exp.ID, tb.Title, len(row), len(tb.Headers))
 					}
 				}
 				if len(tb.Rows) == 0 {
-					t.Fatalf("%s: table %q is empty", e.ID, tb.Title)
+					t.Fatalf("%s: table %q is empty", rr.Exp.ID, tb.Title)
 				}
 			}
 		})
@@ -64,116 +65,63 @@ func TestRegistryIDsUnique(t *testing.T) {
 	}
 }
 
-func cellFloat(t *testing.T, s string) float64 {
+// requireClaims runs the named experiments (the whole suite when none
+// is named) at cfg and fails t on every claim that does not hold. A
+// named experiment must decide at least one claim.
+func requireClaims(t *testing.T, cfg Config, ids ...string) []RunResult {
 	t.Helper()
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		t.Fatalf("cell %q is not a number: %v", s, err)
+	exps := All()
+	if len(ids) > 0 {
+		exps = nil
+		for _, id := range ids {
+			e, err := ByID(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			exps = append(exps, e)
+		}
 	}
-	return v
-}
-
-// Shape assertion for L1/L2: zero violations at modest scale.
-func TestLemmaExperimentsZeroViolations(t *testing.T) {
-	for _, id := range []string{"L1", "L2"} {
-		e, err := ByID(id)
-		if err != nil {
-			t.Fatal(err)
+	results := RunAll(exps, cfg, 0)
+	for _, rr := range results {
+		if rr.Err != nil {
+			t.Fatalf("%s: %v", rr.Exp.ID, rr.Err)
 		}
-		out, err := e.Run(Config{Seed: 2, Scale: 0.1})
-		if err != nil {
-			t.Fatal(err)
+		if len(ids) > 0 && len(rr.Output.Claims) == 0 {
+			t.Fatalf("%s decided no claim", rr.Exp.ID)
 		}
-		tb := out.Tables[0]
-		violCol := len(tb.Headers) - 1
-		for _, row := range tb.Rows {
-			if v := cellFloat(t, row[violCol]); v != 0 {
-				t.Fatalf("%s: row %v has %v violations", id, row, v)
+		for _, c := range rr.Output.Claims {
+			if !c.Holds {
+				t.Errorf("%s at seed %d, scale %g: %s", rr.Exp.ID, cfg.Seed, cfg.Scale, c)
 			}
 		}
 	}
+	return results
 }
 
-// Shape assertion for B1: ClosestLeaf must be far worse than the
-// greedy rule at high load.
+// L1 and L2: zero violations of Lemmas 1 and 2.
+func TestLemmaExperimentsZeroViolations(t *testing.T) {
+	requireClaims(t, Config{Seed: 2, Scale: 0.1}, "L1", "L2")
+}
+
+// B1: ClosestLeaf must be far worse than the greedy rule.
 func TestB1GreedyBeatsClosest(t *testing.T) {
-	e, _ := ByID("B1")
-	out, err := e.Run(Config{Seed: 3, Scale: 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb := out.Tables[0]
-	var greedy95, closest95 float64
-	for _, row := range tb.Rows {
-		switch {
-		case strings.Contains(row[0], "Greedy"):
-			greedy95 = cellFloat(t, row[3])
-		case strings.Contains(row[0], "Closest"):
-			closest95 = cellFloat(t, row[3])
-		}
-	}
-	if greedy95 <= 0 || closest95 <= 0 {
-		t.Fatalf("missing rows in B1 table:\n%s", tb.Text())
-	}
-	if closest95 < 2*greedy95 {
-		t.Fatalf("ClosestLeaf (%v) should collapse vs greedy (%v) at load 0.95", closest95, greedy95)
-	}
+	requireClaims(t, Config{Seed: 3, Scale: 0.2}, "B1")
 }
 
-// Shape assertion for T3: the integral flow always dominates the
-// fractional flow, and the gap stays within Theorem 3's O(1/eps)
-// envelope (with generous constant) at every eps.
+// T3: the integral flow dominates the fractional flow, and the gap
+// stays within Theorem 3's O(1/eps) envelope at every eps.
 func TestT3GapWithinTheorem3Envelope(t *testing.T) {
-	e, _ := ByID("T3")
-	out, err := e.Run(Config{Seed: 4, Scale: 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb := out.Tables[0]
-	for _, row := range tb.Rows {
-		eps := cellFloat(t, row[0])
-		ratio := cellFloat(t, row[4])
-		if ratio < 1-1e-9 {
-			t.Fatalf("integral flow below fractional at eps=%v (ratio %v)", eps, ratio)
-		}
-		if ratio > 1+4/eps {
-			t.Fatalf("integral/fractional gap %v exceeds O(1/eps) envelope at eps=%v", ratio, eps)
-		}
-	}
+	requireClaims(t, Config{Seed: 4, Scale: 0.2}, "T3")
 }
 
-// B3: flow must be non-increasing in speed.
+// B3: flow must not rise with speed.
 func TestB3Monotone(t *testing.T) {
-	e, _ := ByID("B3")
-	out, err := e.Run(Config{Seed: 5, Scale: 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb := out.Tables[0]
-	prev := cellFloat(t, tb.Rows[0][1])
-	for _, row := range tb.Rows[1:] {
-		cur := cellFloat(t, row[1])
-		if cur > prev*1.02 { // small tolerance: different speeds shift assignment decisions
-			t.Fatalf("identical flow increased with speed: %v -> %v", prev, cur)
-		}
-		prev = cur
-	}
+	requireClaims(t, Config{Seed: 5, Scale: 0.2}, "B3")
 }
 
-// B6: packetized must not be slower than store-and-forward on a line.
+// B6: packetized must not be slower than store-and-forward.
 func TestB6PacketizedWins(t *testing.T) {
-	e, _ := ByID("B6")
-	out, err := e.Run(Config{Seed: 6, Scale: 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb := out.Tables[0]
-	for _, row := range tb.Rows {
-		ratio := cellFloat(t, row[3])
-		if ratio < 1-1e-9 {
-			t.Fatalf("store-and-forward beat packetized on %s (ratio %v)", row[0], ratio)
-		}
-	}
+	requireClaims(t, Config{Seed: 6, Scale: 0.2}, "B6")
 }
 
 // RunAll must produce the same outputs as sequential execution, in
@@ -226,76 +174,40 @@ func TestRunSafeRecovers(t *testing.T) {
 
 // D1 must certify: zero dual violations at every eps.
 func TestD1Feasible(t *testing.T) {
-	e, _ := ByID("D1")
-	out, err := e.Run(Config{Seed: 8, Scale: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb := out.Tables[0]
-	for _, row := range tb.Rows {
-		if cellFloat(t, row[2]) != 0 || cellFloat(t, row[3]) != 0 {
-			t.Fatalf("dual violations in row %v", row)
-		}
-		if cellFloat(t, row[7]) <= 0 {
-			t.Fatalf("no certified bound in row %v", row)
-		}
-	}
+	requireClaims(t, Config{Seed: 8, Scale: 0.1}, "D1")
 }
 
-// L3 must report zero violations in both columns.
+// L3: zero violations of the potential's dynamics and of its bound.
 func TestL3ZeroViolations(t *testing.T) {
-	e, _ := ByID("L3")
-	out, err := e.Run(Config{Seed: 8, Scale: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb := out.Tables[0]
-	for _, row := range tb.Rows {
-		if cellFloat(t, row[2]) != 0 {
-			t.Fatalf("Φ dynamics violations in row %v", row)
-		}
-		if cellFloat(t, row[5]) != 0 {
-			t.Fatalf("Φ bound violations in row %v", row)
-		}
-	}
+	requireClaims(t, Config{Seed: 8, Scale: 0.1}, "L3")
 }
 
 // X3: WSJF must beat SJF on the weighted objective.
 func TestX3WSJFWins(t *testing.T) {
-	e, _ := ByID("X3")
-	out, err := e.Run(Config{Seed: 8, Scale: 0.2})
-	if err != nil {
-		t.Fatal(err)
+	requireClaims(t, Config{Seed: 8, Scale: 0.2}, "X3")
+}
+
+// The scorecard must be all-PASS. Its rows are the claims of the
+// experiments that own the checks A0 once re-ran in miniature.
+func TestA0AllPass(t *testing.T) {
+	results := requireClaims(t, Config{Seed: 2, Scale: 0.2}, "L1", "L2", "L3", "L8", "D1", "LP1", "T1")
+	claims := 0
+	for _, rr := range results {
+		claims += len(rr.Output.Claims)
 	}
-	tb := out.Tables[0]
-	var wsjf, sjf float64
-	for _, row := range tb.Rows {
-		switch row[0] {
-		case "WSJF":
-			wsjf = cellFloat(t, row[1])
-		case "SJF":
-			sjf = cellFloat(t, row[1])
-		}
-	}
-	if wsjf <= 0 || sjf <= 0 || wsjf >= sjf {
-		t.Fatalf("WSJF weighted flow %v did not beat SJF %v", wsjf, sjf)
+	a0 := Scorecard(results)
+	if a0 == nil || len(a0.Output.Tables[0].Rows) != claims {
+		t.Fatalf("scorecard does not list the run's %d claims", claims)
 	}
 }
 
-// The scorecard must be all-PASS.
-func TestA0AllPass(t *testing.T) {
-	e, _ := ByID("A0")
-	out, err := e.Run(Config{Seed: 2, Scale: 0.2})
-	if err != nil {
-		t.Fatal(err)
+// Every claim of the suite holds at seeds 1-5 at scale 1, the scale
+// EXPERIMENTS.md states its claims at.
+func TestClaimsHoldAtSeeds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the whole suite five times")
 	}
-	tb := out.Tables[0]
-	if len(tb.Rows) < 7 {
-		t.Fatalf("scorecard has %d rows", len(tb.Rows))
-	}
-	for _, row := range tb.Rows {
-		if row[len(row)-1] != "PASS" {
-			t.Fatalf("scorecard row failed: %v", row)
-		}
+	for seed := uint64(1); seed <= 5; seed++ {
+		requireClaims(t, Config{Seed: seed, Scale: 1})
 	}
 }

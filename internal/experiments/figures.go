@@ -68,8 +68,10 @@ func runF2(cfg Config) (*Output, error) {
 	out.addText("Figure 2 — tree reduction to a broomstick", trace.RenderReduction(bs))
 
 	tb := table.New("F2 reduction invariants", "invariant", "value")
-	tb.AddRow("is broomstick", tree.IsBroomstick(bs.Reduced))
-	tb.AddRow("leaves preserved", len(bs.Reduced.Leaves()) == len(t.Leaves()))
+	isBroom := tree.IsBroomstick(bs.Reduced)
+	kept := len(bs.Reduced.Leaves()) == len(t.Leaves())
+	tb.AddRow("is broomstick", isBroom)
+	tb.AddRow("leaves preserved", kept)
 	ok := true
 	for _, rl := range bs.Reduced.Leaves() {
 		ol := bs.ToOriginal[bs.Reduced.LeafIndex(rl)]
@@ -80,6 +82,8 @@ func runF2(cfg Config) (*Output, error) {
 	tb.AddRow("every leaf exactly 2 deeper", ok)
 	tb.AddRow("original nodes", t.NumNodes())
 	tb.AddRow("broomstick nodes", bs.Reduced.NumNodes())
+	out.claim(tb, isBroom && kept && ok, "the reduction yields a broomstick that keeps every leaf, each exactly 2 deeper",
+		"%d leaves, %d nodes to %d", len(t.Leaves()), t.NumNodes(), bs.Reduced.NumNodes())
 	out.add(tb)
 	return out, nil
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+
+	"treesched/internal/table"
 )
 
 // RunResult pairs an experiment with its output (or error).
@@ -69,4 +71,26 @@ func runSafe(e *Experiment, cfg Config) (out *Output, err error) {
 		}
 	}()
 	return e.Run(cfg)
+}
+
+// Scorecard renders A0, which heads a report, from a run's results:
+// one row per claim, in result order, with its verdict and decisive
+// numbers. A0 is not registered and never run. Scorecard returns nil
+// when no result decided a claim.
+func Scorecard(results []RunResult) *RunResult {
+	tb := table.New("A0 — reproduction scorecard", "experiment", "claim", "decisive numbers", "verdict")
+	for _, rr := range results {
+		if rr.Output == nil {
+			continue
+		}
+		for _, c := range rr.Output.Claims {
+			tb.AddRow(rr.Exp.ID, c.Statement, c.Numbers, c.Verdict())
+		}
+	}
+	if len(tb.Rows) == 0 {
+		return nil
+	}
+	tb.AddNote("each row is decided once, by its experiment from its own table, where the same line stands as a note; claims are stated at scale 1, and a smaller -scale may fail some")
+	a0 := &Experiment{ID: "A0", Title: "Validation scorecard: every claim of the run at a glance", Paper: "whole paper"}
+	return &RunResult{Exp: a0, Output: &Output{Tables: []*table.Table{tb}}}
 }

@@ -52,13 +52,27 @@ func init() {
 	})
 }
 
+// runWithLB builds and runs sc and returns, with its result, the
+// speed-1 OPT lower bound of its trace on its unaugmented tree.
+func runWithLB(sc *scenario.Scenario) (*scenario.Instance, *sim.Result, float64, error) {
+	in, err := sc.Build()
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	res, err := in.Run()
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	return in, res, lowerbound.Best(in.Base, in.Trace), nil
+}
+
 // runT1 validates Theorem 1's shape: with (1+eps)-speed augmentation
 // the greedy algorithm's total flow stays within a modest constant of
 // the speed-1 OPT lower bound, and the constant shrinks as eps grows.
 func runT1(cfg Config) (*Output, error) {
 	out := &Output{}
 	tb := table.New("T1 — identical endpoints, competitive ratio upper bound vs eps",
-		"eps", "speed", "load", "jobs", "flow(greedy)", "LB(OPT,1x)", "ratio<=")
+		"eps", "speed", "load", "jobs", "flow(greedy)", "LB(OPT,1x)", "ratio<=", "flow(greedy,1x)")
 	n := cfg.scaled(2000)
 	var cells []struct{ eps, load float64 }
 	for _, eps := range []float64{0.1, 0.25, 0.5, 1.0} {
@@ -76,24 +90,35 @@ func runT1(cfg Config) (*Output, error) {
 			Seed:     cfg.seed(uint64(eps * 1000)),
 			Speed:    scenario.Speed{Uniform: 1 + eps},
 		}
-		in, err := sc.Build()
+		in, res, lb, err := runWithLB(sc)
 		if err != nil {
 			return nil, err
 		}
-		res, err := in.Run()
+		// Any speed-1 schedule costs at least OPT, so the same greedy
+		// without augmentation checks that the bound is one.
+		res1, err := sim.Run(in.Base, in.Trace, core.NewGreedyIdentical(eps), sim.Options{})
 		if err != nil {
 			return nil, err
 		}
-		lb := lowerbound.Best(in.Base, in.Trace)
-		return []interface{}{eps, 1 + eps, load, n, res.Stats.TotalFlow, lb, res.Stats.TotalFlow / lb}, nil
+		return []interface{}{eps, 1 + eps, load, n, res.Stats.TotalFlow, lb, res.Stats.TotalFlow / lb, res1.Stats.TotalFlow}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, row := range rows {
+	lbValid, worstLB := true, 0.0
+	var ratios [2][]float64 // by load, in eps order
+	for i, row := range rows {
 		tb.AddRow(row...)
+		lb, flow1 := row[5].(float64), row[7].(float64)
+		lbValid = lbValid && lb <= flow1+1e-6
+		worstLB = max(worstLB, lb/flow1)
+		ratios[i%2] = append(ratios[i%2], row[6].(float64))
 	}
 	tb.AddNote("ratios are upper bounds on the true competitive ratio (denominator is a lower bound on OPT); Theorem 1 predicts a constant depending only on eps")
+	out.claim(tb, lbValid, "lower-bound validity: LB(OPT,1x) is at most the speed-1 greedy flow in every row",
+		"largest LB/flow(1x) %.4g", worstLB)
+	out.claim(tb, falling(ratios[0]...) && falling(ratios[1]...), "the ratio falls as eps grows, at both loads",
+		"%.4g to %.4g at load 0.8, %.4g to %.4g at load 0.95", ratios[0][0], ratios[0][3], ratios[1][0], ratios[1][3])
 	out.add(tb)
 	return out, nil
 }
@@ -128,15 +153,10 @@ func runT2(cfg Config) (*Output, error) {
 			Seed:     cfg.seed(uint64(c.eps*1000) + uint64(c.speed*10)),
 			Speed:    scenario.Speed{Uniform: c.speed},
 		}
-		in, err := sc.Build()
+		_, res, lb, err := runWithLB(sc)
 		if err != nil {
 			return nil, err
 		}
-		res, err := in.Run()
-		if err != nil {
-			return nil, err
-		}
-		lb := lowerbound.Best(in.Base, in.Trace)
 		return []interface{}{c.eps, c.speed, n, res.Stats.TotalFlow, lb, res.Stats.TotalFlow / lb}, nil
 	})
 	if err != nil {
@@ -145,7 +165,11 @@ func runT2(cfg Config) (*Output, error) {
 	for _, row := range rows {
 		tb.AddRow(row...)
 	}
-	tb.AddNote("Theorem 2 requires speed 2+eps; the 1.5x and 1.0x rows show how much harder the low-speed regime is")
+	// Rows 1, 3 and 4 share eps 0.5 at speeds 2.5, 1.5 and 1.
+	r25, r15, r1 := rows[1][5].(float64), rows[3][5].(float64), rows[4][5].(float64)
+	tb.AddNote("Theorem 2 requires speed 2+eps; the 1.5x and 1.0x rows probe the regime it does not cover")
+	out.claim(tb, r25 < r15 && r15 < r1, "below the required 2+eps speed the ratio rises: at eps 0.5, 2.5x < 1.5x < 1.0x",
+		"%.4g < %.4g < %.4g", r25, r15, r1)
 	out.add(tb)
 	return out, nil
 }
@@ -179,10 +203,18 @@ func runT3(cfg Config) (*Output, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, row := range rows {
+	lo, hi, envelope := math.Inf(1), 0.0, true
+	for i, row := range rows {
 		tb.AddRow(row...)
+		ratio := row[4].(float64)
+		lo, hi = min(lo, ratio), max(hi, ratio)
+		envelope = envelope && ratio <= 1+4/epsList[i]
 	}
-	tb.AddNote("Theorem 3: an s-speed c-competitive fractional algorithm yields a (1+eps)s-speed O(c/eps)-competitive integral one; the measured gap should stay below O(1/eps)")
+	tb.AddNote("Theorem 3: an s-speed c-competitive fractional algorithm yields a (1+eps)s-speed O(c/eps)-competitive integral one; 1+4/eps gives the O(1/eps) envelope a generous constant")
+	out.claim(tb, lo >= 1-1e-9, "integral flow is at least fractional flow, at every eps",
+		"smallest integral/fractional %.4g", lo)
+	out.claim(tb, envelope, "Theorem 3: integral/fractional stays within 1+4/eps, at every eps",
+		"largest integral/fractional %.4g", hi)
 	out.add(tb)
 	return out, nil
 }
@@ -207,24 +239,25 @@ func runT5(cfg Config) (*Output, error) {
 			Seed:     cfg.seed(2100 + uint64(eps*100)),
 			Speed:    scenario.Speed{RootAdjacent: 1 + eps, Router: (1 + eps) * (1 + eps), Leaf: (1 + eps) * (1 + eps)},
 		}
-		in, err := sc.Build()
+		_, res, lb, err := runWithLB(sc)
 		if err != nil {
 			return nil, err
 		}
-		res, err := in.Run()
-		if err != nil {
-			return nil, err
-		}
-		lb := lowerbound.Best(in.Base, in.Trace)
 		return []interface{}{eps, n, res.Stats.FracFlow, lb, res.Stats.FracFlow / lb, 1 / (eps * eps * eps)}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, row := range rows {
+	worst, worstEps := 0.0, 0.0
+	for i, row := range rows {
 		tb.AddRow(row...)
+		if r := row[4].(float64) / row[5].(float64); r > worst {
+			worst, worstEps = r, epsList[i]
+		}
 	}
-	tb.AddNote("the broomstick is the structure the dual fitting actually analyzes; the measured ratios sit far below the O(1/eps^3) worst case")
+	tb.AddNote("the broomstick is the structure the dual fitting actually analyzes")
+	out.claim(tb, worst <= 0.1, "the ratio sits at least 10x below the 1/eps^3 worst case, at every eps",
+		"largest ratio over 1/eps^3 %.4g, at eps %g", worst, worstEps)
 	out.add(tb)
 	return out, nil
 }
@@ -251,24 +284,23 @@ func runT6(cfg Config) (*Output, error) {
 			Seed:     cfg.seed(2200 + uint64(eps*100)),
 			Speed:    scenario.Speed{RootAdjacent: 2 * (1 + eps), Router: 2 * (1 + eps) * (1 + eps), Leaf: 2 * (1 + eps) * (1 + eps)},
 		}
-		in, err := sc.Build()
+		_, res, lb, err := runWithLB(sc)
 		if err != nil {
 			return nil, err
 		}
-		res, err := in.Run()
-		if err != nil {
-			return nil, err
-		}
-		lb := lowerbound.Best(in.Base, in.Trace)
 		return []interface{}{eps, n, res.Stats.FracFlow, lb, res.Stats.FracFlow / lb}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	worst := 0.0
 	for _, row := range rows {
 		tb.AddRow(row...)
+		worst = max(worst, row[4].(float64))
 	}
-	tb.AddNote("Theorem 6 doubles every speed relative to Theorem 5 to absorb the leaf-size mismatch; ratios stay bounded")
+	tb.AddNote("Theorem 6 doubles every speed relative to Theorem 5 to absorb the leaf-size mismatch")
+	out.claim(tb, worst < 1, "the ratio stays below 1 at every eps: the augmented fractional flow beats the speed-1 lower bound",
+		"largest ratio %.4g", worst)
 	out.add(tb)
 	return out, nil
 }
@@ -329,6 +361,7 @@ func runT4(cfg Config) (*Output, error) {
 	if err != nil {
 		return nil, err
 	}
+	worstScaled, worstEps := 0.0, 0.0
 	for ei, eps := range epsList {
 		var sum, worst float64
 		for _, ratio := range ratios[ei*instances : (ei+1)*instances] {
@@ -338,8 +371,13 @@ func runT4(cfg Config) (*Output, error) {
 			}
 		}
 		tb.AddRow(eps, instances, sum/instances, worst, 1/(eps*eps*eps))
+		if r := worst * eps * eps * eps; r > worstScaled {
+			worstScaled, worstEps = r, eps
+		}
 	}
 	tb.AddNote("both numerator and denominator are best-of-portfolio proxies, not certified optima; Theorem 4 predicts the ratio stays below a constant times 1/eps^3")
+	out.claim(tb, worstScaled <= 1, "the proxy ratio stays below 1/eps^3 itself, constant 1, at every eps",
+		"largest max ratio over 1/eps^3 %.4g, at eps %g", worstScaled, worstEps)
 	out.add(tb)
 
 	// Exact companion: on tiny instances the time-indexed LP is solved
@@ -359,6 +397,7 @@ func runT4(cfg Config) (*Output, error) {
 		b.AddLeaf(v1)
 		return b.MustFinalize()
 	}
+	worstExact := 0.0
 	for _, eps := range []float64{0.25, 0.5, 1.0} {
 		for ti, trc := range tiny {
 			base := tinyTree()
@@ -384,9 +423,12 @@ func runT4(cfg Config) (*Output, error) {
 				return nil, err
 			}
 			tb2.AddRow(eps, ti, solT.Objective, solT2.Objective, solT2.Objective/solT.Objective, 1/(eps*eps*eps))
+			worstExact = max(worstExact, solT2.Objective/solT.Objective)
 		}
 	}
-	tb2.AddNote("exact on both sides (simplex-solved LP optima): the broomstick's extra depth costs only a small constant factor, comfortably inside Theorem 4's O(1/eps^3)")
+	tb2.AddNote("exact on both sides (simplex-solved LP optima), so the ratio needs no proxy")
+	out.claim(tb2, worstExact <= 2, "the broomstick's extra depth costs at most a factor 2 on every tiny instance",
+		"largest LP ratio %.4g", worstExact)
 	out.add(tb2)
 	return out, nil
 }

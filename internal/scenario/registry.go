@@ -195,21 +195,6 @@ func (r *registry[E]) lookup(name string) (E, error) {
 // this to make irregular clusters addressable by name).
 func RegisterTopology(e TopoEntry) { topoReg.add(e.Name, e) }
 
-// RegisterSize adds a custom size law.
-func RegisterSize(e SizeEntry) { sizeReg.add(e.Name, e) }
-
-// RegisterProcess adds a custom arrival process.
-func RegisterProcess(e ProcessEntry) { processReg.add(e.Name, e) }
-
-// RegisterPolicy adds a custom node policy.
-func RegisterPolicy(e PolicyEntry) { policyReg.add(e.Name, e) }
-
-// RegisterAssigner adds a custom leaf-assignment rule.
-func RegisterAssigner(e AssignerEntry) { assignReg.add(e.Name, e) }
-
-// RegisterFaultPlan adds a custom fault-plan generator.
-func RegisterFaultPlan(e FaultEntry) { faultReg.add(e.Name, e) }
-
 // Topologies, Sizes, Processes, Policies, Assigners and FaultPlans
 // list the registered names in registration order.
 func Topologies() []string { return topoReg.names() }
@@ -277,148 +262,168 @@ func init() {
 		},
 	})
 
-	RegisterSize(SizeEntry{
-		Name:   "uniform",
-		Params: []Param{{"lo", false}, {"hi", false}},
-		Build:  func(a []float64) workload.SizeDist { return workload.UniformSize{Lo: a[0], Hi: a[1]} },
-	})
-	RegisterSize(SizeEntry{
-		Name:   "bimodal",
-		Params: []Param{{"small", false}, {"big", false}, {"pbig", false}},
-		Build: func(a []float64) workload.SizeDist {
-			return workload.BimodalSize{Small: a[0], Big: a[1], PBig: a[2]}
+	for _, e := range []SizeEntry{
+		{
+			Name:   "uniform",
+			Params: []Param{{"lo", false}, {"hi", false}},
+			Build:  func(a []float64) workload.SizeDist { return workload.UniformSize{Lo: a[0], Hi: a[1]} },
 		},
-	})
-	RegisterSize(SizeEntry{
-		Name:   "pareto",
-		Params: []Param{{"min", false}, {"alpha", false}, {"cap", false}},
-		Build: func(a []float64) workload.SizeDist {
-			return workload.ParetoSize{Min: a[0], Alpha: a[1], Cap: a[2]}
+		{
+			Name:   "bimodal",
+			Params: []Param{{"small", false}, {"big", false}, {"pbig", false}},
+			Build: func(a []float64) workload.SizeDist {
+				return workload.BimodalSize{Small: a[0], Big: a[1], PBig: a[2]}
+			},
 		},
-	})
+		{
+			Name:   "pareto",
+			Params: []Param{{"min", false}, {"alpha", false}, {"cap", false}},
+			Build: func(a []float64) workload.SizeDist {
+				return workload.ParetoSize{Min: a[0], Alpha: a[1], Cap: a[2]}
+			},
+		},
+	} {
+		sizeReg.add(e.Name, e)
+	}
 
-	RegisterProcess(ProcessEntry{
-		Name: "poisson",
-		Source: func(r *rng.Rand, cfg workload.GenConfig, _ []float64) (workload.ArrivalSource, error) {
-			return workload.NewPoissonSource(r, cfg)
+	for _, e := range []ProcessEntry{
+		{
+			Name: "poisson",
+			Source: func(r *rng.Rand, cfg workload.GenConfig, _ []float64) (workload.ArrivalSource, error) {
+				return workload.NewPoissonSource(r, cfg)
+			},
 		},
-	})
-	RegisterProcess(ProcessEntry{
-		Name:   "bursty",
-		Params: []Param{{"burst", true}},
-		Source: func(r *rng.Rand, cfg workload.GenConfig, a []float64) (workload.ArrivalSource, error) {
-			return workload.NewBurstySource(r, cfg, int(a[0]))
+		{
+			Name:   "bursty",
+			Params: []Param{{"burst", true}},
+			Source: func(r *rng.Rand, cfg workload.GenConfig, a []float64) (workload.ArrivalSource, error) {
+				return workload.NewBurstySource(r, cfg, int(a[0]))
+			},
 		},
-	})
-	RegisterProcess(ProcessEntry{
-		Name:   "adversarial",
-		Params: []Param{{"bigsize", false}},
-		// Adversarial ignores the size law and load entirely.
-		Source: func(r *rng.Rand, cfg workload.GenConfig, a []float64) (workload.ArrivalSource, error) {
-			return workload.NewAdversarialSource(cfg.N, a[0]), nil
+		{
+			Name:   "adversarial",
+			Params: []Param{{"bigsize", false}},
+			// Adversarial ignores the size law and load entirely.
+			Source: func(r *rng.Rand, cfg workload.GenConfig, a []float64) (workload.ArrivalSource, error) {
+				return workload.NewAdversarialSource(cfg.N, a[0]), nil
+			},
 		},
-	})
+	} {
+		processReg.add(e.Name, e)
+	}
 
-	RegisterPolicy(PolicyEntry{Name: "sjf", Build: func() sim.Policy { return sim.SJF{} }})
-	RegisterPolicy(PolicyEntry{Name: "fifo", Build: func() sim.Policy { return sim.FIFO{} }})
-	RegisterPolicy(PolicyEntry{Name: "srpt", Build: func() sim.Policy { return sim.SRPT{} }})
-	RegisterPolicy(PolicyEntry{Name: "lcfs", Build: func() sim.Policy { return sim.LCFS{} }})
-	RegisterPolicy(PolicyEntry{Name: "ps", Build: func() sim.Policy { return sim.PS{} }})
-	RegisterPolicy(PolicyEntry{Name: "wsjf", Build: func() sim.Policy { return sim.WSJF{} }})
+	for _, e := range []PolicyEntry{
+		{Name: "sjf", Build: func() sim.Policy { return sim.SJF{} }},
+		{Name: "fifo", Build: func() sim.Policy { return sim.FIFO{} }},
+		{Name: "srpt", Build: func() sim.Policy { return sim.SRPT{} }},
+		{Name: "lcfs", Build: func() sim.Policy { return sim.LCFS{} }},
+		{Name: "ps", Build: func() sim.Policy { return sim.PS{} }},
+		{Name: "wsjf", Build: func() sim.Policy { return sim.WSJF{} }},
+	} {
+		policyReg.add(e.Name, e)
+	}
 
-	RegisterAssigner(AssignerEntry{
-		Name: "greedy",
-		// The historical auto-variant: unrelated workloads get the
-		// Theorem 2 rule, identical workloads the Theorem 1 rule.
-		Build: func(ctx AssignerContext) (sim.Assigner, error) {
-			if ctx.Unrelated {
+	for _, e := range []AssignerEntry{
+		{
+			Name: "greedy",
+			// The historical auto-variant: unrelated workloads get the
+			// Theorem 2 rule, identical workloads the Theorem 1 rule.
+			Build: func(ctx AssignerContext) (sim.Assigner, error) {
+				if ctx.Unrelated {
+					return core.NewGreedyUnrelated(ctx.Eps), nil
+				}
+				return core.NewGreedyIdentical(ctx.Eps), nil
+			},
+		},
+		{
+			Name: "greedy-identical",
+			Build: func(ctx AssignerContext) (sim.Assigner, error) {
+				return core.NewGreedyIdentical(ctx.Eps), nil
+			},
+		},
+		{
+			Name: "greedy-unrelated",
+			Build: func(ctx AssignerContext) (sim.Assigner, error) {
 				return core.NewGreedyUnrelated(ctx.Eps), nil
-			}
-			return core.NewGreedyIdentical(ctx.Eps), nil
+			},
 		},
-	})
-	RegisterAssigner(AssignerEntry{
-		Name: "greedy-identical",
-		Build: func(ctx AssignerContext) (sim.Assigner, error) {
-			return core.NewGreedyIdentical(ctx.Eps), nil
+		{
+			Name: "shadow",
+			Build: func(ctx AssignerContext) (sim.Assigner, error) {
+				return core.NewShadow(ctx.Tree, core.ShadowConfig{Eps: ctx.Eps, Unrelated: ctx.Unrelated})
+			},
 		},
-	})
-	RegisterAssigner(AssignerEntry{
-		Name: "greedy-unrelated",
-		Build: func(ctx AssignerContext) (sim.Assigner, error) {
-			return core.NewGreedyUnrelated(ctx.Eps), nil
+		{
+			Name:  "closest",
+			Build: func(AssignerContext) (sim.Assigner, error) { return sched.ClosestLeaf{}, nil },
 		},
-	})
-	RegisterAssigner(AssignerEntry{
-		Name: "shadow",
-		Build: func(ctx AssignerContext) (sim.Assigner, error) {
-			return core.NewShadow(ctx.Tree, core.ShadowConfig{Eps: ctx.Eps, Unrelated: ctx.Unrelated})
+		{
+			Name: "random",
+			Build: func(ctx AssignerContext) (sim.Assigner, error) {
+				return &sched.RandomLeaf{R: rng.New(ctx.Seed)}, nil
+			},
 		},
-	})
-	RegisterAssigner(AssignerEntry{
-		Name:  "closest",
-		Build: func(AssignerContext) (sim.Assigner, error) { return sched.ClosestLeaf{}, nil },
-	})
-	RegisterAssigner(AssignerEntry{
-		Name: "random",
-		Build: func(ctx AssignerContext) (sim.Assigner, error) {
-			return &sched.RandomLeaf{R: rng.New(ctx.Seed)}, nil
+		{
+			Name:  "roundrobin",
+			Build: func(AssignerContext) (sim.Assigner, error) { return &sched.RoundRobin{}, nil },
 		},
-	})
-	RegisterAssigner(AssignerEntry{
-		Name:  "roundrobin",
-		Build: func(AssignerContext) (sim.Assigner, error) { return &sched.RoundRobin{}, nil },
-	})
-	RegisterAssigner(AssignerEntry{
-		Name:  "leastvolume",
-		Build: func(AssignerContext) (sim.Assigner, error) { return sched.LeastVolume{}, nil },
-	})
-	RegisterAssigner(AssignerEntry{
-		Name:  "minpath",
-		Build: func(AssignerContext) (sim.Assigner, error) { return sched.MinPathWork{}, nil },
-	})
-	RegisterAssigner(AssignerEntry{
-		Name:  "jsq",
-		Build: func(AssignerContext) (sim.Assigner, error) { return sched.JoinShortestQueue{}, nil },
-	})
+		{
+			Name:  "leastvolume",
+			Build: func(AssignerContext) (sim.Assigner, error) { return sched.LeastVolume{}, nil },
+		},
+		{
+			Name:  "minpath",
+			Build: func(AssignerContext) (sim.Assigner, error) { return sched.MinPathWork{}, nil },
+		},
+		{
+			Name:  "jsq",
+			Build: func(AssignerContext) (sim.Assigner, error) { return sched.JoinShortestQueue{}, nil },
+		},
+	} {
+		assignReg.add(e.Name, e)
+	}
 
-	RegisterFaultPlan(FaultEntry{
-		Name:   "outages",
-		Params: []Param{{"count", true}, {"dur", false}},
-		Build: func(r *rng.Rand, t *tree.Tree, span float64, a []float64) (*faults.Plan, error) {
-			return transientPlan(faults.Outage, r, t, span, a[0], a[1], 0)
+	for _, e := range []FaultEntry{
+		{
+			Name:   "outages",
+			Params: []Param{{"count", true}, {"dur", false}},
+			Build: func(r *rng.Rand, t *tree.Tree, span float64, a []float64) (*faults.Plan, error) {
+				return transientPlan(faults.Outage, r, t, span, a[0], a[1], 0)
+			},
 		},
-	})
-	RegisterFaultPlan(FaultEntry{
-		Name:   "brownouts",
-		Params: []Param{{"count", true}, {"dur", false}, {"factor", false}},
-		Build: func(r *rng.Rand, t *tree.Tree, span float64, a []float64) (*faults.Plan, error) {
-			return transientPlan(faults.Brownout, r, t, span, a[0], a[1], a[2])
+		{
+			Name:   "brownouts",
+			Params: []Param{{"count", true}, {"dur", false}, {"factor", false}},
+			Build: func(r *rng.Rand, t *tree.Tree, span float64, a []float64) (*faults.Plan, error) {
+				return transientPlan(faults.Brownout, r, t, span, a[0], a[1], a[2])
+			},
 		},
-	})
-	RegisterFaultPlan(FaultEntry{
-		Name:   "leafloss",
-		Params: []Param{{"count", true}, {"frac", false}},
-		Build: func(r *rng.Rand, t *tree.Tree, span float64, a []float64) (*faults.Plan, error) {
-			count, err := intCount(a[0])
-			if err != nil {
-				return nil, err
-			}
-			leaves := t.Leaves()
-			if count >= len(leaves) {
-				return nil, fmt.Errorf("losing %d of %d leaves leaves no survivor", count, len(leaves))
-			}
-			if !(a[1] >= 0 && a[1] <= 1) {
-				return nil, fmt.Errorf("frac %v outside [0,1]", formatFloat(a[1]))
-			}
-			at := a[1] * span
-			p := &faults.Plan{}
-			for _, i := range r.Perm(len(leaves))[:count] {
-				p.Events = append(p.Events, faults.Event{Kind: faults.LeafLoss, Node: leaves[i], Start: at})
-			}
-			return p, nil
+		{
+			Name:   "leafloss",
+			Params: []Param{{"count", true}, {"frac", false}},
+			Build: func(r *rng.Rand, t *tree.Tree, span float64, a []float64) (*faults.Plan, error) {
+				count, err := intCount(a[0])
+				if err != nil {
+					return nil, err
+				}
+				leaves := t.Leaves()
+				if count >= len(leaves) {
+					return nil, fmt.Errorf("losing %d of %d leaves leaves no survivor", count, len(leaves))
+				}
+				if !(a[1] >= 0 && a[1] <= 1) {
+					return nil, fmt.Errorf("frac %v outside [0,1]", formatFloat(a[1]))
+				}
+				at := a[1] * span
+				p := &faults.Plan{}
+				for _, i := range r.Perm(len(leaves))[:count] {
+					p.Events = append(p.Events, faults.Event{Kind: faults.LeafLoss, Node: leaves[i], Start: at})
+				}
+				return p, nil
+			},
 		},
-	})
+	} {
+		faultReg.add(e.Name, e)
+	}
 }
 
 // transientPlan draws count transient faults of one kind, node uniform

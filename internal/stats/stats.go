@@ -1,6 +1,6 @@
-// Package stats provides the small statistical toolkit the experiment
-// harness uses: streaming moments (Welford), exact quantiles,
-// logarithmic histograms and empirical CDFs.
+// Package stats provides the small statistical toolkit the reports
+// use: exact quantiles, one-line summaries and logarithmic
+// histograms.
 package stats
 
 import (
@@ -9,54 +9,6 @@ import (
 	"sort"
 	"strings"
 )
-
-// Welford accumulates streaming mean and variance.
-type Welford struct {
-	n        int64
-	mean, m2 float64
-	min, max float64
-}
-
-// Add folds one observation in.
-func (w *Welford) Add(x float64) {
-	if w.n == 0 {
-		w.min, w.max = x, x
-	} else {
-		if x < w.min {
-			w.min = x
-		}
-		if x > w.max {
-			w.max = x
-		}
-	}
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N returns the number of observations.
-func (w *Welford) N() int64 { return w.n }
-
-// Mean returns the sample mean (0 for empty).
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Var returns the unbiased sample variance.
-func (w *Welford) Var() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// Std returns the sample standard deviation.
-func (w *Welford) Std() float64 { return math.Sqrt(w.Var()) }
-
-// Min returns the smallest observation (0 for empty).
-func (w *Welford) Min() float64 { return w.min }
-
-// Max returns the largest observation (0 for empty).
-func (w *Welford) Max() float64 { return w.max }
 
 // Quantile returns the q-th quantile (0 ≤ q ≤ 1) of the data using
 // linear interpolation between order statistics. It sorts a copy.
@@ -87,21 +39,36 @@ type Summary struct {
 	Max                float64
 }
 
-// Summarize computes a Summary of the data.
+// Summarize computes a Summary of the data. Mean and variance
+// accumulate in one pass by Welford's update; Std is the unbiased
+// sample deviation (0 below two values).
 func Summarize(data []float64) Summary {
-	var w Welford
-	for _, x := range data {
-		w.Add(x)
-	}
 	if len(data) == 0 {
 		return Summary{}
 	}
+	var mean, m2 float64
+	lo, hi := data[0], data[0]
+	for i, x := range data {
+		if x < lo {
+			lo = x
+		}
+		if x > hi {
+			hi = x
+		}
+		d := x - mean
+		mean += d / float64(i+1)
+		m2 += d * (x - mean)
+	}
+	std := 0.0
+	if len(data) > 1 {
+		std = math.Sqrt(m2 / float64(len(data)-1))
+	}
 	return Summary{
 		N:    len(data),
-		Mean: w.Mean(), Std: w.Std(),
-		Min: w.Min(),
+		Mean: mean, Std: std,
+		Min: lo,
 		P50: Quantile(data, 0.5), P90: Quantile(data, 0.9), P99: Quantile(data, 0.99),
-		Max: w.Max(),
+		Max: hi,
 	}
 }
 
@@ -182,15 +149,4 @@ func (h *LogHistogram) Render(width int) string {
 		fmt.Fprintf(&sb, "%12.3g | %s %d\n", b.Lo, strings.Repeat("#", bar), b.Count)
 	}
 	return sb.String()
-}
-
-// CDF returns the empirical CDF of data evaluated at the given points.
-func CDF(data, at []float64) []float64 {
-	cp := append([]float64(nil), data...)
-	sort.Float64s(cp)
-	out := make([]float64, len(at))
-	for i, x := range at {
-		out[i] = float64(sort.SearchFloat64s(cp, math.Nextafter(x, math.Inf(1)))) / float64(len(cp))
-	}
-	return out
 }

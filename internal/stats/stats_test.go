@@ -6,52 +6,26 @@ import (
 	"testing/quick"
 )
 
-func TestWelfordAgainstDirect(t *testing.T) {
-	data := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	var w Welford
-	for _, x := range data {
-		w.Add(x)
-	}
-	if w.N() != 8 || w.Mean() != 5 {
-		t.Fatalf("mean = %v, n = %d", w.Mean(), w.N())
-	}
-	// Unbiased variance of this classic dataset: 32/7.
-	if math.Abs(w.Var()-32.0/7) > 1e-12 {
-		t.Fatalf("var = %v", w.Var())
-	}
-	if w.Min() != 2 || w.Max() != 9 {
-		t.Fatalf("min/max = %v/%v", w.Min(), w.Max())
-	}
-}
-
-func TestWelfordEmpty(t *testing.T) {
-	var w Welford
-	if w.Mean() != 0 || w.Var() != 0 || w.Std() != 0 {
-		t.Fatal("empty Welford not zero")
-	}
-}
-
-func TestWelfordMatchesNaiveProperty(t *testing.T) {
+func TestSummarizeMatchesNaiveProperty(t *testing.T) {
 	check := func(raw []uint16) bool {
 		if len(raw) < 2 {
 			return true
 		}
-		var w Welford
 		var sum float64
 		data := make([]float64, len(raw))
 		for i, v := range raw {
 			data[i] = float64(v) / 7
-			w.Add(data[i])
 			sum += data[i]
 		}
+		s := Summarize(data)
 		mean := sum / float64(len(data))
 		var ss float64
 		for _, x := range data {
 			ss += (x - mean) * (x - mean)
 		}
 		naive := ss / float64(len(data)-1)
-		return math.Abs(w.Mean()-mean) < 1e-9*(1+math.Abs(mean)) &&
-			math.Abs(w.Var()-naive) < 1e-6*(1+naive)
+		return math.Abs(s.Mean-mean) < 1e-9*(1+math.Abs(mean)) &&
+			math.Abs(s.Std*s.Std-naive) < 1e-6*(1+naive)
 	}
 	if err := quick.Check(check, nil); err != nil {
 		t.Fatal(err)
@@ -90,6 +64,10 @@ func TestSummarize(t *testing.T) {
 	s := Summarize([]float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
 	if s.N != 10 || s.Mean != 5.5 || s.Min != 1 || s.Max != 10 {
 		t.Fatalf("summary %+v", s)
+	}
+	// Unbiased variance of 1..10: 55/6.
+	if math.Abs(s.Std*s.Std-55.0/6) > 1e-12 {
+		t.Fatalf("std = %v", s.Std)
 	}
 	if s.P50 != 5.5 {
 		t.Fatalf("p50 = %v", s.P50)
@@ -130,15 +108,4 @@ func TestLogHistogramBadBase(t *testing.T) {
 		}
 	}()
 	NewLogHistogram(1)
-}
-
-func TestCDF(t *testing.T) {
-	data := []float64{1, 2, 3, 4}
-	got := CDF(data, []float64{0, 1, 2.5, 4, 9})
-	want := []float64{0, 0.25, 0.5, 1, 1}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-12 {
-			t.Fatalf("CDF[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
 }

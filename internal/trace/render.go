@@ -177,40 +177,12 @@ func (s *Schedule) WriteJSON(w io.Writer) error {
 // recorded with sim.Options.RecordSlices: each cell shows the job
 // (ID mod 10) actually being processed at the cell midpoint.
 func ExactGantt(res *sim.Result, cols int) string {
-	if cols < 10 {
-		cols = 60
-	}
 	slices := res.Sim.Slices()
-	makespan := res.Stats.Makespan
-	if makespan <= 0 {
-		return "(empty schedule)\n"
+	spans := make([]Span, len(slices))
+	for i, sl := range slices {
+		spans[i] = Span{Job: sl.Job, Node: int32(sl.Node), Start: sl.From, End: sl.To}
 	}
-	t := res.Sim.Tree()
-	rows := make(map[int32][]byte)
-	for _, sl := range slices {
-		row, ok := rows[int32(sl.Node)]
-		if !ok {
-			row = []byte(strings.Repeat(".", cols))
-			rows[int32(sl.Node)] = row
-		}
-		for c := 0; c < cols; c++ {
-			mid := (float64(c) + 0.5) / float64(cols) * makespan
-			if mid >= sl.From && mid < sl.To {
-				row[c] = byte('0' + sl.Job%10)
-			}
-		}
-	}
-	ids := make([]int32, 0, len(rows))
-	for id := range rows {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "time 0 .. %.3g, %d columns (exact slices)\n", makespan, cols)
-	for _, id := range ids {
-		fmt.Fprintf(&sb, "%-18s %s\n", describe(t, tree.NodeID(id)), rows[id])
-	}
-	return sb.String()
+	return gantt(res, spans, cols, " (exact slices)")
 }
 
 // Gantt renders a coarse ASCII Gantt chart of node occupancy: one row
@@ -218,17 +190,22 @@ func ExactGantt(res *sim.Result, cols int) string {
 // makespan. Cells show the job ID (mod 10) whose hop interval covers
 // the cell midpoint (latest-arriving hop wins ties).
 func Gantt(res *sim.Result, cols int) string {
+	return gantt(res, ExtractSchedule(res).Spans, cols, "")
+}
+
+// gantt draws one row per node that carries a span, in node order,
+// over cols columns (60 below 10) of [0, makespan): a cell shows the
+// job (ID mod 10) of the last span that covers its midpoint.
+func gantt(res *sim.Result, spans []Span, cols int, kind string) string {
 	if cols < 10 {
 		cols = 60
 	}
-	sched := ExtractSchedule(res)
 	makespan := res.Stats.Makespan
 	if makespan <= 0 {
 		return "(empty schedule)\n"
 	}
-	t := res.Sim.Tree()
 	rows := make(map[int32][]byte)
-	for _, sp := range sched.Spans {
+	for _, sp := range spans {
 		row, ok := rows[sp.Node]
 		if !ok {
 			row = []byte(strings.Repeat(".", cols))
@@ -246,8 +223,9 @@ func Gantt(res *sim.Result, cols int) string {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
+	t := res.Sim.Tree()
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "time 0 .. %.3g, %d columns\n", makespan, cols)
+	fmt.Fprintf(&sb, "time 0 .. %.3g, %d columns%s\n", makespan, cols, kind)
 	for _, id := range ids {
 		fmt.Fprintf(&sb, "%-18s %s\n", describe(t, tree.NodeID(id)), rows[id])
 	}

@@ -291,11 +291,6 @@ const classRatioTol = 1e-9
 // analysis covers (classRatioTol); scenarios reject a smaller one.
 const MinClassEps = 1e-6
 
-// ClassOf returns the class index k with (1+eps)^k == size (rounded).
-func ClassOf(size, eps float64) int {
-	return int(math.Round(math.Log(size) / math.Log(1+eps)))
-}
-
 // GenConfig configures the trace generators.
 type GenConfig struct {
 	N    int      // number of jobs

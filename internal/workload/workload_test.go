@@ -133,16 +133,6 @@ func TestRoundToClassProperty(t *testing.T) {
 	}
 }
 
-func TestClassOf(t *testing.T) {
-	eps := 0.5
-	for k := -3; k <= 10; k++ {
-		size := math.Pow(1+eps, float64(k))
-		if got := ClassOf(size, eps); got != k {
-			t.Fatalf("ClassOf(%v) = %d, want %d", size, got, k)
-		}
-	}
-}
-
 func TestClassRoundedDist(t *testing.T) {
 	r := rng.New(5)
 	d := ClassRounded{Base: UniformSize{1, 10}, Eps: 0.5}
