@@ -44,9 +44,15 @@ bench:
 # interleaved pairs (seeds 1-5, the side that runs first alternating).
 # The base checkout's Go build cache is a link to the working tree's,
 # so the base builds warm instead of compiling the standard library;
-# removing the worktree removes only the link. Both result files stay
-# in .bench_build/ab/; the exit code is treebench -compare's, 1 when
-# any metric reads worse.
+# removing the worktree removes only the link. Then the working tree
+# runs one traced `sim-wide` (seed 1, 3 seconds), which fails the
+# target when it exits non-zero: its traced pass and ledger encode
+# through the benchmark's wrapper sinks, which the engine calls
+# synchronously, so their digests equal the untraced pass's, whose
+# NDJSONSink is encoded on its own goroutine, only when the bytes are
+# identical. Both result files stay in .bench_build/ab/; the exit
+# code is otherwise treebench -compare's, 1 when any metric reads
+# worse.
 #
 #   make bench-ab BASE=main
 bench-ab:
@@ -67,6 +73,9 @@ bench-ab:
 			done; \
 		done; \
 	done; \
+	echo "bench-ab: traced change sim-wide"; \
+	bash benchmark/run.sh --workload sim-wide --seed 1 --seconds 3 --trace 1 >>"$$ab/runs.log" || \
+		{ echo "bench-ab: the traced sim-wide run failed, see $$ab/runs.log" >&2; exit 1; }; \
 	.bench_build/treebench -compare "$$ab/base.jsonl" "$$ab/change.jsonl"
 
 # Short fuzz pass over every fuzz target (~10s each); corpus seeds

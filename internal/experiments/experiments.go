@@ -24,15 +24,9 @@ type Config struct {
 	// Scale multiplies job counts (1 = the EXPERIMENTS.md defaults;
 	// benchmarks use smaller scales).
 	Scale float64
-	// Parallelism bounds intra-experiment Sweep concurrency when an
-	// experiment is run directly (0 = GOMAXPROCS). RunAll ignores it
-	// and installs a token pool shared across the whole suite instead,
-	// so its -parallel flag bounds total concurrency. Results are
-	// byte-identical at any setting.
-	Parallelism int
-
 	// tokens is the suite-wide concurrency pool installed by RunAll;
-	// nil when the experiment runs outside a suite.
+	// nil when the experiment runs outside a suite, where Sweep runs
+	// its cells one after another.
 	tokens chan struct{}
 }
 

@@ -2,23 +2,23 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
 
-// Sweep runs fn(i) for every cell i in [0, cells) on a bounded worker
+// Sweep runs fn(i) for every cell i in [0, cells) on RunAll's worker
 // pool and returns the results in input order. It is the
 // intra-experiment counterpart of RunAll: the ε/speed/seed grid loops
 // of the theorem and baseline experiments fan their cells out through
-// it instead of iterating serially.
+// it instead of iterating serially. Outside RunAll (an experiment's
+// Run called directly) the cells run one after another.
 //
 // Determinism contract: fn must derive all randomness for cell i from
 // cfg.Seed and i alone (the cfg.rng(salt) idiom with a cell-dependent
 // salt), and must not mutate state shared between cells. Results land
 // in a slot per cell, so the output is byte-identical at any
-// parallelism — including under RunAll, whose suite-wide token pool
-// Sweep shares so that the -parallel flag bounds total concurrency.
+// parallelism: Sweep shares RunAll's suite-wide token pool, so the
+// -parallel flag bounds total concurrency.
 //
 // The calling goroutine always participates in the work (it already
 // holds a suite token when running under RunAll), so Sweep makes
@@ -51,37 +51,23 @@ func Sweep[T any](cfg Config, cells int, fn func(i int) (T, error)) ([]T, error)
 		}
 	}
 
+	// The caller's suite token covers one worker (this goroutine);
+	// helpers each hold an extra token for their lifetime. try-acquire
+	// only — never steal slots from concurrently running experiments,
+	// never block. Outside RunAll there is no pool, so no helper.
 	var wg sync.WaitGroup
-	if cfg.tokens != nil {
-		// Under RunAll: the caller's suite token covers one worker
-		// (this goroutine); helpers each hold an extra token for their
-		// lifetime. try-acquire only — never steal slots from
-		// concurrently running experiments, never block.
-	acquire:
-		for h := 0; h < cells-1; h++ {
-			select {
-			case cfg.tokens <- struct{}{}:
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					defer func() { <-cfg.tokens }()
-					work()
-				}()
-			default:
-				break acquire
-			}
-		}
-	} else {
-		p := cfg.Parallelism
-		if p <= 0 {
-			p = runtime.GOMAXPROCS(0)
-		}
-		for h := 0; h < p-1 && h < cells-1; h++ {
+acquire:
+	for h := 0; h < cells-1 && cfg.tokens != nil; h++ {
+		select {
+		case cfg.tokens <- struct{}{}:
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				defer func() { <-cfg.tokens }()
 				work()
 			}()
+		default:
+			break acquire
 		}
 	}
 	work()

@@ -9,11 +9,23 @@ import (
 	"testing"
 )
 
+// sweepUnderRunAll runs Sweep in a one-experiment RunAll at the given
+// parallelism: Sweep fans cells out only over RunAll's token pool.
+func sweepUnderRunAll[T any](parallelism, cells int, fn func(i int) (T, error)) ([]T, error) {
+	var got []T
+	e := &Experiment{ID: "SWEEP", Title: "sweep", Paper: "-", Run: func(cfg Config) (*Output, error) {
+		var err error
+		got, err = Sweep(cfg, cells, fn)
+		return &Output{}, err
+	}}
+	return got, RunAll([]*Experiment{e}, Config{}, parallelism)[0].Err
+}
+
 // Sweep must return results in input order even with far more cells
 // than workers.
 func TestSweepMoreCellsThanWorkers(t *testing.T) {
 	const cells = 100
-	got, err := Sweep(Config{Parallelism: 3}, cells, func(i int) (int, error) {
+	got, err := sweepUnderRunAll(3, cells, func(i int) (int, error) {
 		return i * i, nil
 	})
 	if err != nil {
@@ -42,7 +54,7 @@ func TestSweepZeroCells(t *testing.T) {
 // The first failing cell in *cell order* wins, regardless of which
 // cell fails first in wall-clock order.
 func TestSweepFirstErrorInCellOrder(t *testing.T) {
-	_, err := Sweep(Config{Parallelism: 4}, 10, func(i int) (int, error) {
+	_, err := sweepUnderRunAll(4, 10, func(i int) (int, error) {
 		if i >= 3 {
 			return 0, fmt.Errorf("cell %d failed", i)
 		}
@@ -56,7 +68,7 @@ func TestSweepFirstErrorInCellOrder(t *testing.T) {
 // A panicking cell must surface as an error naming the cell, not kill
 // the process.
 func TestSweepPanicBecomesError(t *testing.T) {
-	_, err := Sweep(Config{Parallelism: 2}, 5, func(i int) (int, error) {
+	_, err := sweepUnderRunAll(2, 5, func(i int) (int, error) {
 		if i == 2 {
 			panic("boom")
 		}
@@ -134,31 +146,31 @@ func TestRunAllPropagatesSweepError(t *testing.T) {
 }
 
 // The determinism regression: grid-heavy experiments must render
-// byte-identical tables at parallelism 1 and full parallelism, both
-// through RunAll and when run directly at different Config.Parallelism
-// settings.
+// byte-identical tables through RunAll at parallelism 1 and at four
+// times GOMAXPROCS.
 func TestSweepDeterministicAcrossParallelism(t *testing.T) {
-	ids := []string{"T1", "B3"}
-	for _, id := range ids {
+	var exps []*Experiment
+	for _, id := range []string{"T1", "B3"} {
 		e, err := ByID(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		serial, err := e.Run(Config{Seed: 11, Scale: 0.05, Parallelism: 1})
-		if err != nil {
-			t.Fatalf("%s serial: %v", id, err)
+		exps = append(exps, e)
+	}
+	cfg := Config{Seed: 11, Scale: 0.05}
+	serial := RunAll(exps, cfg, 1)
+	wide := RunAll(exps, cfg, 4*runtime.GOMAXPROCS(0))
+	for k, e := range exps {
+		s, w := serial[k], wide[k]
+		if s.Err != nil || w.Err != nil {
+			t.Fatalf("%s: serial %v, wide %v", e.ID, s.Err, w.Err)
 		}
-		wide, err := e.Run(Config{Seed: 11, Scale: 0.05, Parallelism: 4 * runtime.GOMAXPROCS(0)})
-		if err != nil {
-			t.Fatalf("%s wide: %v", id, err)
+		if len(s.Output.Tables) != len(w.Output.Tables) || len(s.Output.Tables) == 0 {
+			t.Fatalf("%s: table counts differ (%d vs %d)", e.ID, len(s.Output.Tables), len(w.Output.Tables))
 		}
-		if len(serial.Tables) != len(wide.Tables) || len(serial.Tables) == 0 {
-			t.Fatalf("%s: table counts differ (%d vs %d)", id, len(serial.Tables), len(wide.Tables))
-		}
-		for ti := range serial.Tables {
-			if serial.Tables[ti].Text() != wide.Tables[ti].Text() {
-				t.Fatalf("%s: table %d differs between parallelism 1 and wide:\n--- serial ---\n%s\n--- wide ---\n%s",
-					id, ti, serial.Tables[ti].Text(), wide.Tables[ti].Text())
+		for ti := range s.Output.Tables {
+			if st, wt := s.Output.Tables[ti].Text(), w.Output.Tables[ti].Text(); st != wt {
+				t.Fatalf("%s: table %d differs between parallelism 1 and wide:\n--- serial ---\n%s\n--- wide ---\n%s", e.ID, ti, st, wt)
 			}
 		}
 	}

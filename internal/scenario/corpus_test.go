@@ -228,7 +228,12 @@ func (o outcome) diff(want outcome) string {
 //     RecordSlices on, so Drain audits the schedule;
 //  7. self-checked: SelfCheck on and CheckInvariants every k events;
 //  8. by hand: AdvanceTo, Assign, Inject and Drain (byHand);
-//  9. Runner.Replay, read through Sim().Stats().
+//  9. Runner.Replay, read through Sim().Stats();
+//  10. sink: a bare NDJSONSink, which the engine encodes on a
+//     goroutine of its own, against the same sink behind a one-method
+//     wrapper, which it calls synchronously (sinkTape): the writers
+//     must see the same bytes and Write calls, and the runs give the
+//     same error text.
 //
 // Legs 1, 2, 8 and 9 do not apply to packetized runs. The other legs
 // set Instance.Opts or wrap Instance.Assigner after Build and run
@@ -310,6 +315,10 @@ func checkLegs(t *testing.T, sc *Scenario) {
 	if invErr != nil {
 		t.Fatalf("leg self-checked: %v", invErr)
 	}
+	if got, want := sinkTape(sc, false), sinkTape(sc, true); got != want {
+		t.Fatalf("leg sink: pipelined sink wrote %d bytes in %d calls and gave error %q; wrapped, %d bytes in %d calls, error %q (bytes equal: %v)",
+			len(got.out), got.writes, got.err, len(want.out), want.writes, want.err, got.out == want.out)
+	}
 	if !sc.Engine.Packetized {
 		in, err := sc.Build()
 		var s *sim.Sim
@@ -324,6 +333,48 @@ func checkLegs(t *testing.T, sc *Scenario) {
 		check("Runner.Replay", outcomeOf(nil, s, err, sliced))
 	}
 }
+
+// tape is what a sink's writer saw, and the run's error text.
+type tape struct {
+	out    string
+	writes int
+	err    string
+}
+
+// sinkTape runs sc with an NDJSONSink over a recording writer, behind
+// a one-method wrapper when wrapped.
+func sinkTape(sc *Scenario, wrapped bool) tape {
+	in, err := sc.Build()
+	if err != nil {
+		return tape{err: err.Error()}
+	}
+	w := &tapeWriter{}
+	var k sim.JobSink = sim.NewNDJSONSink(w)
+	if wrapped {
+		k = wrappedSink{k}
+	}
+	in.Opts.Sink = k
+	var r tape
+	if _, err := in.Run(); err != nil {
+		r.err = err.Error()
+	}
+	r.out, r.writes = w.String(), w.writes
+	return r
+}
+
+type tapeWriter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *tapeWriter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+type wrappedSink struct{ k sim.JobSink }
+
+func (w wrappedSink) Emit(m *sim.JobMetrics) error { return w.k.Emit(m) }
 
 // byHand runs in through the engine's step API as a caller outside
 // the package would: each job of Instance.NewSource checked, placed
@@ -499,8 +550,8 @@ func TestCorpusDrawsEveryRegisteredName(t *testing.T) {
 	for _, c := range []struct {
 		registered, table []string
 	}{
-		{Topologies(), drawTopos}, {Sizes(), drawSizes}, {Processes(), drawProcesses},
-		{Policies(), drawPolicies}, {Assigners(), drawAssigners}, {FaultPlans(), drawFaults},
+		{topoReg.order, drawTopos}, {sizeReg.order, drawSizes}, {processReg.order, drawProcesses},
+		{policyReg.order, drawPolicies}, {assignReg.order, drawAssigners}, {faultReg.order, drawFaults},
 	} {
 		for _, name := range c.registered {
 			if !slices.ContainsFunc(c.table, func(s string) bool { return strings.Split(s, ":")[0] == name }) {

@@ -181,8 +181,6 @@ func (r *registry[E]) add(name string, e E) {
 	r.byName[name] = e
 }
 
-func (r *registry[E]) names() []string { return append([]string(nil), r.order...) }
-
 func (r *registry[E]) lookup(name string) (E, error) {
 	e, ok := r.byName[name]
 	if !ok {
@@ -194,15 +192,6 @@ func (r *registry[E]) lookup(name string) (E, error) {
 // RegisterTopology adds a custom topology generator (examples use
 // this to make irregular clusters addressable by name).
 func RegisterTopology(e TopoEntry) { topoReg.add(e.Name, e) }
-
-// Topologies, Sizes, Processes, Policies, Assigners and FaultPlans
-// list the registered names in registration order.
-func Topologies() []string { return topoReg.names() }
-func Sizes() []string      { return sizeReg.names() }
-func Processes() []string  { return processReg.names() }
-func Policies() []string   { return policyReg.names() }
-func Assigners() []string  { return assignReg.names() }
-func FaultPlans() []string { return faultReg.names() }
 
 // BuildFaultPlan generates a fault plan from a registered spec. The
 // plan is validated against t before it is returned.
@@ -506,39 +495,8 @@ func parseFinite(s string) (float64, error) {
 
 const maxFinite = 1.7976931348623157e308
 
-// ParseTopo builds a topology from its compact spec. Error messages
-// are the historical cli ones minus the "cli: " prefix; generator
-// panics (out-of-range shapes) are translated into errors.
-func ParseTopo(spec string) (t *tree.Tree, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			t, err = nil, fmt.Errorf("topology %q: %v", spec, r)
-		}
-	}()
-	name, args, err := splitSpec(spec)
-	if err != nil {
-		return nil, err
-	}
-	ints := make([]int, len(args))
-	for i, a := range args {
-		v, err := strconv.Atoi(a)
-		if err != nil {
-			return nil, fmt.Errorf("topology %q: arg %q is not an integer", spec, a)
-		}
-		ints[i] = v
-	}
-	e, err := topoReg.lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	if len(ints) != len(e.Params) {
-		return nil, fmt.Errorf("topology %s needs %d args, got %d", name, len(e.Params), len(ints))
-	}
-	return e.Build(ints), nil
-}
-
-// BuildTopo builds a topology from a Spec (the JSON route into the
-// same registry ParseTopo serves).
+// BuildTopo builds a topology from a Spec. Generator panics
+// (out-of-range shapes) are translated into errors.
 func BuildTopo(s Spec) (t *tree.Tree, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -561,23 +519,6 @@ func BuildTopo(s Spec) (t *tree.Tree, err error) {
 		ints[i] = v
 	}
 	return e.Build(ints), nil
-}
-
-// ParseSize builds a size distribution from its compact spec.
-func ParseSize(spec string) (workload.SizeDist, error) {
-	name, args, err := splitSpec(spec)
-	if err != nil {
-		return nil, err
-	}
-	fs := make([]float64, len(args))
-	for i, a := range args {
-		v, err := strconv.ParseFloat(a, 64)
-		if err != nil {
-			return nil, fmt.Errorf("size %q: arg %q is not a number", spec, a)
-		}
-		fs[i] = v
-	}
-	return BuildSize(Spec{Name: name, Args: fs})
 }
 
 // BuildSize builds a size distribution from a Spec.

@@ -52,11 +52,11 @@ func TestRegistryLists(t *testing.T) {
 		got  []string
 		want string
 	}{
-		{Topologies(), "fattree|star|line|caterpillar|broomstick|random"},
-		{Sizes(), "uniform|bimodal|pareto"},
-		{Processes(), "poisson|bursty|adversarial"},
-		{Policies(), "sjf|fifo|srpt|lcfs|ps|wsjf"},
-		{Assigners(), "greedy|greedy-identical|greedy-unrelated|shadow|closest|random|roundrobin|leastvolume|minpath|jsq"},
+		{topoReg.order, "fattree|star|line|caterpillar|broomstick|random"},
+		{sizeReg.order, "uniform|bimodal|pareto"},
+		{processReg.order, "poisson|bursty|adversarial"},
+		{policyReg.order, "sjf|fifo|srpt|lcfs|ps|wsjf"},
+		{assignReg.order, "greedy|greedy-identical|greedy-unrelated|shadow|closest|random|roundrobin|leastvolume|minpath|jsq"},
 	}
 	for _, c := range checks {
 		if got := strings.Join(c.got, "|"); !strings.HasPrefix(got, c.want) {
@@ -94,36 +94,46 @@ func TestBuildTopoMatchesGenerators(t *testing.T) {
 	}
 }
 
-// TestParserErrorMessages pins the registries' spec-parsing errors
-// byte for byte: they are what the command-line tools print.
+// TestParserErrorMessages pins the registries' spec errors byte for
+// byte: they are what the command-line tools print. Topology and size
+// specs reach the registries through a compact scenario (Load) and
+// Build.
 func TestParserErrorMessages(t *testing.T) {
+	built := func(compact string) error {
+		sc, err := Load([]byte(compact))
+		if err != nil {
+			return err
+		}
+		_, err = sc.Build()
+		return err
+	}
 	cases := []struct {
 		name string
 		got  func() error
 		want string
 	}{
-		{"topo empty", func() error { _, err := ParseTopo(""); return err },
-			`empty spec`},
-		{"topo bad int", func() error { _, err := ParseTopo("fattree:a,b,c"); return err },
-			`topology "fattree:a,b,c": arg "a" is not an integer`},
-		{"topo float arg", func() error { _, err := ParseTopo("fattree:2.5,2,2"); return err },
-			`topology "fattree:2.5,2,2": arg "2.5" is not an integer`},
-		{"topo arg count", func() error { _, err := ParseTopo("fattree:2,2"); return err },
-			`topology fattree needs 3 args, got 2`},
-		{"topo extra args", func() error { _, err := ParseTopo("star:1,2"); return err },
-			`topology star needs 1 args, got 2`},
-		{"topo unknown", func() error { _, err := ParseTopo("mesh:2"); return err },
-			`unknown topology "mesh" (want fattree|star|line|caterpillar|broomstick|random)`},
-		{"size arg count", func() error { _, err := ParseSize("uniform:1"); return err },
-			`uniform needs lo,hi`},
-		{"size bimodal count", func() error { _, err := ParseSize("bimodal:1,100"); return err },
-			`bimodal needs small,big,pbig`},
-		{"size pareto count", func() error { _, err := ParseSize("pareto:1,1.5"); return err },
-			`pareto needs min,alpha,cap`},
-		{"size bad number", func() error { _, err := ParseSize("uniform:x,16"); return err },
-			`size "uniform:x,16": arg "x" is not a number`},
-		{"size unknown", func() error { _, err := ParseSize("normal:0,1"); return err },
-			`unknown size distribution "normal" (want uniform|bimodal|pareto)`},
+		{"topo empty", func() error { return built("topo=") },
+			`compact scenario: topo=: empty spec`},
+		{"topo bad int", func() error { return built("topo=fattree:a,b,c") },
+			`compact scenario: topo=fattree:a,b,c: spec "fattree:a,b,c": arg "a" is not a number`},
+		{"topo float arg", func() error { return built("topo=fattree:2.5,2,2") },
+			`scenario: topology "fattree:2.5,2,2": arg 2.5 is not an integer`},
+		{"topo arg count", func() error { return built("topo=fattree:2,2") },
+			`scenario: topology fattree needs 3 args, got 2`},
+		{"topo extra args", func() error { return built("topo=star:1,2") },
+			`scenario: topology star needs 1 args, got 2`},
+		{"topo unknown", func() error { return built("topo=mesh:2") },
+			`scenario: unknown topology "mesh" (want fattree|star|line|caterpillar|broomstick|random)`},
+		{"size arg count", func() error { return built("topo=star:2 size=uniform:1") },
+			`scenario: workload: uniform needs lo,hi`},
+		{"size bimodal count", func() error { return built("topo=star:2 size=bimodal:1,100") },
+			`scenario: workload: bimodal needs small,big,pbig`},
+		{"size pareto count", func() error { return built("topo=star:2 size=pareto:1,1.5") },
+			`scenario: workload: pareto needs min,alpha,cap`},
+		{"size bad number", func() error { return built("topo=star:2 size=uniform:x,16") },
+			`compact scenario: size=uniform:x,16: spec "uniform:x,16": arg "x" is not a number`},
+		{"size unknown", func() error { return built("topo=star:2 size=normal:0,1") },
+			`scenario: workload: unknown size distribution "normal" (want uniform|bimodal|pareto)`},
 		{"policy unknown", func() error { _, err := ParsePolicy("edf"); return err },
 			`unknown policy "edf" (want sjf|fifo|srpt|lcfs|ps|wsjf)`},
 		{"assigner unknown", func() error { _, err := ParseAssigner("oracle", AssignerContext{Eps: 0.5}); return err },

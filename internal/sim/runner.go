@@ -122,10 +122,24 @@ func RunOn(s *Sim, trace *workload.Trace, asg Assigner) (*Result, error) {
 // measurement loops use; the engine is left drained, so
 // Stats()/Records() remain readable. Like RunOn it validates each job
 // as it reaches it (Job.ValidateAt, then CheckArrival), so the first
-// bad job decides the error.
+// bad job decides the error; a clean run whose sink failed returns
+// the sink's first error.
 func ReplayOn(s *Sim, trace *workload.Trace, asg Assigner) (err error) {
+	defer s.endRun(&err)
 	defer recoverInternal(&err)
 	return s.replay(trace, asg, false)
+}
+
+// endRun is the deferred last step of ReplayOn and ReplayStreamOn,
+// whichever way they return: it joins the sink, so every completion
+// is written and no encoder goroutine is left running, and then
+// reports the sink's first error when the run itself succeeded.
+func (s *Sim) endRun(err *error) {
+	st := s.stream
+	st.join()
+	if *err == nil && st != nil && st.sinkErr != nil {
+		*err = fmt.Errorf("sim: job sink: %w", st.sinkErr)
+	}
 }
 
 // replay is the materialized-trace driver of ReplayOn and
@@ -209,13 +223,8 @@ func (s *Sim) arrive(j *workload.Job, asg Assigner, packets bool) error {
 // memory, and is marked lent for Reset. A packetized run's records
 // fold into a new slice: a job's packets are consecutive.
 func collect(s *Sim, n int) (*Result, error) {
-	if s.stream != nil {
-		if s.stream.sinkErr != nil {
-			return nil, fmt.Errorf("sim: job sink: %w", s.stream.sinkErr)
-		}
-		if s.stream.retain > 0 {
-			return s.streamResult(n)
-		}
+	if s.stream != nil && s.stream.retain > 0 {
+		return s.streamResult(n)
 	}
 	for i := range s.records {
 		if r := &s.records[i]; r.Weight == 0 {
@@ -286,8 +295,10 @@ func RunStreamOn(s *Sim, src workload.ArrivalSource, asg Assigner) (*Result, err
 // ReplayStreamOn drives the streaming inject→drain cycle without
 // collecting a Result, returning the number of jobs drawn from the
 // source. Each job gets Trace.Validate's checks as it is drawn
-// (Job.ValidateAt), as in the materialized drivers.
+// (Job.ValidateAt), as in the materialized drivers, and a sink's
+// error is reported as ReplayOn reports it.
 func ReplayStreamOn(s *Sim, src workload.ArrivalSource, asg Assigner) (n int, err error) {
+	defer s.endRun(&err)
 	defer recoverInternal(&err)
 	prev := 0.0
 	for {
@@ -307,13 +318,7 @@ func ReplayStreamOn(s *Sim, src workload.ArrivalSource, asg Assigner) (n int, er
 	if err := src.Err(); err != nil {
 		return n, err
 	}
-	if err := s.Drain(); err != nil {
-		return n, err
-	}
-	if s.stream != nil && s.stream.sinkErr != nil {
-		return n, fmt.Errorf("sim: job sink: %w", s.stream.sinkErr)
-	}
-	return n, nil
+	return n, s.Drain()
 }
 
 // RunPacketized simulates the paper's Section 2 variant in which a

@@ -157,7 +157,12 @@ type Options struct {
 	// Sink, when non-nil, receives every completed job's metrics in
 	// completion order (e.g. an NDJSONSink writing per-job records to
 	// disk), so the full record can live on disk instead of in RAM.
-	// Not supported by RunPacketized.
+	// A sink serves one engine at a time. A bare *NDJSONSink is
+	// encoded on a goroutine of its own, fed in batches, and its
+	// writer belongs to the engine until Drain, Reset or the driver
+	// returns: it must not be read or written mid-run. Any other sink
+	// gets Emit on the engine goroutine at each completion. Not
+	// supported by RunPacketized.
 	Sink JobSink
 }
 
@@ -359,17 +364,10 @@ func (s *Sim) applyOptions(opts Options) {
 	if opts.RetainJobs < 0 {
 		panic(fmt.Sprintf("sim: Options.RetainJobs must be >= 0, got %d", opts.RetainJobs))
 	}
+	prev := s.stream
 	s.stream = nil
 	if opts.RetainJobs > 0 || opts.Sink != nil {
-		st := &streamState{retain: opts.RetainJobs, sink: opts.Sink}
-		st.acc.PerLeaf = make([]LeafTally, len(s.tree.Leaves()))
-		for li, v := range s.tree.Leaves() {
-			st.acc.PerLeaf[li].Leaf = v
-		}
-		if st.retain > 0 {
-			st.ring = make([]JobMetrics, 0, st.retain)
-		}
-		s.stream = st
+		s.stream = newStreamState(opts, s.tree.Leaves(), prev)
 	}
 }
 
@@ -381,15 +379,18 @@ func (s *Sim) applyOptions(opts Options) {
 // changing Policy, Instrument, Faults, etc. is supported and the
 // engine reconfigures itself.
 //
-// Reset recycles every JobState the previous run still held — the
-// live tasks, and on an instrumented engine the completed ones too —
-// and empties Records(): pointers previously obtained from Tasks() or
+// Reset first writes the completions a pipelined NDJSONSink still
+// holds and stops its encoder goroutine. It recycles every JobState
+// the previous run still held — the live tasks, and on an
+// instrumented engine the completed ones too — and empties
+// Records(): pointers previously obtained from Tasks() or
 // Inject, directly or through Result.Sim, become invalid. A Result's
 // Jobs and Stats stay valid. When the last run handed its record
 // buffer to Result.Jobs (RunOn, RunStreamOn), Reset never writes to
 // that buffer again: the next run starts on a new one of the same
 // capacity.
 func (s *Sim) Reset(opts Options) {
+	s.stream.join()
 	// Completed tasks are already on the freelists unless the engine
 	// kept them for introspection; live ones sit in the assigned lists.
 	for _, js := range s.tasks {
@@ -961,8 +962,11 @@ func (s *Sim) AdvanceTo(target float64) {
 // It returns a *StuckError when tasks can no longer progress (a
 // permanently lost leaf under RecoverHold), a *InternalError when an
 // engine invariant or — with Instrument and RecordSlices set — the
-// schedule audit fails, and nil on a clean drain.
+// schedule audit fails, and nil on a clean drain. Whatever it
+// returns, a pipelined NDJSONSink has written every completion by
+// then and its encoder goroutine has stopped.
 func (s *Sim) Drain() (err error) {
+	defer s.stream.join()
 	defer recoverInternal(&err)
 	s.run(0, true)
 	if act := s.Active(); act != 0 {
@@ -1241,7 +1245,9 @@ func (s *Sim) complete(js *JobState, li int) {
 	}
 	if st != nil {
 		st.acc.observe(m, li, js.LeafWork)
-		if st.sink != nil && st.sinkErr == nil {
+		if st.enc != nil {
+			st.enc.add(m)
+		} else if st.sink != nil && st.sinkErr == nil {
 			st.sinkErr = st.sink.Emit(m)
 		}
 		if st.retain > 0 {

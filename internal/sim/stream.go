@@ -3,6 +3,7 @@
 // million-job arrival streams in memory independent of trace length.
 // The hooks live on the completion path (Sim.complete) and are inert
 // — one nil check — unless Options.RetainJobs or Options.Sink is set.
+// A bare *NDJSONSink is encoded off the engine goroutine (encoder).
 package sim
 
 import (
@@ -17,8 +18,8 @@ import (
 // JobSink receives every completed job's metrics, in completion
 // order, during a streaming run. The pointed-to JobMetrics is only
 // valid for the duration of the call; copy it to retain. A non-nil
-// error stops emission (the run itself continues; the error is
-// reported when results are collected).
+// error stops emission (the run itself continues; every driver
+// reports the error as "sim: job sink: …" when the run ends cleanly).
 type JobSink interface {
 	Emit(m *JobMetrics) error
 }
@@ -28,6 +29,14 @@ type JobSink interface {
 // Lines are produced by the pooled append codec (AppendJobMetrics)
 // into one reused buffer, byte-identical to what json.Encoder.Encode
 // would write but allocation-free in steady state.
+//
+// Set as Options.Sink itself (not behind a wrapper), it is encoded on
+// a goroutine of its own: the engine hands it completions in batches,
+// and it writes each line with exactly the Write call a synchronous
+// Emit would make, in completion order. A sink serves one engine at a
+// time, and its writer belongs to the engine from the run's first
+// completion until Drain, Reset or the driver returns: neither read
+// nor write it mid-run.
 type NDJSONSink struct {
 	w   io.Writer
 	buf []byte
@@ -141,11 +150,176 @@ type streamState struct {
 	ring     []JobMetrics
 	ringHead int
 	sink     JobSink
-	sinkErr  error
+	// sinkErr is the sink's first error; a pipelined sink's reaches it
+	// at join.
+	sinkErr error
+	// enc encodes the sink off the engine goroutine when it is a bare
+	// *NDJSONSink (nil otherwise: Sim.complete calls any other sink
+	// itself).
+	enc *encoder
 	// scratch holds the record of the job currently being completed
 	// under bounded retention (see Sim.complete). Safe to share:
 	// completions are strictly sequential.
 	scratch JobMetrics
+}
+
+// newStreamState builds the hooks for opts on a tree with the given
+// leaves. A pipelined sink takes over prev's encoder, joined by Reset,
+// when there is one: a warm engine reuses its buffers.
+func newStreamState(opts Options, leaves []tree.NodeID, prev *streamState) *streamState {
+	st := &streamState{retain: opts.RetainJobs, sink: opts.Sink}
+	st.acc.PerLeaf = make([]LeafTally, len(leaves))
+	for li, v := range leaves {
+		st.acc.PerLeaf[li].Leaf = v
+	}
+	if st.retain > 0 {
+		st.ring = make([]JobMetrics, 0, st.retain)
+	}
+	if k, ok := opts.Sink.(*NDJSONSink); ok {
+		if prev != nil && prev.enc != nil {
+			st.enc = prev.enc
+			st.enc.sink, st.enc.err = k, nil
+		} else {
+			st.enc = newEncoder(k)
+		}
+	}
+	return st
+}
+
+// join is the end of a run for the sink: a pipelined sink's pending
+// records are written and its goroutine stopped (see encoder.join).
+// Drain, Reset and endRun call it, also on an engine without hooks
+// (st nil).
+func (st *streamState) join() {
+	if st != nil && st.enc != nil {
+		st.enc.join()
+		st.sinkErr = st.enc.err
+	}
+}
+
+// Encoding completions on a second core. JSON digits and the writer
+// cost about a quarter of a streamed greedy run's CPU, all of it on
+// the one goroutine that runs the event loop. A bare *NDJSONSink
+// reads nothing but the record it is given, so the engine copies each
+// record into a batch and one encoder goroutine calls Emit on every
+// record of each full batch, in completion order. Every other sink
+// stays on the engine goroutine: it may read engine state, or depend
+// on when it is called.
+const (
+	// encodeBatch is how many records a batch holds. At a few hundred
+	// records per hand-off the channel operations cost a few
+	// nanoseconds per job.
+	encodeBatch = 256
+	// encodeBuffers is how many batch buffers an encoder owns: the
+	// engine fills one while the encoder goroutine writes the other,
+	// so the engine waits only when the encoder is a whole batch
+	// behind.
+	encodeBuffers = 2
+)
+
+// encoder runs one NDJSONSink on a goroutine of its own. The engine
+// fills batch and hands it over todo; the goroutine emits it and
+// returns the emptied buffer over free. The goroutine starts at the
+// first hand-off and stops at join, so it never outlives a run.
+type encoder struct {
+	sink    *NDJSONSink
+	batch   []JobMetrics
+	todo    chan []JobMetrics // a nil batch stops the goroutine
+	free    chan []JobMetrics
+	done    chan struct{}
+	running bool
+	// err is the sink's first error and panicked a panic of its
+	// writer. The goroutine writes them; the engine reads them only
+	// after join has received from done.
+	err      error
+	panicked any
+}
+
+func newEncoder(k *NDJSONSink) *encoder {
+	// Each channel can hold every buffer at once (todo also the stop
+	// signal, sent while the engine holds a buffer), so no send waits.
+	e := &encoder{
+		sink: k,
+		todo: make(chan []JobMetrics, encodeBuffers),
+		free: make(chan []JobMetrics, encodeBuffers),
+		done: make(chan struct{}),
+	}
+	e.batch = make([]JobMetrics, 0, encodeBatch)
+	for range encodeBuffers - 1 {
+		e.free <- make([]JobMetrics, 0, encodeBatch)
+	}
+	return e
+}
+
+// add copies m into the batch, handing the batch over once full.
+func (e *encoder) add(m *JobMetrics) {
+	e.batch = append(e.batch, *m)
+	if len(e.batch) == encodeBatch {
+		e.hand()
+	}
+}
+
+// hand queues the batch for the goroutine, starting it if need be,
+// and takes an empty buffer, waiting while none is free.
+func (e *encoder) hand() {
+	if !e.running {
+		e.running = true
+		go e.loop()
+	}
+	e.todo <- e.batch
+	e.batch = <-e.free
+}
+
+// loop is the encoder goroutine. After the sink's first error or a
+// panic of its writer it emits nothing more, as a synchronous sink
+// would not, but keeps returning buffers so the engine never blocks.
+func (e *encoder) loop() {
+	for b := range e.todo {
+		if b == nil {
+			break
+		}
+		if e.err == nil && e.panicked == nil {
+			e.emit(b)
+		}
+		e.free <- b[:0]
+	}
+	e.done <- struct{}{}
+}
+
+// emit writes b through the sink, stopping at its first error. A
+// panic of the writer is kept for join to raise on the caller's
+// goroutine: raised here, it would end the process.
+func (e *encoder) emit(b []JobMetrics) {
+	defer func() {
+		if r := recover(); r != nil {
+			e.panicked = r
+		}
+	}()
+	for i := range b {
+		if e.err = e.sink.Emit(&b[i]); e.err != nil {
+			return
+		}
+	}
+}
+
+// join writes the pending records, stops the goroutine and raises a
+// panic of the writer on the caller's goroutine. After join the
+// writer is the caller's again; the next hand-off starts a new
+// goroutine.
+func (e *encoder) join() {
+	if len(e.batch) > 0 {
+		e.hand()
+	}
+	if !e.running {
+		return
+	}
+	e.todo <- nil
+	<-e.done
+	e.running = false
+	if p := e.panicked; p != nil {
+		e.panicked = nil
+		panic(p)
+	}
 }
 
 // push records m in the retention ring, evicting the oldest entry

@@ -173,30 +173,12 @@ func (s *Schedule) WriteJSON(w io.Writer) error {
 	return enc.Encode(s)
 }
 
-// ExactGantt renders a preemption-exact ASCII Gantt chart from a run
-// recorded with sim.Options.RecordSlices: each cell shows the job
-// (ID mod 10) actually being processed at the cell midpoint.
-func ExactGantt(res *sim.Result, cols int) string {
-	slices := res.Sim.Slices()
-	spans := make([]Span, len(slices))
-	for i, sl := range slices {
-		spans[i] = Span{Job: sl.Job, Node: int32(sl.Node), Start: sl.From, End: sl.To}
-	}
-	return gantt(res, spans, cols, " (exact slices)")
-}
-
 // Gantt renders a coarse ASCII Gantt chart of node occupancy: one row
 // per node, time quantized into the given number of columns over the
 // makespan. Cells show the job ID (mod 10) whose hop interval covers
 // the cell midpoint (latest-arriving hop wins ties).
 func Gantt(res *sim.Result, cols int) string {
-	return gantt(res, ExtractSchedule(res).Spans, cols, "")
-}
-
-// gantt draws one row per node that carries a span, in node order,
-// over cols columns (60 below 10) of [0, makespan): a cell shows the
-// job (ID mod 10) of the last span that covers its midpoint.
-func gantt(res *sim.Result, spans []Span, cols int, kind string) string {
+	spans := ExtractSchedule(res).Spans
 	if cols < 10 {
 		cols = 60
 	}
@@ -225,7 +207,7 @@ func gantt(res *sim.Result, spans []Span, cols int, kind string) string {
 	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
 	t := res.Sim.Tree()
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "time 0 .. %.3g, %d columns%s\n", makespan, cols, kind)
+	fmt.Fprintf(&sb, "time 0 .. %.3g, %d columns\n", makespan, cols)
 	for _, id := range ids {
 		fmt.Fprintf(&sb, "%-18s %s\n", describe(t, tree.NodeID(id)), rows[id])
 	}

@@ -124,37 +124,3 @@ func TestDOT(t *testing.T) {
 		t.Fatalf("DOT edges = %d, want %d", got, want)
 	}
 }
-
-func TestExactGantt(t *testing.T) {
-	tr := tree.Star(2)
-	trace := &workload.Trace{Jobs: []workload.Job{
-		{ID: 0, Release: 0, Size: 2},
-		{ID: 1, Release: 0.5, Size: 1},
-	}}
-	res, err := sim.Run(tr, trace, &sched.RoundRobin{}, sim.Options{RecordSlices: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := ExactGantt(res, 40)
-	if !strings.Contains(out, "exact slices") {
-		t.Fatalf("missing header:\n%s", out)
-	}
-	// The relay row must show job 1 preempting job 0 in the middle:
-	// pattern 0...1...0 on one row.
-	found := false
-	for _, line := range strings.Split(out, "\n") {
-		if len(line) < 20 {
-			continue
-		}
-		row := line[19:] // skip the fixed-width node label
-		i0 := strings.Index(row, "0")
-		i1 := strings.Index(row, "1")
-		last0 := strings.LastIndex(row, "0")
-		if i0 >= 0 && i1 > i0 && last0 > i1 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("preemption not visible in exact gantt:\n%s", out)
-	}
-}

@@ -1,6 +1,7 @@
 package treesched_test
 
 import (
+	"io"
 	"runtime"
 	"testing"
 	"unsafe"
@@ -12,20 +13,30 @@ import (
 // bounded retention a streamed run's peak heap does not grow with the
 // job count. A million jobs must stay under a fixed ceiling, generous
 // against GC pacing yet far below what materializing them would take,
-// and within twice the peak of a run ten times shorter.
+// and within twice the peak of a run ten times shorter: without a
+// sink, and with an NDJSONSink, whose completions wait in batches for
+// its encoder goroutine. -short keeps the NDJSONSink case, so the race
+// detector runs the encoder over a million jobs.
 func TestStreamPeakHeapFlat(t *testing.T) {
-	if testing.Short() {
-		t.Skip("streams 1.1M jobs")
-	}
 	const ceiling = 64 << 20
-	small := streamPeakHeap(t, 100_000)
-	big := streamPeakHeap(t, 1_000_000)
-	t.Logf("peak heap %d B at 100k jobs, %d B at 1M jobs", small, big)
-	if big > ceiling {
-		t.Errorf("1M-job peak heap %d B exceeds the %d B ceiling", big, ceiling)
-	}
-	if big > 2*small {
-		t.Errorf("peak heap grew %.2fx from 100k to 1M jobs (limit 2x)", float64(big)/float64(small))
+	for _, c := range []struct {
+		name string
+		sink treesched.JobSink
+	}{{"no sink", nil}, {"NDJSONSink", treesched.NewNDJSONSink(io.Discard)}} {
+		t.Run(c.name, func(t *testing.T) {
+			if testing.Short() && c.sink == nil {
+				t.Skip("streams 1.1M jobs")
+			}
+			small := streamPeakHeap(t, 100_000, c.sink)
+			big := streamPeakHeap(t, 1_000_000, c.sink)
+			t.Logf("peak heap %d B at 100k jobs, %d B at 1M jobs", small, big)
+			if big > ceiling {
+				t.Errorf("1M-job peak heap %d B exceeds the %d B ceiling", big, ceiling)
+			}
+			if big > 2*small {
+				t.Errorf("peak heap grew %.2fx from 100k to 1M jobs (limit 2x)", float64(big)/float64(small))
+			}
+		})
 	}
 }
 
@@ -56,11 +67,12 @@ func (p *heapProbe) sample() {
 }
 
 // streamPeakHeap streams jobs Poisson arrivals at load 0.95 through
-// greedy dispatch under bounded retention and returns the peak heap.
+// greedy dispatch under bounded retention, into sink when it is not
+// nil, and returns the peak heap.
 // The tree runs at speed 1.5 so the load is stable: an overloaded
 // tree's backlog of live tasks grows with the job count however
 // completions are recycled.
-func streamPeakHeap(t *testing.T, jobs int) uint64 {
+func streamPeakHeap(t *testing.T, jobs int, sink treesched.JobSink) uint64 {
 	t.Helper()
 	tr := treesched.FatTree(2, 2, 2).WithUniformSpeed(1.5)
 	src, err := treesched.PoissonSource(48, jobs, 0.95, tr)
@@ -70,7 +82,7 @@ func streamPeakHeap(t *testing.T, jobs int) uint64 {
 	probe := &heapProbe{src: src}
 	runtime.GC()
 	probe.sample()
-	res, err := treesched.RunStream(tr, probe, treesched.NewGreedyIdentical(0.5), treesched.Options{RetainJobs: 1})
+	res, err := treesched.RunStream(tr, probe, treesched.NewGreedyIdentical(0.5), treesched.Options{RetainJobs: 1, Sink: sink})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -289,7 +289,10 @@ type (
 	// JobSink receives every completed job's metrics in completion
 	// order (see Options.Sink).
 	JobSink = sim.JobSink
-	// NDJSONSink writes one JSON line per completed job.
+	// NDJSONSink writes one JSON line per completed job. Set as
+	// Options.Sink itself, it is encoded on a goroutine of its own and
+	// its writer belongs to the engine until the run ends (see
+	// Options.Sink).
 	NDJSONSink = sim.NDJSONSink
 )
 
