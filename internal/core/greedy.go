@@ -114,10 +114,12 @@ type dispatchPlans struct {
 // in leaf order, and the heads of the maximal runs of consecutive
 // candidates sharing (root-adjacent branch, depth). The identical rule
 // costs every leaf of a run alike, and the first minimum wins, so only
-// a run's head can be chosen.
+// a run's head can be chosen. oneDepth marks a plan whose candidates
+// all have one depth, so every run has the same floor.
 type dispatchPlan struct {
-	leaves []tree.NodeID
-	runs   []runHead
+	leaves   []tree.NodeID
+	runs     []runHead
+	oneDepth bool
 }
 
 type runHead struct {
@@ -139,6 +141,10 @@ func (d *dispatchPlans) of(t *tree.Tree, origin tree.NodeID) *dispatchPlan {
 			if n := len(p.runs); n == 0 || p.runs[n-1].branch != b || p.runs[n-1].depth != dep {
 				p.runs = append(p.runs, runHead{leaf: v, branch: b, depth: dep})
 			}
+		}
+		p.oneDepth = true
+		for _, h := range p.runs {
+			p.oneDepth = p.oneDepth && h.depth == p.runs[0].depth
 		}
 	}
 	return p
@@ -174,7 +180,8 @@ func (g *GreedyIdentical) Name() string { return "GreedyIdentical" }
 // running task (an empty root costs its floor). Only a root holding
 // more, whose bounded price is still below the best, is queried with
 // AvailStats. Since queries are pure, the scan picks the leaf a
-// straight scan of every candidate picks, float ties included.
+// straight scan of every candidate picks, float ties included. On a
+// one-depth plan, firstEmptyRoot usually answers without the scan.
 func (g *GreedyIdentical) Assign(q *sim.Query, a *sim.Arrival) tree.NodeID {
 	g.Cfg.validate()
 	p := g.plans.of(q.Tree(), a.Origin)
@@ -182,6 +189,11 @@ func (g *GreedyIdentical) Assign(q *sim.Query, a *sim.Arrival) tree.NodeID {
 		return p.leaves[0]
 	}
 	dw := g.Cfg.scanWeight()
+	if p.oneDepth && !g.Cfg.DropVolumeTerm {
+		if v := firstEmptyRoot(q, a, p, dw*float64(p.runs[0].depth)*a.Size); v != tree.None {
+			return v
+		}
+	}
 	best := tree.None
 	bestCost := math.Inf(1)
 	for _, h := range p.runs {
@@ -201,6 +213,36 @@ func (g *GreedyIdentical) Assign(q *sim.Query, a *sim.Arrival) tree.NodeID {
 		}
 	}
 	return best
+}
+
+// firstEmptyRoot returns the head of p's first run whose branch root
+// is empty, or tree.None when there is none or the scan must decide.
+// Every run of a one-depth plan has the floor S = p + c, an empty root
+// costs S bit for bit, and no root costs less, so the scan's choice is
+// the first run costing S; the head returned is that run when no busy
+// root ahead of it costs S, which holds when every busy root does not:
+//   - a root counting a larger job has F ≥ p + p, so it costs more
+//     than S whenever (p + p) + c > S;
+//   - at any other root, when the job follows every injected task,
+//     every task outranks the job, so F ≥ ρ + p, where ρ is the
+//     running task's work, and ρ ≥ τ = 4·ulp(S) makes the cost exceed
+//     S: fl(ρ + p) ≥ p + 3·ulp(S), and p + c ≥ S − ulp(S)/2.
+//
+// sim.Query.RootWorkBound certifies ρ ≥ τ on every busy root at once.
+func firstEmptyRoot(q *sim.Query, a *sim.Arrival, p *dispatchPlan, c float64) tree.NodeID {
+	for _, h := range p.runs {
+		if q.AvailCount(h.branch) != 0 {
+			continue
+		}
+		floor := a.Size + c
+		// ulp(S) for a normal S: its exponent field, scaled by 2^-52.
+		tau := math.Float64frombits(math.Float64bits(floor)&0x7ff0000000000000) * 0x1p-50
+		if floor >= 0x1p-1022 && a.Size+a.Size+c > floor && q.RootWorkBound(a.Release, a.ID) >= tau {
+			return h.leaf
+		}
+		break
+	}
+	return tree.None
 }
 
 // Cost exposes the rule's objective for a candidate leaf (used by the

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"treesched/internal/faults"
 	"treesched/internal/rng"
 	"treesched/internal/sim"
 	"treesched/internal/tree"
@@ -201,6 +202,137 @@ func TestGreedyFloorTieAheadOfEmptyRoot(t *testing.T) {
 	}
 }
 
+// requireFloorTie checks that, for arrival a at q's state, want's
+// branch root is busy yet costs exactly the floor p + c of a later
+// empty root, and that cfg's identical rule and the straight scan both
+// pick want: a scan ending at the first empty root would not.
+func requireFloorTie(t *testing.T, q *sim.Query, a *sim.Arrival, cfg GreedyConfig, want tree.NodeID) {
+	t.Helper()
+	tr := q.Tree()
+	c := cfg.scanWeight() * float64(tr.Depth(want)) * a.Size
+	br := tr.Branch(want)
+	if cost := F(q, a, want) + c; q.AvailCount(br) == 0 || cost != a.Size+c {
+		t.Fatalf("setup: want's branch root holds %d tasks and costs %v; want a busy root at the floor %v", q.AvailCount(br), cost, a.Size+c)
+	}
+	if !slices.ContainsFunc(tr.RootAdjacent(), func(r tree.NodeID) bool { return r > br && q.AvailCount(r) == 0 }) {
+		t.Fatal("setup: no empty branch root after want's")
+	}
+	for _, asg := range []sim.Assigner{&GreedyIdentical{Cfg: cfg}, straightScan{dw: cfg.scanWeight()}} {
+		if got := asg.Assign(q, a); got != want {
+			t.Errorf("%s picked leaf %d, want the floor-cost busy root's leaf %d", asg.Name(), got, want)
+		}
+	}
+}
+
+// The half-ulp floor tie of TestGreedyFloorTieAheadOfEmptyRoot at a
+// clock near 2^40, where an ulp of the clock is 2^-12: the branch
+// root's task has 2^-12 left, under half an ulp of the job's size 2^42.
+func TestGreedyFloorTieNearClock2p40(t *testing.T) {
+	tr := tree.FatTree(3, 1, 1)
+	leaves := tr.Leaves()
+	s := sim.New(tr, sim.Options{})
+	s.AdvanceTo(0x1p40)
+	if _, err := s.Inject(&sim.Arrival{ID: 0, Release: 0x1p40, Size: 1}, leaves[0]); err != nil {
+		t.Fatal(err)
+	}
+	s.AdvanceTo(math.Nextafter(0x1p40+1, 0))
+	requireFloorTie(t, s.Query(), &sim.Arrival{ID: 1, Release: s.Now(), Size: 0x1p42}, GreedyConfig{Eps: 0.5}, leaves[0])
+}
+
+// A branch root's task near 2^40 units, with 2^-13 + 2^-30 of work
+// done between consecutive pushes behind it (FIFO), loses almost half
+// an ulp to rounding at each of 60 syncs, so its computed work runs out
+// about 60·2^-13 before its finish event. Just after that, the root
+// costs the floor (the pushed tasks hold 2^-60 each), while the finish
+// event is further away than a sync-free slack would allow for.
+func TestGreedyNearTieAfterSyncs(t *testing.T) {
+	const m = 60
+	tr := tree.FatTree(2, 1, 1)
+	leaves := tr.Leaves()
+	s := sim.New(tr, sim.Options{Policy: sim.FIFO{}})
+	if _, err := s.Inject(&sim.Arrival{ID: 0, Release: 0, Size: 0x1p40 + 1}, leaves[0]); err != nil {
+		t.Fatal(err)
+	}
+	const gap = 0x1p-13 + 0x1p-30
+	for i := 1; i <= m; i++ {
+		s.AdvanceTo(float64(i) * gap)
+		if _, err := s.Inject(&sim.Arrival{ID: i, Release: s.Now(), Size: 0x1p-60}, leaves[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.AdvanceTo(0x1p40 + 1 - 0x1p-8)
+	requireFloorTie(t, s.Query(), &sim.Arrival{ID: m + 1, Release: s.Now(), Size: 0x1p40 + 1},
+		GreedyConfig{Eps: 0.5, DropDistanceTerm: true}, leaves[0])
+}
+
+// At ε = 1e-9 on a fat-tree the distance term absorbs p: a branch root
+// running a larger job costs fl(fl(p+p) + c) = fl(p + c), the floor,
+// though its job has plenty of work left.
+func TestGreedyAbsorbedDistanceTie(t *testing.T) {
+	tr := tree.FatTree(3, 1, 1)
+	leaves := tr.Leaves()
+	s := sim.New(tr, sim.Options{})
+	if _, err := s.Inject(&sim.Arrival{ID: 0, Release: 0, Size: 0x1p20}, leaves[0]); err != nil {
+		t.Fatal(err)
+	}
+	s.AdvanceTo(1)
+	requireFloorTie(t, s.Query(), &sim.Arrival{ID: 1, Release: 1, Size: 1}, GreedyConfig{Eps: 1e-9}, leaves[0])
+}
+
+// A probe whose ID is below an injected task's at the same release and
+// size does not follow it: the task does not outrank the probe, so its
+// branch root costs the floor although the task has all its work left.
+func TestGreedyOutOfOrderProbe(t *testing.T) {
+	tr := tree.FatTree(3, 1, 1)
+	leaves := tr.Leaves()
+	s := sim.New(tr, sim.Options{})
+	s.AdvanceTo(1)
+	if _, err := s.Inject(&sim.Arrival{ID: 5, Release: 1, Size: 1}, leaves[0]); err != nil {
+		t.Fatal(err)
+	}
+	requireFloorTie(t, s.Query(), &sim.Arrival{ID: 3, Release: 1, Size: 1}, GreedyConfig{Eps: 0.5}, leaves[0])
+}
+
+// Processor sharing and brown-outs get no certificate, checked where a
+// bound priced from the heap top at the base speed would be positive.
+// Under a brown-out to 2^-40 of the branch root's base speed, its task
+// of 2^-50 has 2^-51 left halfway to its finish event at 2^-10: such a
+// bound would claim 2^-11. Under PS the root's lone task would be
+// claimed to have 0.5 left at t = 0.5 (it has), and just before its
+// event at t = 1 it has 2^-53 left, the half-ulp tie.
+func TestGreedyRefusesPSAndBrownouts(t *testing.T) {
+	tr := tree.FatTree(3, 1, 1)
+	leaves := tr.Leaves()
+	sched, err := faults.Compile(tr, &faults.Plan{Events: []faults.Event{
+		{Kind: faults.Brownout, Node: tr.Branch(leaves[0]), Start: 0, End: 1, Factor: 0x1p-40},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name            string
+		opts            sim.Options
+		size, check, at float64
+		probeSize       float64
+	}{
+		{"brownout", sim.Options{Faults: sched}, 0x1p-50, 0x1p-11, 0x1p-11, 1},
+		{"ps", sim.Options{Policy: sim.PS{}}, 1, 0.5, math.Nextafter(1, 0), 4},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := sim.New(tr, c.opts)
+			if _, err := s.Inject(&sim.Arrival{ID: 0, Release: 0, Size: c.size}, leaves[0]); err != nil {
+				t.Fatal(err)
+			}
+			s.AdvanceTo(c.check)
+			if w := s.Query().RootWorkBound(c.check, 1); w > 0 {
+				t.Fatalf("t=%v: RootWorkBound = %v, want no bound", c.check, w)
+			}
+			s.AdvanceTo(c.at)
+			requireFloorTie(t, s.Query(), &sim.Arrival{ID: 1, Release: c.at, Size: c.probeSize}, GreedyConfig{Eps: 0.5}, leaves[0])
+		})
+	}
+}
+
 // The benchmark's wide shape: 20,000 jobs on fattree:32,1,32 at speed
 // 1.5, where most arrivals find an empty branch root, must give the
 // straight scan's NDJSON byte for byte.
@@ -291,27 +423,45 @@ var scanConfigs = []GreedyConfig{
 // decodeScanInput builds a FuzzGreedyScan case: a tree of 2–4 branches,
 // each a chain of one to three routers ending in one or two leaves,
 // optionally with a shallower leaf on the branch root and a deep leaf
-// after it (so one branch can hold several runs); speed 1 or 1.5; a
-// rule from scanConfigs; a policy, whole or packetized; then up to 64
-// jobs, three bytes each: a release gap (one gap jumps to just below
-// the next integer time, where a unit job started on an idle branch
-// root at the previous integer time has an ulp or so of work left: the
-// floor tie of TestGreedyFloorTieAheadOfEmptyRoot), a size and an
-// origin (a quarter of jobs start at a random non-root node).
+// after it (so one branch can hold several runs), or, for half the
+// first bytes, branches whose chains all have the first one's length
+// and no extra leaves (one depth, where the scan may end at the first
+// empty branch root); speed 1 or 1.5; a rule from scanConfigs; a
+// policy, whole or packetized; then up to 64 jobs, three bytes each: a
+// release gap, a size and an origin (a quarter of jobs start at a
+// random non-root node). One gap jumps to just below the next integer
+// time, where a unit job started on an idle branch root at the
+// previous integer time has an ulp or so of work left: the floor tie
+// of TestGreedyFloorTieAheadOfEmptyRoot. One adds 2^40 to the clock,
+// where an ulp is 2^-12, and one, 2^-13 + 2^-30, rounds each sync of a
+// task near 2^40 units down by almost half an ulp; with sizes of 2^-60
+// queued behind such a task under FIFO, its computed work runs out
+// before its finish event (TestGreedyNearTieAfterSyncs). Packetized
+// jobs are capped at 16 units.
 func decodeScanInput(data []byte) (*tree.Tree, GreedyConfig, sim.Options, bool, *workload.Trace) {
 	in := scanInput(data)
 	b := tree.NewBuilder()
-	for i := 2 + in.next()%3; i > 0; i-- {
+	first := in.next()
+	oneDepth := first/3%2 == 1
+	chain := -1
+	for i := 2 + first%3; i > 0; i-- {
 		x := in.next()
+		d := x % 3
+		if oneDepth {
+			if chain < 0 {
+				chain = d
+			}
+			d = chain
+		}
 		top := b.AddRouter(b.Root())
 		v := top
-		for d := x % 3; d > 0; d-- {
+		for ; d > 0; d-- {
 			v = b.AddRouter(v)
 		}
 		for l := 1 + x/3%2; l > 0; l-- {
 			b.AddLeaf(v)
 		}
-		if x/6%2 == 1 && v != top {
+		if !oneDepth && x/6%2 == 1 && v != top {
 			b.AddLeaf(top)
 			if x/12%2 == 1 {
 				b.AddLeaf(v)
@@ -328,8 +478,8 @@ func decodeScanInput(data []byte) (*tree.Tree, GreedyConfig, sim.Options, bool, 
 	opts := sim.Options{Policy: pol.policy, RecordSlices: pol.name != "ps"}
 	packetized := p/len(scanPolicies)%2 == 1
 
-	gaps := [...]float64{0, 0, 0.25, 1, 3, 1e-9, -1, 0.5}
-	sizes := [...]float64{1, 1, 2, 4, 16, 0.5, 3, 1.5}
+	gaps := [...]float64{0, 0, 0.25, 1, 3, 1e-9, -1, 0.5, 0x1p40, 0x1p-13 + 0x1p-30}
+	sizes := [...]float64{1, 1, 2, 4, 16, 0.5, 3, 1.5, 0x1p40 + 1, 0x1p-60}
 	trace := &workload.Trace{}
 	rel := 0.0
 	for id := 0; id < 64 && len(in) > 0; id++ {
@@ -340,6 +490,9 @@ func decodeScanInput(data []byte) (*tree.Tree, GreedyConfig, sim.Options, bool, 
 			rel += gap
 		}
 		j := workload.Job{ID: id, Release: rel, Size: sizes[s%len(sizes)]}
+		if packetized {
+			j.Size = min(j.Size, 16)
+		}
 		if o%4 == 3 {
 			j.Origin = int32(1 + o/4%(tr.NumNodes()-1))
 		}
@@ -381,15 +534,31 @@ func FuzzGreedyScan(f *testing.F) {
 
 // BenchmarkGreedyAssign times GreedyIdentical.Assign alone on warm
 // engine states of the sim-wide shape (fattree:32,1,32 at speed 1.5,
-// load 0.95): 16 engines stopped every 1,000 arrivals of one trace,
-// each advanced to the next release and probed there with the 16
-// arrivals that follow. Queries are pure, so the timed loop never
-// moves a state, and it allocates nothing.
+// load 0.95): 16 engines of one trace, each stopped at an arrival and
+// probed there with the 16 arrivals that follow. Sub-benchmark mixed
+// stops every 1,000 arrivals (most probes find an empty branch root,
+// where the scan ends); busy stops at the first arrival after each
+// 1,000 that finds every branch root busy (no empty root: the full
+// bound-priced scan). Queries are pure, so the timed loop never moves
+// a state, and it allocates nothing.
 func BenchmarkGreedyAssign(b *testing.B) {
+	b.Run("mixed", func(b *testing.B) { benchGreedyAssign(b, false) })
+	b.Run("busy", func(b *testing.B) { benchGreedyAssign(b, true) })
+}
+
+func benchGreedyAssign(b *testing.B, allBusy bool) {
 	const states, probes = 16, 16
 	tr := tree.FatTree(32, 1, 32).WithUniformSpeed(1.5)
-	trace := classTrace(b, 7, (states+1)*1000, 0.95, 0.5, 32)
+	trace := classTrace(b, 7, (states+2)*1000, 0.95, 0.5, 32)
 	g := NewGreedyIdentical(0.5)
+	busy := func(q *sim.Query) bool {
+		for _, r := range tr.RootAdjacent() {
+			if q.AvailCount(r) == 0 {
+				return false
+			}
+		}
+		return true
+	}
 	type probe struct {
 		q *sim.Query
 		a sim.Arrival
@@ -397,17 +566,19 @@ func BenchmarkGreedyAssign(b *testing.B) {
 	var ps []probe
 	for k := 1; k <= states; k++ {
 		s := sim.New(tr, sim.Options{})
-		for _, j := range trace.Jobs[:k*1000] {
+		for i := 0; ; i++ {
+			j := &trace.Jobs[i]
 			s.AdvanceTo(j.Release)
+			if i >= k*1000 && (!allBusy || busy(s.Query())) {
+				for _, j := range trace.Jobs[i : i+probes] {
+					ps = append(ps, probe{q: s.Query(), a: sim.Arrival{ID: j.ID, Release: s.Now(), Size: j.Size}})
+				}
+				break
+			}
 			a := &sim.Arrival{ID: j.ID, Release: j.Release, Size: j.Size}
 			if _, err := s.Inject(a, g.Assign(s.Query(), a)); err != nil {
 				b.Fatal(err)
 			}
-		}
-		next := trace.Jobs[k*1000 : k*1000+probes]
-		s.AdvanceTo(next[0].Release)
-		for _, j := range next {
-			ps = append(ps, probe{q: s.Query(), a: sim.Arrival{ID: j.ID, Release: s.Now(), Size: j.Size}})
 		}
 	}
 	for i := range ps {

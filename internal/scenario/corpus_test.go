@@ -468,6 +468,7 @@ func (z *queryNoise) calls(q *sim.Query) {
 		q.AvailVolume(node())
 		q.AvailStats(node(), size(), q.Now(), id())
 		q.AvailStatsBound(node(), size(), q.Now(), id())
+		q.RootWorkBound(q.Now(), id())
 		q.AvailCount(node())
 		q.AssignedUpstreamWork(leaf())
 		q.LeafVolumeHigher(leaf(), size(), q.Now(), id())

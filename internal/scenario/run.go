@@ -36,6 +36,9 @@ type Instance struct {
 	// generated scenarios: those leave Trace nil and draw jobs on
 	// demand.
 	workload Workload
+	// unrelated is Workload.unrelated, computed once in Build: it scans
+	// every inline job, and NewAssigner runs on every Runner.Run.
+	unrelated bool
 }
 
 // Build resolves every spec in the scenario against the registries
@@ -145,7 +148,8 @@ func (sc *Scenario) Build() (*Instance, error) {
 			RecordSlices: sc.Engine.RecordSlices,
 			RetainJobs:   sc.Engine.RetainJobs,
 		},
-		workload: w,
+		workload:  w,
+		unrelated: w.unrelated(),
 	}
 	if sc.Faults != nil {
 		if err := applyFaults(in, p.Stream("faults")); err != nil {
@@ -216,7 +220,7 @@ func (in *Instance) NewAssigner() (sim.Assigner, error) {
 	asg, err := ParseAssigner(sc.EffAssigner(), AssignerContext{
 		Tree:      in.Tree,
 		Eps:       sc.EffEps(),
-		Unrelated: sc.Workload.unrelated(),
+		Unrelated: in.unrelated,
 		Seed:      sc.EffAssignerSeed(),
 	})
 	if err != nil {

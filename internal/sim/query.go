@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math"
+
 	"treesched/internal/tree"
 )
 
@@ -162,6 +164,48 @@ func (q *Query) AvailStatsBound(v tree.NodeID, size, release float64, id int) (v
 		volHigher += q.s.remainingAt(n, r)
 	}
 	return volHigher, countLarger, exact
+}
+
+// RootWorkBound returns, in O(1) and without reading any node, a
+// lower bound w of the work every busy root-adjacent node's running
+// task has left at the engine clock (remainingAt, as AvailStats reads
+// it), and a bound that holds only for a probe (release, id) following
+// every task injected since the last Reset in (release, ID) order:
+// each queued task with PrioOnCur at most a probe size then outranks
+// the probe, so such a root's AvailVolumeHigher is at least w. A w of
+// 0 or less certifies nothing; that is the answer under processor
+// sharing, with a fault schedule (an outage leaves a running task
+// without a finish event), for any other probe, and for a heap top
+// below 2^-960 or 2^-960/speed, where rounding loses its relative
+// bound. The identical greedy rule reads it to end its scan at the
+// first empty branch root.
+//
+// The bound, proved in DESIGN §3.4: a root's running task whose finish
+// event is t_f, on a node of speed s synced m times since that event
+// was set, has at least s·(t_f·(1−k) − t) left at clock t ≤ t_f, with
+// k = (m+7)·2^-53 covering the rounding of the event time, of each
+// sync's elapsed work and remainder, and of the query's own. The node
+// is synced only when a task is pushed onto it, a push that preempts
+// sets a new event, and every pushed task is still queued there, so
+// m < Active(). Every such event is in the heap, so t_f is at least
+// the heap top, and s at least rootSpeed; k = (Active()+2)·2^-51 also
+// absorbs the rounding of the bound's own evaluation.
+func (q *Query) RootWorkBound(release float64, id int) float64 {
+	s := q.s
+	if s.ps || s.opts.Faults != nil ||
+		!(release > s.maxRelease || release == s.maxRelease && id >= s.maxID) {
+		return 0
+	}
+	evs := s.events.evs
+	if len(evs) == 0 {
+		return math.Inf(1) // no node is busy
+	}
+	top := evs[0].time()
+	if !(top >= 0x1p-960 && top*s.rootSpeed >= 0x1p-960) {
+		return 0
+	}
+	k := float64(s.activeTasks+2) * 0x1p-51
+	return s.rootSpeed * (top - s.now - k*top)
 }
 
 // AvailCount returns the number of jobs available on v.

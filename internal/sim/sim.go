@@ -261,6 +261,13 @@ type Sim struct {
 	records []JobMetrics
 	lent    bool
 	nextSeq int64
+	// maxRelease and maxID bound the (release, ID) of every task
+	// injected since the last Reset from above (both start at 0), so
+	// RootWorkBound can tell that a probe follows all of them.
+	maxRelease float64
+	maxID      int
+	// rootSpeed is the slowest root-adjacent node's base speed.
+	rootSpeed float64
 
 	// query is the read-only view handed out by Query (one per engine
 	// so the accessor does not allocate).
@@ -313,6 +320,10 @@ func New(t *tree.Tree, opts Options) *Sim {
 		n.speed = n.baseSpeed
 		n.leaf = t.IsLeaf(n.id)
 		n.lastSlice = -1
+	}
+	s.rootSpeed = math.Inf(1)
+	for _, v := range t.RootAdjacent() {
+		s.rootSpeed = min(s.rootSpeed, t.Speed(v))
 	}
 	s.events.reset(t.NumNodes())
 	s.assigned = make([][]*JobState, len(t.Leaves()))
@@ -411,6 +422,7 @@ func (s *Sim) Reset(opts Options) {
 		s.records = s.records[:0]
 	}
 	s.nextSeq = 0
+	s.maxRelease, s.maxID = 0, 0
 	s.now = 0
 	for i := range s.nodes {
 		n := &s.nodes[i]
@@ -476,11 +488,16 @@ func (s *Sim) recycle(js *JobState) { s.free = append(s.free, js) }
 // validators, the auditor, the Gantt renderer) need it.
 func (s *Sim) keepsTasks() bool { return s.opts.Instrument || s.opts.RecordSlices }
 
-// claimSeq numbers js as the next injected task and, unless retention
-// is bounded, opens its record slot.
+// claimSeq numbers js as the next injected task, raises the injected
+// (release, ID) maxima and, unless retention is bounded, opens its
+// record slot.
 func (s *Sim) claimSeq(js *JobState) {
 	js.seq = s.nextSeq
 	s.nextSeq++
+	// A NaN release (raw Inject does not validate) makes the maximum
+	// NaN, which no probe follows.
+	s.maxRelease = max(s.maxRelease, js.Release)
+	s.maxID = max(s.maxID, js.ID)
 	if s.opts.RetainJobs == 0 {
 		s.records = append(s.records, JobMetrics{ID: js.ID})
 	}
